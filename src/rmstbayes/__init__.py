@@ -6,9 +6,8 @@ MCMC posterior draws, WAIC model comparison, and a CSV-driven CLI."""
 from .dataio import DataError, ingest_csv, write_csv
 from .families import (AltFamilyParams, EffectKind, EffectValue, Family,
                        FamilyParams, NO_EFFECT, frailty, random_offset)
-from .inference import (ModelSpec, ParamLayout, SurvivalDataset,
-                        log_likelihood, log_posterior, log_prior,
-                        pointwise_log_likelihood)
+from .inference import (Model, ModelSpec, ParamLayout, SurvivalDataset,
+                        log_posterior, log_prior, pointwise_log_likelihood)
 from .model_selection import WaicResult, waic
 from .rmst import (RmstQuery, RmstSampleVector, rmst_difference,
                    rmst_distribution, rmst_exponential, rmst_frailty,

@@ -13,7 +13,9 @@ log-logistic/log-normal) or a multiplicative frailty ``v`` on the hazard,
 which exponentiates the survival function: S(t|v) = S(t)^v and
 f(t|v) = v h(t) S(t)^v.
 
-Everything is scalar, pure, and log-space where it matters.
+``log_hazard_survival`` holds each family's log-hazard and log-survival
+formula, once, in numpy; the likelihood evaluates it over all rows and the
+scalar ``log_survival``/``log_density``/``hazard`` at one time point.
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .specfun import log_std_normal_sf
+
+_LOG_NORM_SF = np.vectorize(log_std_normal_sf, otypes=[float])
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 class Family(str, Enum):
@@ -110,67 +117,63 @@ def shifted(p: FamilyParams, u: float) -> FamilyParams:
     return FamilyParams(p.family, mu=p.mu + u, k=p.k, sigma2=p.sigma2)
 
 
-def _base_log_survival(p: FamilyParams, t: float) -> float:
-    if p.family is Family.EXPONENTIAL:
-        return -p.lam * t
-    if p.family is Family.WEIBULL:
-        return -p.lam * math.exp(p.k * math.log(t)) if t > 0 else 0.0
-    if p.family is Family.LOG_LOGISTIC:
-        w = p.mu + p.k * math.log(t)
-        # -log(1 + e^w), overflow-safe
-        return -w - math.log1p(math.exp(-w)) if w > 0 else -math.log1p(math.exp(w))
-    sigma = math.sqrt(p.sigma2)
-    return log_std_normal_sf((math.log(t) - p.mu) / sigma)
+def log_hazard_survival(family: Family, eta, shape, t, logt,
+                        kind: EffectKind = EffectKind.NONE, effect=0.0):
+    """(log h, log S) at times ``t`` (with ``logt`` = log t), elementwise over
+    numpy arrays or scalars.
+
+    ``eta`` is log lam (exponential, weibull) or mu (log-logistic,
+    log-normal); ``shape`` is k, or sigma^2 for log-normal.  ``effect`` is the
+    cluster effect on the sampling scale: a random offset u shifts eta, and a
+    frailty given as log v scales log S by v and adds log v to log h.
+    """
+    if kind is EffectKind.RANDOM:
+        eta = eta + effect
+    if family is Family.EXPONENTIAL:
+        log_h = eta
+        log_s = -np.exp(eta) * t
+    elif family is Family.WEIBULL:
+        log_h = eta + math.log(shape) + (shape - 1.0) * logt
+        log_s = -np.exp(eta + shape * logt)
+    elif family is Family.LOG_LOGISTIC:
+        log_s = -np.logaddexp(0.0, eta + shape * logt)  # S = 1/(1 + e^eta t^k)
+        log_h = eta + math.log(shape) + (shape - 1.0) * logt + log_s
+    else:
+        z = (logt - eta) / math.sqrt(shape)
+        log_s = _LOG_NORM_SF(z)
+        log_pdf = -logt - 0.5 * math.log(shape) - 0.5 * _LOG_2PI - 0.5 * z * z
+        log_h = log_pdf - log_s
+    if kind is EffectKind.FRAILTY:
+        return effect + log_h, np.exp(effect) * log_s
+    return log_h, log_s
 
 
-def _base_log_hazard(p: FamilyParams, t: float) -> float:
-    logt = math.log(t)
-    if p.family is Family.EXPONENTIAL:
-        return math.log(p.lam)
-    if p.family is Family.WEIBULL:
-        return math.log(p.lam) + math.log(p.k) + (p.k - 1.0) * logt
-    if p.family is Family.LOG_LOGISTIC:
-        # h = e^mu k t^(k-1) S(t)
-        return p.mu + math.log(p.k) + (p.k - 1.0) * logt + _base_log_survival(p, t)
-    sigma = math.sqrt(p.sigma2)
-    z = (logt - p.mu) / sigma
-    log_pdf = -logt - 0.5 * math.log(2.0 * math.pi * p.sigma2) - 0.5 * z * z
-    return log_pdf - log_std_normal_sf(z)
-
-
-def _resolve(p: FamilyParams, e: EffectValue) -> tuple[FamilyParams, float]:
-    """Reduce an effect to (conditioned base params, frailty multiplier)."""
-    if e.kind is EffectKind.RANDOM:
-        return shifted(p, e.value), 1.0
-    if e.kind is EffectKind.FRAILTY:
-        return p, e.value
-    return p, 1.0
+def _scalar_log_hazard_survival(p: FamilyParams, e: EffectValue, t: float) -> tuple:
+    if not t > 0:
+        raise ValueError(f"survival time must be positive, got {t}")
+    if p.family in (Family.EXPONENTIAL, Family.WEIBULL):
+        eta, shape = math.log(p.lam), p.k
+    else:
+        eta, shape = p.mu, p.sigma2 if p.family is Family.LOG_NORMAL else p.k
+    effect = math.log(e.value) if e.kind is EffectKind.FRAILTY else e.value
+    log_h, log_s = log_hazard_survival(p.family, eta, shape, t, math.log(t), e.kind, effect)
+    return float(log_h), float(log_s)
 
 
 def log_survival(p: FamilyParams, e: EffectValue = NO_EFFECT, t: float = None) -> float:
     """log S(t | p, e); frailty v multiplies the cumulative hazard."""
-    if not t > 0:
-        raise ValueError(f"survival time must be positive, got {t}")
-    base, v = _resolve(p, e)
-    return v * _base_log_survival(base, t)
+    return _scalar_log_hazard_survival(p, e, t)[1]
 
 
 def log_density(p: FamilyParams, e: EffectValue = NO_EFFECT, t: float = None) -> float:
-    """log f(t | p, e); for frailty, f = v h(t) S(t)^v."""
-    if not t > 0:
-        raise ValueError(f"survival time must be positive, got {t}")
-    base, v = _resolve(p, e)
-    log_h = _base_log_hazard(base, t)
-    log_s = _base_log_survival(base, t)
-    return (math.log(v) if v != 1.0 else 0.0) + log_h + v * log_s
+    """log f(t | p, e) = log h + log S; for frailty, f = v h(t) S(t)^v."""
+    log_h, log_s = _scalar_log_hazard_survival(p, e, t)
+    return log_h + log_s
 
 
 def hazard(p: FamilyParams, e: EffectValue = NO_EFFECT, t: float = None) -> float:
     """h(t | p, e) = f/S; equals v * h_base(t) under frailty."""
-    if not t > 0:
-        raise ValueError(f"survival time must be positive, got {t}")
-    base, v = _resolve(p, e)
-    return v * math.exp(_base_log_hazard(base, t))
+    return math.exp(_scalar_log_hazard_survival(p, e, t)[0])
 
 
 @dataclass(frozen=True)
@@ -196,20 +199,8 @@ def convert_weibull_alt(alt: AltFamilyParams) -> FamilyParams:
     return FamilyParams.weibull(lam=alt.scale ** (-alt.k), k=alt.k)
 
 
-def weibull_to_alt(p: FamilyParams) -> AltFamilyParams:
-    if p.family is not Family.WEIBULL:
-        raise ValueError("expected weibull params")
-    return AltFamilyParams(Family.WEIBULL, scale=p.lam ** (-1.0 / p.k), k=p.k)
-
-
 def convert_loglogistic_alt(alt: AltFamilyParams) -> FamilyParams:
     """S(t)=1/(1+(t/scale)^k)  ->  mu = -k log(scale)."""
     if alt.family is not Family.LOG_LOGISTIC:
         raise ValueError("expected a log-logistic alternate parameterization")
     return FamilyParams.loglogistic(mu=-alt.k * math.log(alt.scale), k=alt.k)
-
-
-def loglogistic_to_alt(p: FamilyParams) -> AltFamilyParams:
-    if p.family is not Family.LOG_LOGISTIC:
-        raise ValueError("expected log-logistic params")
-    return AltFamilyParams(Family.LOG_LOGISTIC, scale=math.exp(-p.mu / p.k), k=p.k)

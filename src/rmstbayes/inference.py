@@ -15,19 +15,21 @@ where the shape coordinate is log k (weibull, log-logistic) or log sigma^2
 effect-scale hyperparameter.  All positive parameters are carried on log
 scale so random-walk proposals are unconstrained; the log-priors include the
 corresponding Jacobian terms.
+
+A ``Model`` compiles a dataset and a spec once per fit; ``log_prior``,
+``log_likelihood``, ``pointwise_log_likelihood`` and ``log_posterior`` take
+``(model, theta)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .families import EffectKind, Family
-from .specfun import log_std_normal_sf
+from .families import EffectKind, Family, log_hazard_survival
 
-_LOG_NORM_SF = np.vectorize(log_std_normal_sf, otypes=[float])
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -131,25 +133,17 @@ class ParamLayout:
     has_shape: bool
     effect: EffectKind
     n_clusters: int
+    shape_name: str = "k"  # "sigma2" when the shape slot holds sigma^2
 
     @property
     def shape_index(self) -> int | None:
         return self.q if self.has_shape else None
-
-    # Alias used by consumers of natural-scale draw matrices.
-    @property
-    def shape_column(self) -> int | None:
-        return self.shape_index
 
     @property
     def effect_indices(self) -> range:
         start = self.q + (1 if self.has_shape else 0)
         m = self.n_clusters if self.effect is not EffectKind.NONE else 0
         return range(start, start + m)
-
-    @property
-    def effect_columns(self) -> range:
-        return self.effect_indices
 
     @property
     def phi_index(self) -> int | None:
@@ -167,15 +161,12 @@ class ParamLayout:
     def column_names(self, design_names: tuple = ()) -> tuple:
         names = list(design_names) if design_names else [f"beta{j}" for j in range(self.q)]
         if self.has_shape:
-            names.append("sigma2" if self._lognormal_shape else "k")
+            names.append(self.shape_name)
         if self.effect is not EffectKind.NONE:
             prefix = "u" if self.effect is EffectKind.RANDOM else "v"
             names.extend(f"{prefix}[{i}]" for i in range(1, self.n_clusters + 1))
             names.append("phi")
         return tuple(names)
-
-    # set by param_layout(); whether the shape slot holds sigma^2
-    _lognormal_shape: bool = False
 
     def beta(self, theta: np.ndarray) -> np.ndarray:
         return theta[: self.q]
@@ -218,14 +209,24 @@ class ParamLayout:
         return idx
 
 
-def param_layout(spec: ModelSpec, data: SurvivalDataset) -> ParamLayout:
-    return ParamLayout(
-        q=data.q,
-        has_shape=spec.has_shape,
-        effect=spec.effect,
-        n_clusters=data.n_clusters,
-        _lognormal_shape=spec.family is Family.LOG_NORMAL,
-    )
+class Model:
+    """A dataset and a model spec compiled once per fit: the parameter
+    layout, the prior constants, and the per-row arrays (log t, events,
+    0-based cluster index) that every posterior evaluation reuses."""
+
+    def __init__(self, data: SurvivalDataset, spec: ModelSpec):
+        self.spec = spec
+        self.layout = ParamLayout(
+            q=data.q, has_shape=spec.has_shape, effect=spec.effect,
+            n_clusters=data.n_clusters,
+            shape_name="sigma2" if spec.family is Family.LOG_NORMAL else "k")
+        self.x, self.time, self.event = data.x, data.time, data.event
+        self.logt = np.log(data.time)
+        self.cluster = data.cluster - 1
+        self.coef_var = spec.coef_variances(data.q)
+        self.coef_log_norm = -0.5 * (_LOG_2PI + np.log(self.coef_var))
+        a, b = spec.shape_prior_a, spec.shape_prior_b
+        self.shape_log_norm = a * math.log(b) - math.lgamma(a)  # Gamma(a, b) on k
 
 
 def _check_theta(layout: ParamLayout, theta: np.ndarray) -> np.ndarray:
@@ -235,74 +236,32 @@ def _check_theta(layout: ParamLayout, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def pointwise_log_likelihood(data: SurvivalDataset, spec: ModelSpec,
-                             theta: np.ndarray) -> np.ndarray:
+def pointwise_log_likelihood(model: Model, theta: np.ndarray) -> np.ndarray:
     """Per-row delta*log f + (1-delta)*log S; sums to log_likelihood."""
-    layout = param_layout(spec, data)
+    layout, spec = model.layout, model.spec
     theta = _check_theta(layout, theta)
-    beta = layout.beta(theta)
-    eta = data.x @ beta
-    t = data.time
-    logt = np.log(t)
-    delta = data.event
-
-    k = sigma2 = None
-    if spec.family in (Family.WEIBULL, Family.LOG_LOGISTIC):
-        k = layout.shape_value(theta)
-    elif spec.family is Family.LOG_NORMAL:
-        sigma2 = layout.shape_value(theta)
-
-    row_effect = None
-    if spec.effect is not EffectKind.NONE:
-        row_effect = layout.effects(theta)[data.cluster - 1]
-    if spec.effect is EffectKind.RANDOM and row_effect is not None:
-        eta = eta + row_effect  # lam -> lam e^u / mu -> mu + u
-
-    if spec.family is Family.EXPONENTIAL:
-        log_h = eta
-        log_s = -np.exp(eta) * t
-    elif spec.family is Family.WEIBULL:
-        log_h = eta + math.log(k) + (k - 1.0) * logt
-        log_s = -np.exp(eta + k * logt)
-    elif spec.family is Family.LOG_LOGISTIC:
-        w = eta + k * logt
-        log_s = -np.logaddexp(0.0, w)
-        log_h = eta + math.log(k) + (k - 1.0) * logt + log_s
-    else:
-        sigma = math.sqrt(sigma2)
-        z = (logt - eta) / sigma
-        log_s = _LOG_NORM_SF(z)
-        log_pdf = -logt - 0.5 * math.log(sigma2) - 0.5 * _LOG_2PI - 0.5 * z * z
-        log_h = log_pdf - log_s
-
-    if spec.effect is EffectKind.FRAILTY:
-        v = np.exp(row_effect)  # effects are log v
-        return delta * (row_effect + log_h) + v * log_s
-    return delta * log_h + log_s
+    eta = model.x @ layout.beta(theta)
+    effect = (layout.effects(theta)[model.cluster]
+              if spec.effect is not EffectKind.NONE else 0.0)
+    log_h, log_s = log_hazard_survival(spec.family, eta, layout.shape_value(theta),
+                                       model.time, model.logt, spec.effect, effect)
+    return model.event * log_h + log_s
 
 
-def log_likelihood(data: SurvivalDataset, spec: ModelSpec, theta: np.ndarray) -> float:
-    return float(np.sum(pointwise_log_likelihood(data, spec, theta)))
+def log_likelihood(model: Model, theta: np.ndarray) -> float:
+    return float(np.sum(pointwise_log_likelihood(model, theta)))
 
 
-def _log_gamma_density(x: float, shape: float, rate: float) -> float:
-    return shape * math.log(rate) - math.lgamma(shape) + (shape - 1.0) * math.log(x) - rate * x
-
-
-def log_prior(spec: ModelSpec, theta: np.ndarray, q: int, n_clusters: int = 0) -> float:
+def log_prior(model: Model, theta: np.ndarray) -> float:
     """Joint log prior density including Jacobians of the log transforms.
 
     Returns -inf when phi or sigma^2 fall outside their uniform supports.
     """
-    layout = ParamLayout(q=q, has_shape=spec.has_shape, effect=spec.effect,
-                         n_clusters=n_clusters,
-                         _lognormal_shape=spec.family is Family.LOG_NORMAL)
+    spec, layout = model.spec, model.layout
     theta = _check_theta(layout, theta)
-    total = 0.0
 
     beta = layout.beta(theta)
-    cvar = spec.coef_variances(q)
-    total += float(np.sum(-0.5 * (_LOG_2PI + np.log(cvar)) - 0.5 * beta * beta / cvar))
+    total = float(np.sum(model.coef_log_norm - 0.5 * beta * beta / model.coef_var))
 
     if layout.shape_index is not None:
         log_shape = theta[layout.shape_index]
@@ -313,7 +272,8 @@ def log_prior(spec: ModelSpec, theta: np.ndarray, q: int, n_clusters: int = 0) -
             total += -math.log(spec.sigma2_upper) + log_shape  # U(0,s) + Jacobian
         else:
             k = math.exp(log_shape)
-            total += _log_gamma_density(k, spec.shape_prior_a, spec.shape_prior_b) + log_shape
+            a, b = spec.shape_prior_a, spec.shape_prior_b
+            total += model.shape_log_norm + (a - 1.0) * math.log(k) - b * k + log_shape
 
     if spec.effect is not EffectKind.NONE:
         log_phi = theta[layout.phi_index]
@@ -333,8 +293,8 @@ def log_prior(spec: ModelSpec, theta: np.ndarray, q: int, n_clusters: int = 0) -
     return total
 
 
-def log_posterior(data: SurvivalDataset, spec: ModelSpec, theta: np.ndarray) -> float:
-    lp = log_prior(spec, theta, data.q, data.n_clusters)
+def log_posterior(model: Model, theta: np.ndarray) -> float:
+    lp = log_prior(model, theta)
     if lp == -math.inf:
         return -math.inf
-    return lp + log_likelihood(data, spec, theta)
+    return lp + log_likelihood(model, theta)

@@ -12,28 +12,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import ModelSpec, SurvivalDataset, pointwise_log_likelihood
+from .inference import Model, ModelSpec, SurvivalDataset, pointwise_log_likelihood
 from .sampler import PosteriorDraws
 
 
 @dataclass(frozen=True)
 class WaicResult:
-    waic: float
     lppd: float
     p_waic: float
     pointwise_lppd: np.ndarray
     pointwise_p: np.ndarray
 
-    def __post_init__(self):
-        assert abs(self.waic - (-2.0 * (self.lppd - self.p_waic))) < 1e-8
+    @property
+    def waic(self) -> float:
+        return -2.0 * (self.lppd - self.p_waic)
 
 
 def pointwise_matrix(data: SurvivalDataset, spec: ModelSpec,
                      draws: PosteriorDraws) -> np.ndarray:
     """(draws, observations) matrix of pointwise log-likelihoods."""
-    flat = draws.flat()
-    thetas = draws.layout.to_sampling(flat)
-    return np.stack([pointwise_log_likelihood(data, spec, thetas[s])
+    model = Model(data, spec)
+    thetas = draws.layout.to_sampling(draws.flat())
+    return np.stack([pointwise_log_likelihood(model, thetas[s])
                      for s in range(len(thetas))])
 
 
@@ -42,28 +42,20 @@ def waic(data: SurvivalDataset, spec: ModelSpec, draws: PosteriorDraws,
     flat_len = draws.flat().shape[0]
     if flat_len < min_draws:
         raise ValueError(f"need >= {min_draws} kept draws for WAIC, have {flat_len}")
-    ll = pointwise_matrix(data, spec, draws)
-    # log mean exp per observation, overflow-safe.
-    mx = ll.max(axis=0)
-    pointwise_lppd = mx + np.log(np.mean(np.exp(ll - mx), axis=0))
-    pointwise_p = ll.var(axis=0, ddof=1)
-    if np.all(np.ptp(ll, axis=0) == 0.0):
-        warnings.warn("degenerate draws: zero variance in every pointwise "
-                      "log-likelihood; p_waic set to 0", RuntimeWarning, stacklevel=2)
-        pointwise_p = np.zeros_like(pointwise_p)
-    lppd = float(pointwise_lppd.sum())
-    p = float(pointwise_p.sum())
-    return WaicResult(waic=-2.0 * (lppd - p), lppd=lppd, p_waic=p,
-                      pointwise_lppd=pointwise_lppd, pointwise_p=pointwise_p)
+    return waic_from_matrix(pointwise_matrix(data, spec, draws))
 
 
 def waic_from_matrix(ll: np.ndarray) -> WaicResult:
     """WAIC directly from a (draws, observations) log-likelihood matrix."""
     ll = np.asarray(ll, dtype=float)
+    # log mean exp per observation, overflow-safe.
     mx = ll.max(axis=0)
     pointwise_lppd = mx + np.log(np.mean(np.exp(ll - mx), axis=0))
-    pointwise_p = ll.var(axis=0, ddof=1) if ll.shape[0] > 1 else np.zeros(ll.shape[1])
-    lppd = float(pointwise_lppd.sum())
-    p = float(pointwise_p.sum())
-    return WaicResult(waic=-2.0 * (lppd - p), lppd=lppd, p_waic=p,
+    if np.all(np.ptp(ll, axis=0) == 0.0):
+        warnings.warn("degenerate draws: zero variance in every pointwise "
+                      "log-likelihood; p_waic set to 0", RuntimeWarning, stacklevel=2)
+        pointwise_p = np.zeros(ll.shape[1])
+    else:
+        pointwise_p = ll.var(axis=0, ddof=1)
+    return WaicResult(lppd=float(pointwise_lppd.sum()), p_waic=float(pointwise_p.sum()),
                       pointwise_lppd=pointwise_lppd, pointwise_p=pointwise_p)

@@ -2,40 +2,37 @@
 
 RMST(tau) = int_0^tau S(t) dt.  Closed forms exist for every family and for
 both cluster-effect types; the log-normal frailty case uses an approximate
-closed form (the exact integral is available through ``rmst_numeric`` or the
-``exact=True`` flag).  ``rmst_numeric`` integrates the survival function with
-adaptive Simpson quadrature and serves as the independent oracle for all the
-closed forms.
+closed form (the exact integral is available through ``rmst_numeric``).
+``rmst_numeric`` integrates the survival function with adaptive Simpson
+quadrature and serves as the independent oracle for all the closed forms; no
+posterior path calls it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .families import (
-    AltFamilyParams,
     EffectKind,
     EffectValue,
     Family,
     FamilyParams,
     NO_EFFECT,
-    convert_loglogistic_alt,
-    convert_weibull_alt,
     log_survival,
     shifted,
 )
 from .specfun import (
     incomplete_beta_compl,
-    ln_gamma,
     lower_incomplete_gamma,
     std_normal_cdf,
     std_normal_sf,
 )
 
 _LOG_HUGE = 700.0
+_LOG_TIME_SPAN = 60.0  # rmst_numeric integrates log(t / tau) over [-60, 0]
 
 
 class QuadratureError(RuntimeError):
@@ -64,7 +61,7 @@ def rmst_weibull(lam: float, k: float, tau: float) -> float:
     log_z = math.log(lam) + k * math.log(tau)
     head = lam ** (-1.0 / k)
     if log_z > _LOG_HUGE:
-        return head * math.exp(ln_gamma(a))
+        return head * math.exp(math.lgamma(a))
     z = math.exp(log_z)
     return head * lower_incomplete_gamma(z, a) + tau * math.exp(-z)
 
@@ -78,14 +75,14 @@ def _logistic_tail(w: float) -> float:
 
 
 def rmst_loglogistic(mu: float, k: float, tau: float) -> float:
-    """Closed form for k > 1; adaptive quadrature for k <= 1 (the incomplete
-    beta closed form needs the first-moment condition, finite-tau RMST does
-    not)."""
+    """e^(-mu/k) B(1 - S(tau); 1 + 1/k, 1 - 1/k) + tau S(tau).
+
+    For k <= 1 the beta's second argument is <= 0; the integral stays finite
+    because it stops short of 1 (finite-tau RMST needs no first moment).
+    """
     if not k > 0:
         raise ValueError("loglogistic requires k > 0")
     _check_tau(tau)
-    if k <= 1.0:
-        return rmst_numeric(FamilyParams.loglogistic(mu, k), NO_EFFECT, tau)
     w = mu + k * math.log(tau)
     s_tau = _logistic_tail(w)
     part = incomplete_beta_compl(s_tau, 1.0 + 1.0 / k, 1.0 - 1.0 / k)
@@ -109,19 +106,17 @@ def rmst_random_effect(p: FamilyParams, u: float, tau: float) -> float:
     return rmst_base(shifted(p, u), tau)
 
 
-def rmst_frailty(p: FamilyParams, v: float, tau: float, exact: bool = False) -> float:
+def rmst_frailty(p: FamilyParams, v: float, tau: float) -> float:
     """RMST with a multiplicative frailty v on the hazard.
 
     Closed forms are exact for exponential/weibull/log-logistic; the
-    log-normal form is an approximation (pass exact=True for quadrature of
-    the exact S^v integrand).
+    log-normal form is an approximation (``rmst_numeric`` integrates the
+    exact S^v integrand).
     """
     if not v > 0:
         raise ValueError("frailty requires v > 0")
     _check_tau(tau)
     fam = p.family
-    if exact or (fam is Family.LOG_LOGISTIC and p.k <= 1.0):
-        return rmst_numeric(p, EffectValue(EffectKind.FRAILTY, v), tau)
     if fam is Family.EXPONENTIAL:
         return rmst_exponential(v * p.lam, tau)
     if fam is Family.WEIBULL:
@@ -151,35 +146,13 @@ def rmst_base(p: FamilyParams, tau: float) -> float:
     return rmst_lognormal(p.mu, p.sigma2, tau)
 
 
-def rmst_value(p: FamilyParams, e: EffectValue = NO_EFFECT, tau: float = None,
-               exact: bool = False) -> float:
+def rmst_value(p: FamilyParams, e: EffectValue = NO_EFFECT, tau: float = None) -> float:
     """Closed-form RMST for any family x effect combination."""
     if e.kind is EffectKind.RANDOM:
         return rmst_random_effect(p, e.value, tau)
     if e.kind is EffectKind.FRAILTY:
-        return rmst_frailty(p, e.value, tau, exact=exact)
+        return rmst_frailty(p, e.value, tau)
     return rmst_base(p, tau)
-
-
-def rmst_weibull_alt(alt: AltFamilyParams, tau: float) -> float:
-    """Direct closed form in the time-scale parameterization:
-    scale * gamma_inc((tau/scale)^k; 1/k + 1) + tau exp(-(tau/scale)^k)."""
-    _check_tau(tau)
-    z = (tau / alt.scale) ** alt.k
-    a = 1.0 / alt.k + 1.0
-    return alt.scale * lower_incomplete_gamma(z, a) + tau * math.exp(-z)
-
-
-def rmst_loglogistic_alt(alt: AltFamilyParams, tau: float) -> float:
-    """Direct closed form in the time-scale parameterization:
-    scale * B(r/(1+r); 1 + 1/k, 1 - 1/k) + tau/(1+r) with r = (tau/scale)^k."""
-    _check_tau(tau)
-    if alt.k <= 1.0:
-        return rmst_loglogistic(-alt.k * math.log(alt.scale), alt.k, tau)
-    w = alt.k * (math.log(tau) - math.log(alt.scale))
-    s_tau = _logistic_tail(w)
-    part = incomplete_beta_compl(s_tau, 1.0 + 1.0 / alt.k, 1.0 - 1.0 / alt.k)
-    return alt.scale * part + tau * s_tau
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int) -> float:
@@ -214,19 +187,23 @@ def integrate(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 60) ->
 
 def rmst_numeric(p: FamilyParams, e: EffectValue = NO_EFFECT, tau: float = None,
                  tol: float = 1e-10) -> float:
-    """RMST by direct quadrature of the survival function.
+    """RMST by quadrature of the survival function in log time:
 
-    Independent of the closed forms; for log-normal frailty this is the exact
-    value (the closed form there is approximate).
+        int_0^tau S(t) dt = int_{-60}^0 S(tau e^s) tau e^s ds + tau e^-60,
+
+    taking S = 1 below tau e^-60.  For shapes k < 1, S(t) has an unbounded
+    slope at t = 0, where adaptive Simpson in t fails to converge; in log time
+    the integrand is smooth.  Independent of the closed forms; for
+    log-normal frailty this is the exact value (the closed form there is
+    approximate).
     """
     _check_tau(tau)
 
-    def surv(t: float) -> float:
-        if t <= 0.0:
-            return 1.0
-        return math.exp(log_survival(p, e, t))
+    def integrand(s: float) -> float:
+        t = tau * math.exp(s)
+        return math.exp(log_survival(p, e, t)) * t
 
-    return integrate(surv, 0.0, tau, tol=tol)
+    return integrate(integrand, -_LOG_TIME_SPAN, 0.0, tol=tol) + tau * math.exp(-_LOG_TIME_SPAN)
 
 
 @dataclass(frozen=True)
@@ -289,14 +266,14 @@ def rmst_distribution(draws, query: RmstQuery) -> RmstSampleVector:
     eta = beta[:, 0] + query.x1 * beta[:, 1]
     for j, val in enumerate(query.covariates):
         eta = eta + val * beta[:, 2 + j]
-    shape_col = draws.layout.shape_column
+    shape_col = draws.layout.shape_index
     shapes = flat[:, shape_col] if shape_col is not None else None
 
     effect_kind = EffectKind(spec.effect)
     if query.cluster is not None:
         if effect_kind is EffectKind.NONE:
             raise ValueError("cluster queries require a random-effect or frailty model")
-        col = draws.layout.effect_columns[query.cluster - 1]
+        col = draws.layout.effect_indices[query.cluster - 1]
         effect_vals = flat[:, col]
     else:
         effect_vals = None

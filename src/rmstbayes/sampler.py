@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .families import EffectKind, Family
-from .inference import ModelSpec, ParamLayout, SurvivalDataset, log_posterior, param_layout
+from .inference import Model, ModelSpec, ParamLayout, SurvivalDataset, log_posterior
 
 
 @dataclass(frozen=True)
@@ -91,16 +90,17 @@ class PosteriorDraws:
         return self.values[:, :, self.column_index(column)]
 
 
-def _initial_point(spec: ModelSpec, layout: ParamLayout, rng: np.random.Generator,
-                   data: SurvivalDataset, cfg: SamplerConfig) -> np.ndarray:
+def _initial_point(model: Model, rng: np.random.Generator,
+                   cfg: SamplerConfig) -> np.ndarray:
+    layout = model.layout
     center = np.zeros(layout.dim)
     # beta = 0, log k = 0 (k=1), log sigma^2 = 0, effects at identity
     # (u=0 / log v=0), phi = phi_upper/2.
     if layout.phi_index is not None:
-        center[layout.phi_index] = math.log(spec.phi_upper / 2.0)
+        center[layout.phi_index] = math.log(model.spec.phi_upper / 2.0)
     for attempt in range(cfg.max_init_retries):
         theta = center + rng.normal(0.0, cfg.init_jitter_sd, size=layout.dim)
-        if math.isfinite(log_posterior(data, spec, theta)):
+        if math.isfinite(log_posterior(model, theta)):
             return theta
     raise RuntimeError(
         f"failed to find a finite-posterior initial point in {cfg.max_init_retries} tries"
@@ -129,11 +129,11 @@ def _block_names(layout: ParamLayout) -> list:
     return names
 
 
-def _run_single_chain(data: SurvivalDataset, spec: ModelSpec, cfg: SamplerConfig,
-                      layout: ParamLayout, chain_index: int):
+def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([cfg.seed, chain_index])))
-    theta = _initial_point(spec, layout, rng, data, cfg)
-    lp = log_posterior(data, spec, theta)
+    layout = model.layout
+    theta = _initial_point(model, rng, cfg)
+    lp = log_posterior(model, theta)
 
     blocks = _blocks(layout)
     n_blocks = len(blocks)
@@ -185,7 +185,7 @@ def _run_single_chain(data: SurvivalDataset, spec: ModelSpec, cfg: SamplerConfig
                 else:
                     proposal[idx[0]] = theta[idx[0]] + scale * rng.normal()
                     target = cfg.target_accept_scalar
-                lp_prop = log_posterior(data, spec, proposal)
+                lp_prop = log_posterior(model, proposal)
                 accept = (lp_prop - lp > math.log(rng.random())
                           if math.isfinite(lp_prop) else False)
                 if accept:
@@ -215,12 +215,13 @@ def _run_single_chain(data: SurvivalDataset, spec: ModelSpec, cfg: SamplerConfig
 
 def run_chains(data: SurvivalDataset, spec: ModelSpec, cfg: SamplerConfig) -> PosteriorDraws:
     """Run all chains and return natural-scale kept draws."""
-    layout = param_layout(spec, data)
+    model = Model(data, spec)
+    layout = model.layout
     names = _block_names(layout)
     all_kept = []
     rates = {name: [] for name in names}
     for chain in range(cfg.chains):
-        kept, chain_rates = _run_single_chain(data, spec, cfg, layout, chain)
+        kept, chain_rates = _run_single_chain(model, cfg, chain)
         all_kept.append(layout.to_natural(kept))
         for name, r in zip(names, chain_rates):
             rates[name].append(float(r))

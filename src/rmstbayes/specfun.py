@@ -22,13 +22,6 @@ _MAX_ITER = 1000
 _SQRT2 = math.sqrt(2.0)
 
 
-def ln_gamma(a: float) -> float:
-    """log Gamma(a) for a > 0."""
-    if not a > 0.0:
-        raise ValueError(f"ln_gamma requires a > 0, got {a}")
-    return math.lgamma(a)
-
-
 def std_normal_cdf(x: float) -> float:
     """Standard normal CDF Phi(x)."""
     return 0.5 * math.erfc(-x / _SQRT2)

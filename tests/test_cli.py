@@ -50,6 +50,15 @@ def test_rmst_alternate_parameterization(capsys):
     assert math.isclose(a, b, rel_tol=1e-12)
 
 
+def test_rmst_loglogistic_half_shape(capsys):
+    # k <= 1 takes the closed form with a nonpositive incomplete-beta argument
+    code = main(["rmst", "--family", "loglogistic", "--mu", "-1.5", "--k", "0.5",
+                 "--tau", "100"])
+    assert code == 0
+    value = float(capsys.readouterr().out.strip().split("=")[-1])
+    assert abs(value - 42.517730) <= 1e-6
+
+
 def test_rmst_with_effects(capsys):
     main(["rmst", "--family", "exponential", "--lambda", "0.02", "--u",
           str(math.log(2.0)), "--tau", "100"])

@@ -9,13 +9,21 @@ from hypothesis import given, settings, strategies as st
 from rmstbayes.families import (EffectKind, Family, FamilyParams, NO_EFFECT,
                                 frailty, log_density, log_survival,
                                 random_offset)
-from rmstbayes.inference import (ModelSpec, SurvivalDataset, log_likelihood,
-                                 log_posterior, log_prior, param_layout,
+from rmstbayes.inference import (Model, ModelSpec, SurvivalDataset,
+                                 log_likelihood, log_posterior, log_prior,
                                  pointwise_log_likelihood)
 
 
 def _one_row(t=2.0, delta=1):
     return SurvivalDataset(time=[t], event=[delta], x=[[1.0]], cluster=[1])
+
+
+def _prior_model(spec, n_clusters=1):
+    """Intercept-only model with one row per cluster, for prior checks."""
+    m = n_clusters
+    data = SurvivalDataset(np.ones(m), np.ones(m, dtype=int), np.ones((m, 1)),
+                           np.arange(1, m + 1))
+    return Model(data, spec)
 
 
 def _toy(n=12, seed=5, q=3, clusters=3):
@@ -34,13 +42,13 @@ def _toy(n=12, seed=5, q=3, clusters=3):
 def test_single_event_exponential_loglik_is_log_density():
     spec = ModelSpec(Family.EXPONENTIAL)
     # beta = 0 -> lam = 1: log f(t) = -t
-    assert math.isclose(log_likelihood(_one_row(2.0, 1), spec, np.array([0.0])), -2.0,
+    assert math.isclose(log_likelihood(Model(_one_row(2.0, 1), spec), np.array([0.0])), -2.0,
                         rel_tol=1e-15)
 
 
 def test_single_censored_exponential_loglik_is_log_survival():
     spec = ModelSpec(Family.EXPONENTIAL)
-    assert math.isclose(log_likelihood(_one_row(2.0, 0), spec, np.array([0.0])), -2.0,
+    assert math.isclose(log_likelihood(Model(_one_row(2.0, 0), spec), np.array([0.0])), -2.0,
                         rel_tol=1e-15)
 
 
@@ -63,7 +71,7 @@ def test_weibull_frailty_likelihood_matches_scalar_reference():
         e = frailty(v[data.cluster[i] - 1])
         t = float(data.time[i])
         expected += log_density(p, e, t) if data.event[i] else log_survival(p, e, t)
-    assert math.isclose(log_likelihood(data, spec, theta), expected, rel_tol=1e-12)
+    assert math.isclose(log_likelihood(Model(data, spec), theta), expected, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -71,25 +79,24 @@ def test_identity_effects_leave_likelihood_unchanged(family):
     data = _toy()
     base_spec = ModelSpec(family)
     theta = np.array([-4.0, 0.3, -0.1] + ([0.2] if base_spec.has_shape else []))
-    base = log_likelihood(data, base_spec, theta)
+    base = log_likelihood(Model(data, base_spec), theta)
     m = data.n_clusters
     for effect, eff_val in ((EffectKind.RANDOM, 0.0), (EffectKind.FRAILTY, 0.0)):
         spec = ModelSpec(family, effect)
         theta_e = np.concatenate([theta, np.full(m, eff_val), [math.log(2.0)]])
-        assert math.isclose(log_likelihood(data, spec, theta_e), base, rel_tol=1e-13)
+        assert math.isclose(log_likelihood(Model(data, spec), theta_e), base, rel_tol=1e-13)
 
 
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("effect", list(EffectKind))
 def test_pointwise_sums_to_total(family, effect):
     data = _toy()
-    spec = ModelSpec(family, effect)
-    layout = param_layout(spec, data)
+    model = Model(data, ModelSpec(family, effect))
     rng = np.random.default_rng(3)
-    theta = rng.normal(-1.0, 0.5, layout.dim)
-    pw = pointwise_log_likelihood(data, spec, theta)
+    theta = rng.normal(-1.0, 0.5, model.layout.dim)
+    pw = pointwise_log_likelihood(model, theta)
     assert len(pw) == data.n
-    assert math.isclose(float(pw.sum()), log_likelihood(data, spec, theta), rel_tol=1e-12)
+    assert math.isclose(float(pw.sum()), log_likelihood(model, theta), rel_tol=1e-12)
 
 
 def test_pointwise_matches_row_by_row_scalar_evaluation():
@@ -99,7 +106,7 @@ def test_pointwise_matches_row_by_row_scalar_evaluation():
     k = 1.8
     u = np.array([0.1, -0.2, 0.05])
     theta = np.concatenate([beta, [math.log(k)], u, [math.log(1.0)]])
-    pw = pointwise_log_likelihood(data, spec, theta)
+    pw = pointwise_log_likelihood(Model(data, spec), theta)
     for i in range(data.n):
         mu = float(beta @ data.x[i])
         p = FamilyParams.loglogistic(mu, k)
@@ -114,14 +121,14 @@ def test_tiny_censored_observation_contributes_nothing():
     theta = np.array([-5.0, math.log(1.5)])
     base = SurvivalDataset([20.0], [1], [[1.0]], [1])
     extra = SurvivalDataset([20.0, 1e-12], [1, 0], [[1.0], [1.0]], [1, 1])
-    a = log_likelihood(base, spec, theta)
-    b = log_likelihood(extra, spec, theta)
+    a = log_likelihood(Model(base, spec), theta)
+    b = log_likelihood(Model(extra, spec), theta)
     assert abs(a - b) < 1e-10
 
 
 def test_layout_mismatch_raises():
     with pytest.raises(ValueError):
-        log_likelihood(_toy(), ModelSpec(Family.WEIBULL), np.zeros(3))
+        log_likelihood(Model(_toy(), ModelSpec(Family.WEIBULL)), np.zeros(3))
 
 
 # ----------------------------------------------------------------- prior ---
@@ -129,10 +136,10 @@ def test_layout_mismatch_raises():
 def test_prior_outside_uniform_supports_is_minus_inf():
     spec = ModelSpec(Family.EXPONENTIAL, EffectKind.RANDOM, phi_upper=10.0)
     theta = np.array([0.0, 0.0, 0.0, math.log(10.1)])
-    assert log_prior(spec, theta, q=1, n_clusters=2) == -math.inf
-    spec_ln = ModelSpec(Family.LOG_NORMAL, sigma2_upper=100.0)
-    assert log_prior(spec_ln, np.array([0.0, math.log(101.0)]), q=1) == -math.inf
-    assert math.isfinite(log_prior(spec_ln, np.array([0.0, math.log(99.0)]), q=1))
+    assert log_prior(_prior_model(spec, 2), theta) == -math.inf
+    model_ln = _prior_model(ModelSpec(Family.LOG_NORMAL, sigma2_upper=100.0))
+    assert log_prior(model_ln, np.array([0.0, math.log(101.0)])) == -math.inf
+    assert math.isfinite(log_prior(model_ln, np.array([0.0, math.log(99.0)])))
 
 
 def test_prior_exchangeable_in_cluster_effects():
@@ -140,7 +147,8 @@ def test_prior_exchangeable_in_cluster_effects():
     u = np.array([0.3, -0.7, 0.1])
     t1 = np.concatenate([[0.0], u, [math.log(1.0)]])
     t2 = np.concatenate([[0.0], u[::-1], [math.log(1.0)]])
-    assert log_prior(spec, t1, q=1, n_clusters=3) == log_prior(spec, t2, q=1, n_clusters=3)
+    model = _prior_model(spec, 3)
+    assert log_prior(model, t1) == log_prior(model, t2)
 
 
 def test_frailty_prior_matches_gamma_density_with_jacobian():
@@ -148,7 +156,7 @@ def test_frailty_prior_matches_gamma_density_with_jacobian():
                      coef_prior_variance=100.0)
     phi = 0.5
     theta = np.array([0.0, 0.0, 0.0, math.log(phi)])  # v = (1, 1)
-    got = log_prior(spec, theta, q=1, n_clusters=2)
+    got = log_prior(_prior_model(spec, 2), theta)
     r = 1.0 / phi  # Gamma(2, 2) at v=1, log v sampled so Jacobian = log v = 0
     gamma_term = r * math.log(r) - math.lgamma(r) + (r - 1) * 0.0 - r * 1.0
     beta_term = -0.5 * (math.log(2 * math.pi) + math.log(100.0))
@@ -161,7 +169,7 @@ def test_random_effect_prior_matches_normal_density():
                      coef_prior_variance=100.0)
     phi, u = 2.0, 0.7
     theta = np.array([0.0, u, math.log(phi)])
-    got = log_prior(spec, theta, q=1, n_clusters=1)
+    got = log_prior(_prior_model(spec, 1), theta)
     normal = -0.5 * math.log(2 * math.pi * phi * phi) - u * u / (2 * phi * phi)
     beta_term = -0.5 * (math.log(2 * math.pi) + math.log(100.0))
     phi_term = -math.log(10.0) + math.log(phi)
@@ -172,12 +180,11 @@ def test_random_effect_prior_matches_normal_density():
 
 def test_posterior_is_likelihood_plus_prior():
     data = _toy()
-    spec = ModelSpec(Family.WEIBULL, EffectKind.RANDOM)
-    layout = param_layout(spec, data)
-    theta = np.random.default_rng(0).normal(-0.5, 0.3, layout.dim)
+    model = Model(data, ModelSpec(Family.WEIBULL, EffectKind.RANDOM))
+    theta = np.random.default_rng(0).normal(-0.5, 0.3, model.layout.dim)
     assert math.isclose(
-        log_posterior(data, spec, theta),
-        log_likelihood(data, spec, theta) + log_prior(spec, theta, data.q, data.n_clusters),
+        log_posterior(model, theta),
+        log_likelihood(model, theta) + log_prior(model, theta),
         rel_tol=1e-13)
 
 
@@ -185,7 +192,7 @@ def test_minus_inf_prior_propagates():
     data = _toy()
     spec = ModelSpec(Family.EXPONENTIAL, EffectKind.RANDOM, phi_upper=1.0)
     theta = np.concatenate([np.zeros(3), np.zeros(3), [math.log(2.0)]])
-    assert log_posterior(data, spec, theta) == -math.inf
+    assert log_posterior(Model(data, spec), theta) == -math.inf
 
 
 def test_exponential_posterior_mode_matches_closed_form_mle():
@@ -194,9 +201,9 @@ def test_exponential_posterior_mode_matches_closed_form_mle():
     n = 400
     t = rng.exponential(40.0, n)
     data = SurvivalDataset(t, np.ones(n, dtype=int), np.ones((n, 1)), np.ones(n, dtype=int))
-    spec = ModelSpec(Family.EXPONENTIAL, coef_prior_variance=1e8)
+    model = Model(data, ModelSpec(Family.EXPONENTIAL, coef_prior_variance=1e8))
     grid = np.linspace(-5.0, -2.0, 1201)
-    vals = [log_posterior(data, spec, np.array([b])) for b in grid]
+    vals = [log_posterior(model, np.array([b])) for b in grid]
     best = grid[int(np.argmax(vals))]
     mle = math.log(n / t.sum())
     assert abs(best - mle) < (grid[1] - grid[0]) * 1.5
@@ -212,7 +219,8 @@ def test_time_rescaling_shifts_exponential_argmax():
     def argmax(times):
         data = SurvivalDataset(times, np.ones(n, dtype=int), np.ones((n, 1)),
                                np.ones(n, dtype=int))
-        vals = [log_posterior(data, spec, np.array([b])) for b in grid]
+        model = Model(data, spec)
+        vals = [log_posterior(model, np.array([b])) for b in grid]
         return grid[int(np.argmax(vals))]
 
     shift = argmax(2 * t) - argmax(t)
@@ -223,11 +231,10 @@ def test_time_rescaling_shifts_exponential_argmax():
 @settings(max_examples=25, deadline=None)
 def test_posterior_finite_and_continuous_on_segments(a, b):
     data = _toy()
-    spec = ModelSpec(Family.LOG_NORMAL, EffectKind.FRAILTY)
-    layout = param_layout(spec, data)
-    t0 = np.full(layout.dim, a)
-    t1 = np.full(layout.dim, b)
-    vals = [log_posterior(data, spec, t0 + s * (t1 - t0)) for s in np.linspace(0, 1, 9)]
+    model = Model(data, ModelSpec(Family.LOG_NORMAL, EffectKind.FRAILTY))
+    t0 = np.full(model.layout.dim, a)
+    t1 = np.full(model.layout.dim, b)
+    vals = [log_posterior(model, t0 + s * (t1 - t0)) for s in np.linspace(0, 1, 9)]
     assert all(math.isfinite(v) for v in vals)
     # continuity: neighboring grid values stay within a modest factor
     diffs = np.abs(np.diff(vals))

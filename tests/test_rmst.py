@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rmstbayes.rmst as R
-from rmstbayes.families import (AltFamilyParams, EffectKind, EffectValue,
-                                Family, FamilyParams, NO_EFFECT, frailty,
-                                log_density, log_survival, random_offset)
+from rmstbayes.families import (AltFamilyParams, EffectKind, Family,
+                                FamilyParams, NO_EFFECT, convert_loglogistic_alt,
+                                convert_weibull_alt, frailty, log_density,
+                                log_survival, random_offset)
+from rmstbayes.specfun import incomplete_beta_compl, lower_incomplete_gamma
 from rmstbayes.inference import ModelSpec, ParamLayout
 from rmstbayes.sampler import PosteriorDraws, SamplerConfig
 
@@ -31,6 +33,9 @@ def test_loglogistic_reference_values():
     alpha = math.exp(10.0 / 2.0)
     assert math.isclose(R.rmst_loglogistic(-10.0, 2.0, 100.0),
                         alpha * math.atan(100.0 / alpha), rel_tol=1e-12)
+    # k <= 1; mpmath quadrature of 1 / (1 + e^-1.5 t^0.5) over [0, 100]
+    assert math.isclose(R.rmst_loglogistic(-1.5, 0.5, 100.0), 42.5177303072,
+                        rel_tol=1e-11)
 
 
 def test_lognormal_reference_values():
@@ -57,7 +62,7 @@ def _random_params(rng, fam):
 
 @pytest.mark.parametrize("fam", list(Family))
 def test_closed_forms_match_quadrature(fam):
-    rng = np.random.default_rng(hash(fam.value) % 2 ** 32)
+    rng = np.random.default_rng(list(Family).index(fam))
     worst = 0.0
     for _ in range(40):
         p = _random_params(rng, fam)
@@ -73,10 +78,26 @@ def test_closed_forms_match_quadrature(fam):
     assert worst < 1e-8
 
 
-def test_loglogistic_small_shape_falls_back_to_quadrature():
-    p = FamilyParams.loglogistic(-3.0, 0.8)
-    got = R.rmst_loglogistic(-3.0, 0.8, 40.0)
-    assert math.isclose(got, R.rmst_numeric(p, NO_EFFECT, 40.0), rel_tol=1e-9)
+def test_weibull_small_shape_quadrature_converges():
+    # S(t) = exp(-lam t^k) has an unbounded slope at t = 0 for k < 1; the
+    # reference value is the closed form, which agrees with mpmath
+    p = FamilyParams.weibull(0.141, 0.505)
+    got = R.rmst_numeric(p, NO_EFFECT, 142.0)
+    assert math.isclose(got, 49.3956216908, rel_tol=1e-10)
+    assert math.isclose(got, R.rmst_weibull(0.141, 0.505, 142.0), rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("k", [0.3, 0.5, 0.52, 0.8, 1.0])
+def test_loglogistic_small_shape_closed_form_matches_quadrature(k):
+    # k <= 1 makes the incomplete beta's second argument 1 - 1/k <= 0
+    for mu in (-3.0, -1.56, 0.0):
+        p = FamilyParams.loglogistic(mu, k)
+        for tau in (40.0, 100.0):
+            assert math.isclose(R.rmst_loglogistic(mu, k, tau),
+                                R.rmst_numeric(p, NO_EFFECT, tau), rel_tol=1e-9)
+            for v in (0.5, 2.0):
+                assert math.isclose(R.rmst_frailty(p, v, tau),
+                                    R.rmst_numeric(p, frailty(v), tau), rel_tol=1e-9)
 
 
 def test_restricted_mean_identity_density_form():
@@ -137,10 +158,9 @@ def test_loglogistic_frailty_small_v_uses_negative_beta_argument():
     assert math.isclose(got, ref, rel_tol=1e-9)
 
 
-def test_lognormal_frailty_exact_flag_and_reported_gap():
+def test_lognormal_frailty_reported_gap():
     p = FamilyParams.lognormal(3.0, 1.0)
-    exact = R.rmst_frailty(p, 2.0, 100.0, exact=True)
-    assert math.isclose(exact, R.rmst_numeric(p, frailty(2.0), 100.0), rel_tol=1e-10)
+    exact = R.rmst_numeric(p, frailty(2.0), 100.0)
     approx = R.rmst_frailty(p, 2.0, 100.0)
     gap = abs(approx - exact) / exact
     print(f"log-normal frailty approximation gap at (mu=3, s2=1, v=2, tau=100): {gap:.4f}")
@@ -172,7 +192,7 @@ def test_lognormal_frailty_approximation_within_five_percent_in_box():
             for v in (0.5, 1.3, 2.0):
                 p = FamilyParams.lognormal(mu, s2)
                 a = R.rmst_frailty(p, v, 100.0)
-                e = R.rmst_frailty(p, v, 100.0, exact=True)
+                e = R.rmst_numeric(p, frailty(v), 100.0)
                 worst = max(worst, abs(a - e) / e)
     assert worst <= 0.05
 
@@ -180,18 +200,23 @@ def test_lognormal_frailty_approximation_within_five_percent_in_box():
 # ----------------------------------------------- alternate parameterizations ---
 
 def test_weibull_alt_closed_form_agrees_with_converted_params():
+    # scale * gamma_inc((tau/scale)^k; 1/k + 1) + tau exp(-(tau/scale)^k)
     for scale, k, tau in ((20.0, 1.5, 50.0), (80.0, 0.9, 100.0), (5.0, 2.5, 30.0)):
-        alt = AltFamilyParams(Family.WEIBULL, scale=scale, k=k)
-        direct = R.rmst_weibull_alt(alt, tau)
-        via = R.rmst_weibull(scale ** -k, k, tau)
+        z = (tau / scale) ** k
+        direct = scale * lower_incomplete_gamma(z, 1.0 / k + 1.0) + tau * math.exp(-z)
+        p = convert_weibull_alt(AltFamilyParams(Family.WEIBULL, scale=scale, k=k))
+        via = R.rmst_value(p, NO_EFFECT, tau)
         assert abs(direct - via) / via < 1e-10
 
 
 def test_loglogistic_alt_closed_form_agrees_with_converted_params():
+    # scale * B(r/(1+r); 1 + 1/k, 1 - 1/k) + tau/(1+r), r = (tau/scale)^k
     for scale, k, tau in ((50.0, 2.0, 100.0), (120.0, 1.3, 100.0), (10.0, 3.0, 40.0)):
-        alt = AltFamilyParams(Family.LOG_LOGISTIC, scale=scale, k=k)
-        direct = R.rmst_loglogistic_alt(alt, tau)
-        via = R.rmst_loglogistic(-k * math.log(scale), k, tau)
+        r = (tau / scale) ** k
+        direct = (scale * incomplete_beta_compl(1.0 / (1.0 + r), 1.0 + 1.0 / k, 1.0 - 1.0 / k)
+                  + tau / (1.0 + r))
+        p = convert_loglogistic_alt(AltFamilyParams(Family.LOG_LOGISTIC, scale=scale, k=k))
+        via = R.rmst_value(p, NO_EFFECT, tau)
         assert abs(direct - via) / via < 1e-10
 
 
@@ -232,7 +257,7 @@ def _fake_draws(family, rows, effect=EffectKind.NONE, n_clusters=0):
     spec = ModelSpec(family, effect)
     layout = ParamLayout(q=2, has_shape=spec.has_shape, effect=spec.effect,
                          n_clusters=n_clusters,
-                         _lognormal_shape=family is Family.LOG_NORMAL)
+                         shape_name="sigma2" if family is Family.LOG_NORMAL else "k")
     values = np.asarray(rows, dtype=float)[None, :, :]
     return PosteriorDraws(values=values, columns=layout.column_names(),
                           layout=layout, spec=spec, acceptance={},
