@@ -14,8 +14,10 @@ which exponentiates the survival function: S(t|v) = S(t)^v and
 f(t|v) = v h(t) S(t)^v.
 
 ``log_hazard_survival`` holds each family's log-hazard and log-survival
-formula, once, in numpy; the likelihood evaluates it over all rows and the
-scalar ``log_survival``/``log_density``/``hazard`` at one time point.
+formula, once, in numpy; the likelihood evaluates it over all rows,
+``rmst_numeric`` over its quadrature points, and the scalar
+``log_survival``/``log_density``/``hazard`` at one time point.
+``kernel_args`` maps (FamilyParams, EffectValue) to its arguments.
 """
 
 from __future__ import annotations
@@ -148,14 +150,20 @@ def log_hazard_survival(family: Family, eta, shape, t, logt,
     return log_h, log_s
 
 
-def _scalar_log_hazard_survival(p: FamilyParams, e: EffectValue, t: float) -> tuple:
-    if not t > 0:
-        raise ValueError(f"survival time must be positive, got {t}")
+def kernel_args(p: FamilyParams, e: EffectValue = NO_EFFECT) -> tuple:
+    """(eta, shape, effect) arguments of ``log_hazard_survival`` for p and e."""
     if p.family in (Family.EXPONENTIAL, Family.WEIBULL):
         eta, shape = math.log(p.lam), p.k
     else:
         eta, shape = p.mu, p.sigma2 if p.family is Family.LOG_NORMAL else p.k
     effect = math.log(e.value) if e.kind is EffectKind.FRAILTY else e.value
+    return eta, shape, effect
+
+
+def _scalar_log_hazard_survival(p: FamilyParams, e: EffectValue, t: float) -> tuple:
+    if not t > 0:
+        raise ValueError(f"survival time must be positive, got {t}")
+    eta, shape, effect = kernel_args(p, e)
     log_h, log_s = log_hazard_survival(p.family, eta, shape, t, math.log(t), e.kind, effect)
     return float(log_h), float(log_s)
 

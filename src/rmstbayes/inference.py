@@ -18,7 +18,9 @@ corresponding Jacobian terms.
 
 A ``Model`` compiles a dataset and a spec once per fit; ``log_prior``,
 ``log_likelihood``, ``pointwise_log_likelihood`` and ``log_posterior`` take
-``(model, theta)``.
+``(model, theta)``, and so do the per-cluster pieces that the sampler's
+batched effect update needs: ``cluster_log_likelihood``,
+``effect_log_prior`` and their sum ``cluster_log_density``.
 """
 
 from __future__ import annotations
@@ -281,16 +283,35 @@ def log_prior(model: Model, theta: np.ndarray) -> float:
         if phi >= spec.phi_upper:
             return -math.inf
         total += -math.log(spec.phi_upper) + log_phi  # U(0,xi) + Jacobian
-        eff = layout.effects(theta)
-        if spec.effect is EffectKind.RANDOM:
-            total += float(np.sum(-0.5 * (_LOG_2PI + 2.0 * math.log(phi))
-                                  - 0.5 * eff * eff / (phi * phi)))
-        else:
-            r = 1.0 / phi  # v_i ~ Gamma(1/phi, 1/phi), sampled as log v
-            v = np.exp(eff)
-            total += float(np.sum(r * math.log(r) - math.lgamma(r)
-                                  + (r - 1.0) * eff - r * v + eff))
+        total += float(np.sum(effect_log_prior(model, theta)))
     return total
+
+
+def effect_log_prior(model: Model, theta: np.ndarray) -> np.ndarray:
+    """Per-cluster log prior of the sampling-scale effects given phi:
+    u_i ~ N(0, phi^2), or v_i ~ Gamma(1/phi, 1/phi) with the Jacobian of
+    log v.  ``log_prior`` sums it."""
+    layout = model.layout
+    eff = layout.effects(theta)
+    phi = layout.phi(theta)
+    if model.spec.effect is EffectKind.RANDOM:
+        return -0.5 * (_LOG_2PI + 2.0 * math.log(phi)) - 0.5 * eff * eff / (phi * phi)
+    r = 1.0 / phi
+    return r * math.log(r) - math.lgamma(r) + (r - 1.0) * eff - r * np.exp(eff) + eff
+
+
+def cluster_log_likelihood(model: Model, theta: np.ndarray) -> np.ndarray:
+    """Per-cluster log-likelihood, one likelihood pass; sums to log_likelihood."""
+    return np.bincount(model.cluster, pointwise_log_likelihood(model, theta),
+                       minlength=model.layout.n_clusters)
+
+
+def cluster_log_density(model: Model, theta: np.ndarray) -> np.ndarray:
+    """Per-cluster conditional log density of the effects given beta, the
+    shape and phi: entry i is cluster i's log-likelihood plus the log prior
+    of effect i.  Changing effect i alone moves entry i alone, by the change
+    in ``log_posterior``."""
+    return cluster_log_likelihood(model, theta) + effect_log_prior(model, theta)
 
 
 def log_posterior(model: Model, theta: np.ndarray) -> float:

@@ -21,7 +21,8 @@ from .families import (
     Family,
     FamilyParams,
     NO_EFFECT,
-    log_survival,
+    kernel_args,
+    log_hazard_survival,
     shifted,
 )
 from .specfun import (
@@ -33,6 +34,10 @@ from .specfun import (
 
 _LOG_HUGE = 700.0
 _LOG_TIME_SPAN = 60.0  # rmst_numeric integrates log(t / tau) over [-60, 0]
+_MAX_DEPTH = 60
+# Adaptive Simpson gives up past this many open intervals at one depth, which
+# bounds its memory; smooth integrands stay orders of magnitude below.
+_MAX_OPEN_INTERVALS = 1 << 16
 
 
 class QuadratureError(RuntimeError):
@@ -156,33 +161,56 @@ def rmst_value(p: FamilyParams, e: EffectValue = NO_EFFECT, tau: float = None) -
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int) -> float:
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    """Adaptive Simpson over [a, b] for an integrand ``f`` that maps an array
+    of points to an array of values.
 
-    def recurse(x0, x2, f0, f1, f2, total, eps, depth):
+    Breadth-first: the open intervals of one depth are refined with one call
+    of ``f``.  An interval's accept test uses only its own values and its
+    share of ``tol``, so the accepted intervals are those of the depth-first
+    recursion.
+    """
+    fa, fm, fb = f(np.array([a, 0.5 * (a + b), b]))
+    x0, x2 = np.array([a]), np.array([b])
+    f0, f1, f2 = np.array([fa]), np.array([fm]), np.array([fb])
+    whole = (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+    eps = tol
+    pieces = []
+    depth = 0
+    while True:
         x1 = 0.5 * (x0 + x2)
-        lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-        flm, frm = f(lm), f(rm)
+        flm, frm = np.split(f(np.concatenate([0.5 * (x0 + x1), 0.5 * (x1 + x2)])), 2)
         left = (x1 - x0) / 6.0 * (f0 + 4.0 * flm + f1)
         right = (x2 - x1) / 6.0 * (f1 + 4.0 * frm + f2)
-        if abs(left + right - total) <= 15.0 * eps:
-            return left + right + (left + right - total) / 15.0
-        if depth >= max_depth:
+        err = left + right - whole
+        done = np.abs(err) <= 15.0 * eps
+        pieces.append((left + right + err / 15.0)[done])
+        if done.all():
+            return math.fsum(np.concatenate(pieces))
+        open_ = np.flatnonzero(~done)
+        if depth >= max_depth or 2 * len(open_) > _MAX_OPEN_INTERVALS:
             raise QuadratureError(
-                f"adaptive Simpson did not converge on [{x0}, {x2}] at depth {depth}"
+                f"adaptive Simpson did not converge on [{x0[open_[0]]}, {x2[open_[0]]}] "
+                f"at depth {depth}"
             )
-        half = 0.5 * eps
-        return (recurse(x0, x1, f0, flm, f1, left, half, depth + 1)
-                + recurse(x1, x2, f1, frm, f2, right, half, depth + 1))
 
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+        def halves(lo, hi):
+            """Left and right halves of the open intervals, in order."""
+            return np.column_stack([lo[open_], hi[open_]]).ravel()
+
+        x0, x2 = halves(x0, x1), halves(x1, x2)
+        f0, f1, f2 = halves(f0, f1), halves(flm, frm), halves(f1, f2)
+        whole = halves(left, right)
+        eps = 0.5 * eps
+        depth += 1
 
 
-def integrate(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 60) -> float:
-    """Adaptive Simpson quadrature with absolute tolerance ``tol``."""
+def integrate(f, a: float, b: float, tol: float = 1e-10, max_depth: int = _MAX_DEPTH) -> float:
+    """Adaptive Simpson quadrature of a scalar function ``f`` with absolute
+    tolerance ``tol``."""
     if b <= a:
         raise ValueError("integration bounds must satisfy a < b")
-    return _adaptive_simpson(f, a, b, tol, max_depth)
+    return _adaptive_simpson(lambda xs: np.array([f(float(x)) for x in xs]),
+                             a, b, tol, max_depth)
 
 
 def rmst_numeric(p: FamilyParams, e: EffectValue = NO_EFFECT, tau: float = None,
@@ -198,12 +226,15 @@ def rmst_numeric(p: FamilyParams, e: EffectValue = NO_EFFECT, tau: float = None,
     approximate).
     """
     _check_tau(tau)
+    eta, shape, effect = kernel_args(p, e)
 
-    def integrand(s: float) -> float:
-        t = tau * math.exp(s)
-        return math.exp(log_survival(p, e, t)) * t
+    def integrand(s: np.ndarray) -> np.ndarray:
+        t = tau * np.exp(s)
+        log_s = log_hazard_survival(p.family, eta, shape, t, np.log(t), e.kind, effect)[1]
+        return np.exp(log_s) * t
 
-    return integrate(integrand, -_LOG_TIME_SPAN, 0.0, tol=tol) + tau * math.exp(-_LOG_TIME_SPAN)
+    return (_adaptive_simpson(integrand, -_LOG_TIME_SPAN, 0.0, tol, _MAX_DEPTH)
+            + tau * math.exp(-_LOG_TIME_SPAN))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
 """Adaptive random-walk Metropolis-within-blocks MCMC and chain diagnostics.
 
-Blocks: the full coefficient vector beta (joint Gaussian proposal with an
-adapted full covariance, target acceptance 0.234), then one scalar block
-each for the shape parameter, every cluster effect, and log phi (target
-0.44).  Proposal scales follow a Robbins-Monro recursion during burn-in and
-are frozen afterwards, so the kept portion of each chain is a fixed Markov
-kernel.
+Each sweep updates, in order: the full coefficient vector beta (joint
+Gaussian proposal with an adapted full covariance, target acceptance 0.234),
+the shape parameter, the cluster effects and log phi (target 0.44 each).
+The cluster effects are conditionally independent given beta, the shape and
+phi, so all M are proposed at once, each with its own step scale, and each
+is accepted or rejected on its own cluster's log-ratio: two likelihood
+passes for all M effects.  phi enters only the effects' prior, so its update
+takes no likelihood pass.  A sweep thus costs beta_updates + 3 likelihood
+passes whatever M is.  Every step scale follows a Robbins-Monro recursion
+during burn-in and is frozen afterwards, so the kept portion of each chain
+is a fixed Markov kernel.
 
 Randomness comes from numpy's counter-based Philox generator with per-chain
 substreams seeded by SeedSequence([seed, chain_index]); runs are bit-for-bit
@@ -20,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import Model, ModelSpec, ParamLayout, SurvivalDataset, log_posterior
+from .inference import (Model, ModelSpec, ParamLayout, SurvivalDataset,
+                        cluster_log_density, log_posterior, log_prior)
 
 
 @dataclass(frozen=True)
@@ -107,18 +113,6 @@ def _initial_point(model: Model, rng: np.random.Generator,
     )
 
 
-def _blocks(layout: ParamLayout) -> list:
-    """Block -> coordinate indices; block 0 is the joint beta block."""
-    blocks = [list(range(layout.q))]
-    if layout.shape_index is not None:
-        blocks.append([layout.shape_index])
-    for i in layout.effect_indices:
-        blocks.append([i])
-    if layout.phi_index is not None:
-        blocks.append([layout.phi_index])
-    return blocks
-
-
 def _block_names(layout: ParamLayout) -> list:
     names = ["beta"]
     if layout.shape_index is not None:
@@ -135,12 +129,45 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
     theta = _initial_point(model, rng, cfg)
     lp = log_posterior(model, theta)
 
-    blocks = _blocks(layout)
-    n_blocks = len(blocks)
+    # One adaptation slot per entry of _block_names: beta, the shape, each
+    # cluster effect, phi.
+    n_blocks = len(_block_names(layout))
     log_scales = np.full(n_blocks, math.log(cfg.initial_step))
-    rm_iter = np.zeros(n_blocks, dtype=int)  # per-block adaptation clocks
-    beta_idx = np.asarray(blocks[0])
-    q = len(beta_idx)
+    rm_iter = np.zeros(n_blocks, dtype=int)  # per-slot adaptation clocks
+    accept_post = np.zeros(n_blocks)
+    trials_post = np.zeros(n_blocks)
+    shape_slot = 1 if layout.shape_index is not None else None
+    n_effects = len(layout.effect_indices)
+    first = 1 if shape_slot is None else 2
+    effect_slots = slice(first, first + n_effects)
+    effects = slice(layout.effect_indices.start, layout.effect_indices.stop)
+    phi_slot = n_blocks - 1 if layout.phi_index is not None else None
+
+    def record(slot, accepted, target):
+        """Robbins-Monro step-scale update during burn-in, acceptance counts
+        after it; ``slot`` and ``accepted`` may be a slice and a vector."""
+        if adapting:
+            rm_iter[slot] += 1
+            gamma = 1.0 / rm_iter[slot] ** 0.6
+            log_scales[slot] += gamma * (accepted - target)
+        else:
+            accept_post[slot] += accepted
+            trials_post[slot] += 1.0
+
+    def metropolis(proposal, lp_prop, slot, target):
+        nonlocal theta, lp
+        accept = (lp_prop - lp > math.log(rng.random())
+                  if math.isfinite(lp_prop) else False)
+        if accept:
+            theta, lp = proposal, lp_prop
+        record(slot, 1.0 if accept else 0.0, target)
+
+    def scalar_proposal(index, slot):
+        proposal = theta.copy()
+        proposal[index] += math.exp(log_scales[slot]) * rng.normal()
+        return proposal
+
+    q = layout.q
     # Running moments of beta for the adapted full proposal covariance; the
     # coefficients are mutually correlated (intercept vs. slopes), so a
     # diagonal proposal mixes too slowly at the default chain lengths.
@@ -153,59 +180,56 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
     moments_start = cfg.burnin // 4
 
     kept = np.empty((cfg.iterations - cfg.burnin, layout.dim))
-    accept_post = np.zeros(n_blocks)
-    trials_post = np.zeros(n_blocks)
 
     for it in range(cfg.iterations):
         adapting = it < cfg.burnin
-        for b, idx in enumerate(blocks):
-            repeats = cfg.beta_updates if b == 0 else 1
-            for _ in range(repeats):
-                scale = math.exp(log_scales[b])
-                proposal = theta.copy()
-                if b == 0:
-                    if beta_count > cfg.adapt_start:
-                        if beta_chol is None:
-                            # switching from the identity-shaped proposal:
-                            # restart the scale at the standard 2.38/sqrt(q)
-                            # optimum and reset the adaptation clock so
-                            # re-tuning is fast
-                            log_scales[0] = math.log(2.38 / math.sqrt(q))
-                            scale = math.exp(log_scales[0])
-                            rm_iter[0] = 0
-                        if adapting or beta_chol is None:
-                            cov = beta_m2 / (beta_count - 1)
-                            cov[np.diag_indices_from(cov)] += 1e-10
-                            beta_chol = np.linalg.cholesky(cov)
-                        step = beta_chol @ rng.normal(size=q)
-                    else:
-                        step = rng.normal(size=q)
-                    proposal[beta_idx] = theta[beta_idx] + scale * step
-                    target = cfg.target_accept_block
-                else:
-                    proposal[idx[0]] = theta[idx[0]] + scale * rng.normal()
-                    target = cfg.target_accept_scalar
-                lp_prop = log_posterior(model, proposal)
-                accept = (lp_prop - lp > math.log(rng.random())
-                          if math.isfinite(lp_prop) else False)
-                if accept:
-                    theta = proposal
-                    lp = lp_prop
-                if adapting:
-                    rm_iter[b] += 1
-                    gamma = 1.0 / rm_iter[b] ** 0.6
-                    log_scales[b] += gamma * ((1.0 if accept else 0.0) - target)
-                else:
-                    accept_post[b] += 1.0 if accept else 0.0
-                    trials_post[b] += 1.0
+        for _ in range(cfg.beta_updates):
+            if beta_count > cfg.adapt_start:
+                if beta_chol is None:
+                    # switching from the identity-shaped proposal: restart
+                    # the scale at the standard 2.38/sqrt(q) optimum and
+                    # reset the adaptation clock so re-tuning is fast
+                    log_scales[0] = math.log(2.38 / math.sqrt(q))
+                    rm_iter[0] = 0
+                if adapting or beta_chol is None:
+                    cov = beta_m2 / (beta_count - 1)
+                    cov[np.diag_indices_from(cov)] += 1e-10
+                    beta_chol = np.linalg.cholesky(cov)
+                step = beta_chol @ rng.normal(size=q)
+            else:
+                step = rng.normal(size=q)
+            proposal = theta.copy()
+            proposal[:q] += math.exp(log_scales[0]) * step
+            metropolis(proposal, log_posterior(model, proposal), 0, cfg.target_accept_block)
+        if shape_slot is not None:
+            proposal = scalar_proposal(layout.shape_index, shape_slot)
+            metropolis(proposal, log_posterior(model, proposal), shape_slot,
+                       cfg.target_accept_scalar)
+        if phi_slot is not None:
+            # Given beta, the shape and phi the effects are conditionally
+            # independent, so one proposal per cluster, each accepted on its
+            # own log-ratio, is the kernel of M scalar Metropolis updates at
+            # the cost of two likelihood passes.
+            proposal = theta.copy()
+            proposal[effects] += np.exp(log_scales[effect_slots]) * rng.normal(size=n_effects)
+            log_ratio = (cluster_log_density(model, proposal)
+                         - cluster_log_density(model, theta))
+            accepted = np.isfinite(log_ratio) & (log_ratio > np.log(rng.random(n_effects)))
+            theta[effects] = np.where(accepted, proposal[effects], theta[effects])
+            lp += float(np.sum(log_ratio[accepted]))
+            record(effect_slots, accepted.astype(float), cfg.target_accept_scalar)
+            # phi enters only the effects' prior: no likelihood pass.
+            proposal = scalar_proposal(layout.phi_index, phi_slot)
+            metropolis(proposal, lp + log_prior(model, proposal) - log_prior(model, theta),
+                       phi_slot, cfg.target_accept_scalar)
         if adapting:
             if it >= moments_start:
                 # Welford update of the beta moments for the proposal
                 # covariance.
                 beta_count += 1
-                d = theta[beta_idx] - beta_mean
+                d = theta[:q] - beta_mean
                 beta_mean += d / beta_count
-                beta_m2 += np.outer(d, theta[beta_idx] - beta_mean)
+                beta_m2 += np.outer(d, theta[:q] - beta_mean)
         else:
             kept[it - cfg.burnin] = theta
 

@@ -10,8 +10,9 @@ from rmstbayes.families import (EffectKind, Family, FamilyParams, NO_EFFECT,
                                 frailty, log_density, log_survival,
                                 random_offset)
 from rmstbayes.inference import (Model, ModelSpec, SurvivalDataset,
-                                 log_likelihood, log_posterior, log_prior,
-                                 pointwise_log_likelihood)
+                                 cluster_log_density, cluster_log_likelihood,
+                                 effect_log_prior, log_likelihood, log_posterior,
+                                 log_prior, pointwise_log_likelihood)
 
 
 def _one_row(t=2.0, delta=1):
@@ -177,6 +178,29 @@ def test_random_effect_prior_matches_normal_density():
 
 
 # ------------------------------------------------------------- posterior ---
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("effect", [EffectKind.RANDOM, EffectKind.FRAILTY])
+def test_per_cluster_pieces_factorise_the_posterior(family, effect):
+    data = _toy(n=40, clusters=5)
+    model = Model(data, ModelSpec(family, effect))
+    theta = np.random.default_rng(6).normal(-0.5, 0.3, model.layout.dim)
+    ll = cluster_log_likelihood(model, theta)
+    prior = effect_log_prior(model, theta)
+    assert ll.shape == prior.shape == (5,)
+    assert abs(ll.sum() - log_likelihood(model, theta)) < 1e-10
+    for i, col in enumerate(model.layout.effect_indices):
+        moved = theta.copy()
+        moved[col] += 0.37
+        d_ll = cluster_log_likelihood(model, moved) - ll
+        d_prior = effect_log_prior(model, moved) - prior
+        others = np.arange(5) != i
+        assert np.all(d_ll[others] == 0.0) and np.all(d_prior[others] == 0.0)
+        d_post = log_posterior(model, moved) - log_posterior(model, theta)
+        assert abs(d_ll[i] + d_prior[i] - d_post) < 1e-9
+        d_density = cluster_log_density(model, moved) - cluster_log_density(model, theta)
+        assert abs(d_density[i] - d_post) < 1e-9
+
 
 def test_posterior_is_likelihood_plus_prior():
     data = _toy()

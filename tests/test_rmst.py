@@ -100,6 +100,58 @@ def test_loglogistic_small_shape_closed_form_matches_quadrature(k):
                                     R.rmst_numeric(p, frailty(v), tau), rel_tol=1e-9)
 
 
+def _recursive_simpson(f, a, b, tol):
+    """Depth-first adaptive Simpson, as a reference: (value, points used)."""
+    points = 3
+
+    def recurse(x0, x2, f0, f1, f2, total, eps):
+        nonlocal points
+        x1 = 0.5 * (x0 + x2)
+        flm, frm = f(0.5 * (x0 + x1)), f(0.5 * (x1 + x2))
+        points += 2
+        left = (x1 - x0) / 6.0 * (f0 + 4.0 * flm + f1)
+        right = (x2 - x1) / 6.0 * (f1 + 4.0 * frm + f2)
+        if abs(left + right - total) <= 15.0 * eps:
+            return left + right + (left + right - total) / 15.0
+        return (recurse(x0, x1, f0, flm, f1, left, 0.5 * eps)
+                + recurse(x1, x2, f1, frm, f2, right, 0.5 * eps))
+
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    value = recurse(a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol)
+    return value, points
+
+
+@pytest.mark.parametrize("f, a, b", [(math.sqrt, 0.0, 1.0),
+                                     (lambda x: math.exp(-x * x), -3.0, 2.0),
+                                     (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0)])
+def test_breadth_first_simpson_accepts_the_recursive_intervals(f, a, b):
+    calls = []
+
+    def batched(xs):
+        calls.append(len(xs))
+        return np.array([f(float(x)) for x in xs])
+
+    got = R.integrate(f, a, b)
+    assert R._adaptive_simpson(batched, a, b, 1e-10, 60) == got
+    ref, points = _recursive_simpson(f, a, b, 1e-10)
+    assert sum(calls) == points
+    assert math.isclose(got, ref, rel_tol=1e-14)
+    assert len(calls) < 60  # one integrand call per depth, plus the first
+
+
+def test_simpson_reports_the_interval_that_fails_to_converge():
+    with pytest.raises(R.QuadratureError, match=r"\[0\.0, .*\] at depth 5"):
+        R.integrate(lambda x: math.sqrt(x), 0.0, 1.0, tol=1e-14, max_depth=5)
+
+
+def test_simpson_gives_up_on_noise_before_the_open_intervals_grow_unbounded():
+    # every interval of a noisy integrand stays open, so breadth-first
+    # refinement doubles them at each depth until the cap (2^16) stops it
+    rng = np.random.default_rng(0)
+    with pytest.raises(R.QuadratureError, match=r"at depth 16$"):
+        R._adaptive_simpson(lambda xs: rng.random(len(xs)), 0.0, 1.0, 1e-10, 60)
+
+
 def test_restricted_mean_identity_density_form():
     # integral of S equals integral of t f(t) plus tau S(tau), all by quadrature
     for p in (FamilyParams.exponential(0.02), FamilyParams.weibull(0.005, 1.7),

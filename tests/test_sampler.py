@@ -109,6 +109,58 @@ def test_natural_scale_positivity():
         assert np.all(draws.column(col) > 0)
 
 
+def _sweep_calls(monkeypatch, n_clusters, iterations):
+    """Calls of the sampler's log-density entry points in a two-chain
+    Weibull random-effects fit, with the event order of every call."""
+    import rmstbayes.inference as inference
+    import rmstbayes.sampler as sampler
+
+    events = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("log_posterior", "cluster_log_density", "log_prior"):
+        counted(sampler, name)
+    counted(inference, "pointwise_log_likelihood")  # one likelihood pass each
+    n = 96
+    data = SurvivalDataset(np.random.default_rng(3).weibull(1.5, n) * 40.0,
+                           np.ones(n, dtype=int), np.ones((n, 1)),
+                           np.arange(n) % n_clusters + 1, ("intercept",))
+    draws = run_chains(data, ModelSpec(Family.WEIBULL, EffectKind.RANDOM),
+                       SamplerConfig(chains=2, iterations=iterations, burnin=10, seed=4))
+    monkeypatch.undo()
+    return events, draws
+
+
+@pytest.mark.parametrize("n_clusters", [4, 16])
+def test_sweep_cost_does_not_grow_with_clusters(monkeypatch, n_clusters):
+    short, _ = _sweep_calls(monkeypatch, n_clusters, 20)
+    events, draws = _sweep_calls(monkeypatch, n_clusters, 40)
+    # Same seed, so the longer run repeats the shorter one and adds 2 x 20
+    # sweeps.
+    per_sweep = {name: (events.count(name) - short.count(name)) / 40
+                 for name in set(events)}
+    beta_updates = SamplerConfig().beta_updates
+    assert per_sweep == {"log_posterior": beta_updates + 1,   # beta, shape
+                         "cluster_log_density": 2,             # all M effects
+                         "log_prior": 2,                       # phi
+                         "pointwise_log_likelihood": beta_updates + 3}
+    # Every likelihood pass comes straight from a log_posterior or
+    # cluster_log_density call: the phi step's log_prior calls make none.
+    for before, event in zip(events, events[1:]):
+        if event == "pointwise_log_likelihood":
+            assert before in ("log_posterior", "cluster_log_density")
+    names = ["beta", "shape", *(f"effect[{i}]" for i in range(1, n_clusters + 1)), "phi"]
+    assert list(draws.acceptance) == names
+    assert all(len(rates) == 2 for rates in draws.acceptance.values())
+
+
 def test_initialization_failure_is_explicit():
     data = _exp_data(n=30)
     # phi prior upper bound far below the phi = xi/2 init is fine; instead make
