@@ -117,10 +117,11 @@ def cmd_fit(args) -> int:
 
     thresholds = args.threshold or []
     g0, g1, diff = rmst_difference(draws, args.tau)
+    diff_summary = summarize(diff.values, args.ci_level, thresholds)
     rmst_doc = {
         "group0": _summary_dict(summarize(g0.values, args.ci_level)),
         "group1": _summary_dict(summarize(g1.values, args.ci_level)),
-        "difference": _summary_dict(summarize(diff.values, args.ci_level, thresholds)),
+        "difference": _summary_dict(diff_summary),
     }
     edges, counts = histogram_bins(diff.values)
     forest = None
@@ -129,7 +130,7 @@ def cmd_fit(args) -> int:
         for i in range(1, data.n_clusters + 1):
             _, _, cdiff = rmst_difference(draws, args.tau, cluster=i)
             per_cluster[f"cluster-{i}"] = summarize(cdiff.values, args.ci_level)
-        forest = forest_rows(per_cluster, summarize(diff.values, args.ci_level))
+        forest = forest_rows(per_cluster, diff_summary)
 
     doc = {
         "config": {

@@ -41,9 +41,19 @@ class Family(str, Enum):
     LOG_NORMAL = "lognormal"
 
 
+def _positive(x) -> bool:
+    return x is not None and bool(np.all(np.greater(x, 0.0)))
+
+
+def _finite(x) -> bool:
+    return x is not None and bool(np.all(np.isfinite(x)))
+
+
 @dataclass(frozen=True)
 class FamilyParams:
-    """Distribution parameters for one family (unused fields are None)."""
+    """Distribution parameters for one family (unused fields are None).
+    The fields may be numpy arrays of equal shape, one entry per parameter
+    set; ``rmst.rmst_value`` accepts those."""
 
     family: Family
     lam: float | None = None
@@ -54,16 +64,16 @@ class FamilyParams:
     def __post_init__(self):
         fam = self.family
         if fam is Family.EXPONENTIAL:
-            if not (self.lam is not None and self.lam > 0):
+            if not _positive(self.lam):
                 raise ValueError("exponential requires lam > 0")
         elif fam is Family.WEIBULL:
-            if not (self.lam is not None and self.lam > 0 and self.k is not None and self.k > 0):
+            if not (_positive(self.lam) and _positive(self.k)):
                 raise ValueError("weibull requires lam > 0 and k > 0")
         elif fam is Family.LOG_LOGISTIC:
-            if not (self.mu is not None and math.isfinite(self.mu) and self.k is not None and self.k > 0):
+            if not (_finite(self.mu) and _positive(self.k)):
                 raise ValueError("loglogistic requires finite mu and k > 0")
         elif fam is Family.LOG_NORMAL:
-            if not (self.mu is not None and math.isfinite(self.mu) and self.sigma2 is not None and self.sigma2 > 0):
+            if not (_finite(self.mu) and _positive(self.sigma2)):
                 raise ValueError("lognormal requires finite mu and sigma2 > 0")
 
     @staticmethod
@@ -95,7 +105,7 @@ class EffectValue:
     value: float = 0.0
 
     def __post_init__(self):
-        if self.kind is EffectKind.FRAILTY and not self.value > 0:
+        if self.kind is EffectKind.FRAILTY and not _positive(self.value):
             raise ValueError("frailty value must be positive")
 
 
@@ -112,10 +122,10 @@ def frailty(v: float) -> EffectValue:
 
 def shifted(p: FamilyParams, u: float) -> FamilyParams:
     """Apply a random offset to the linear-scale parameter."""
-    if u == 0.0:
+    if np.all(np.equal(u, 0.0)):
         return p
     if p.family in (Family.EXPONENTIAL, Family.WEIBULL):
-        return FamilyParams(p.family, lam=p.lam * math.exp(u), k=p.k)
+        return FamilyParams(p.family, lam=p.lam * np.exp(u), k=p.k)
     return FamilyParams(p.family, mu=p.mu + u, k=p.k, sigma2=p.sigma2)
 
 

@@ -33,8 +33,10 @@ def pointwise_matrix(data: SurvivalDataset, spec: ModelSpec,
     """(draws, observations) matrix of pointwise log-likelihoods."""
     model = Model(data, spec)
     thetas = draws.layout.to_sampling(draws.flat())
-    return np.stack([pointwise_log_likelihood(model, thetas[s])
-                     for s in range(len(thetas))])
+    out = np.empty((len(thetas), len(data.time)))
+    for s, theta in enumerate(thetas):
+        out[s] = pointwise_log_likelihood(model, theta)
+    return out
 
 
 def waic(data: SurvivalDataset, spec: ModelSpec, draws: PosteriorDraws,
@@ -50,7 +52,10 @@ def waic_from_matrix(ll: np.ndarray) -> WaicResult:
     ll = np.asarray(ll, dtype=float)
     # log mean exp per observation, overflow-safe.
     mx = ll.max(axis=0)
-    pointwise_lppd = mx + np.log(np.mean(np.exp(ll - mx), axis=0))
+    ratio = ll - mx
+    np.exp(ratio, out=ratio)  # in place: one (draws, observations) temporary
+    pointwise_lppd = mx + np.log(np.mean(ratio, axis=0))
+    del ratio
     if np.all(np.ptp(ll, axis=0) == 0.0):
         warnings.warn("degenerate draws: zero variance in every pointwise "
                       "log-likelihood; p_waic set to 0", RuntimeWarning, stacklevel=2)

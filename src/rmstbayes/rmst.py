@@ -3,9 +3,11 @@
 RMST(tau) = int_0^tau S(t) dt.  Closed forms exist for every family and for
 both cluster-effect types; the log-normal frailty case uses an approximate
 closed form (the exact integral is available through ``rmst_numeric``).
-``rmst_numeric`` integrates the survival function with adaptive Simpson
-quadrature and serves as the independent oracle for all the closed forms; no
-posterior path calls it.
+Each closed form is written once and applies elementwise over numpy arrays
+of parameters as well as to scalars, so ``rmst_distribution`` evaluates it
+once over all posterior draws.  ``rmst_numeric`` integrates the survival
+function with adaptive Simpson quadrature and serves as the independent
+oracle for all the closed forms; no posterior path calls it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from .specfun import (
     std_normal_sf,
 )
 
+_NORM_CDF = np.vectorize(std_normal_cdf, otypes=[float])
+_NORM_SF = np.vectorize(std_normal_sf, otypes=[float])
+
 _LOG_HUGE = 700.0
 _LOG_TIME_SPAN = 60.0  # rmst_numeric integrates log(t / tau) over [-60, 0]
 _MAX_DEPTH = 60
@@ -49,110 +54,134 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must be positive, got {tau}")
 
 
-def rmst_exponential(lam: float, tau: float) -> float:
+def _float_if_scalar(x):
+    return x if np.ndim(x) else float(x)
+
+
+def rmst_exponential(lam, tau: float):
     """(1 - e^(-lam tau)) / lam."""
-    if not lam > 0:
+    if not np.all(lam > 0):
         raise ValueError(f"lam must be positive, got {lam}")
     _check_tau(tau)
-    return -math.expm1(-lam * tau) / lam
+    return _float_if_scalar(-np.expm1(-lam * tau) / lam)
 
 
-def rmst_weibull(lam: float, k: float, tau: float) -> float:
-    """lam^(-1/k) gamma_inc(lam tau^k; 1/k + 1) + tau exp(-lam tau^k)."""
-    if not (lam > 0 and k > 0):
+def rmst_weibull(lam, k, tau: float):
+    """lam^(-1/k) gamma_inc(lam tau^k; 1/k + 1) + tau exp(-lam tau^k).
+
+    Where log(lam tau^k) > 700, z is taken as infinite, which leaves
+    lam^(-1/k) Gamma(1/k + 1)."""
+    if not (np.all(lam > 0) and np.all(k > 0)):
         raise ValueError("weibull requires lam > 0 and k > 0")
     _check_tau(tau)
     a = 1.0 / k + 1.0
-    log_z = math.log(lam) + k * math.log(tau)
+    log_z = np.log(lam) + k * math.log(tau)
+    z = np.where(log_z > _LOG_HUGE, np.inf, np.exp(np.minimum(log_z, _LOG_HUGE)))
     head = lam ** (-1.0 / k)
-    if log_z > _LOG_HUGE:
-        return head * math.exp(math.lgamma(a))
-    z = math.exp(log_z)
-    return head * lower_incomplete_gamma(z, a) + tau * math.exp(-z)
+    return _float_if_scalar(head * lower_incomplete_gamma(z, a) + tau * np.exp(-z))
 
 
-def _logistic_tail(w: float) -> float:
-    # 1/(1 + e^w), overflow-safe; equals S(tau) with w = mu + k log(tau)
-    if w > 0:
-        ew = math.exp(-w)
-        return ew / (1.0 + ew)
-    return 1.0 / (1.0 + math.exp(w))
+def _incomplete_beta_compl(s0, a, b) -> np.ndarray:
+    # The scalar incomplete_beta_compl at each element: its branchy
+    # recurrence stays scalar.
+    s0, a, b = np.broadcast_arrays(s0, a, b)
+    return np.array([incomplete_beta_compl(*args) for args in
+                     zip(s0.ravel().tolist(), a.ravel().tolist(), b.ravel().tolist())]
+                    ).reshape(s0.shape)
 
 
-def rmst_loglogistic(mu: float, k: float, tau: float) -> float:
-    """e^(-mu/k) B(1 - S(tau); 1 + 1/k, 1 - 1/k) + tau S(tau).
+def rmst_loglogistic(mu, k, tau: float, v=1.0):
+    """v e^(-mu/k) B(1 - S(tau); 1 + 1/k, v - 1/k) + tau S(tau)^v, with a
+    frailty v on the hazard (v = 1: none).
 
     For k <= 1 the beta's second argument is <= 0; the integral stays finite
     because it stops short of 1 (finite-tau RMST needs no first moment).
     """
-    if not k > 0:
+    if not np.all(k > 0):
         raise ValueError("loglogistic requires k > 0")
     _check_tau(tau)
+    # S(tau) = 1/(1 + e^w), overflow-safe
     w = mu + k * math.log(tau)
-    s_tau = _logistic_tail(w)
-    part = incomplete_beta_compl(s_tau, 1.0 + 1.0 / k, 1.0 - 1.0 / k)
-    return math.exp(-mu / k) * part + tau * s_tau
+    ew = np.exp(-np.abs(w))
+    s_tau = np.where(w > 0, ew / (1.0 + ew), 1.0 / (1.0 + ew))
+    part = _incomplete_beta_compl(s_tau, 1.0 + 1.0 / k, v - 1.0 / k)
+    return _float_if_scalar(v * np.exp(-mu / k) * part + tau * s_tau ** v)
 
 
-def rmst_lognormal(mu: float, sigma2: float, tau: float) -> float:
+def rmst_lognormal(mu, sigma2, tau: float):
     """exp(mu + sigma2/2) Phi((log tau - mu - sigma2)/sigma) + tau (1 - Phi((log tau - mu)/sigma))."""
-    if not sigma2 > 0:
+    if not np.all(sigma2 > 0):
         raise ValueError("lognormal requires sigma2 > 0")
     _check_tau(tau)
-    sigma = math.sqrt(sigma2)
+    sigma = np.sqrt(sigma2)
     log_tau = math.log(tau)
     z1 = (log_tau - mu - sigma2) / sigma
     z0 = (log_tau - mu) / sigma
-    return math.exp(mu + 0.5 * sigma2) * std_normal_cdf(z1) + tau * std_normal_sf(z0)
+    return _float_if_scalar(np.exp(mu + 0.5 * sigma2) * _NORM_CDF(z1) + tau * _NORM_SF(z0))
 
 
-def rmst_random_effect(p: FamilyParams, u: float, tau: float) -> float:
+def _rmst_lognormal_frailty(mu, sigma2, v, tau: float):
+    # The paper's approximate closed form; rmst_numeric integrates the exact
+    # S^v integrand.
+    _check_tau(tau)
+    sigma = np.sqrt(sigma2)
+    log_tau = math.log(tau)
+    sf1 = _NORM_SF((log_tau - mu - sigma2) / sigma)
+    sf0 = _NORM_SF((log_tau - mu) / sigma)
+    head = np.exp(mu + 0.5 * sigma2) * (1.0 - sf1**v) / v
+    return _float_if_scalar(head + tau * sf0**v)
+
+
+def rmst_closed_form(family: Family, lam_or_mu, shape, tau: float, v=None):
+    """Closed-form RMST of ``family``, elementwise over numpy arrays or
+    scalars.
+
+    ``lam_or_mu`` is lam (exponential, weibull) or mu (log-logistic,
+    log-normal), ``shape`` is k, or sigma^2 for log-normal (unused for
+    exponential), and ``v`` is a frailty multiplying the hazard (None: no
+    frailty).  The log-normal frailty form is an approximation.
+    """
+    if v is not None and not np.all(v > 0):
+        raise ValueError("frailty requires v > 0")
+    scale = 1.0 if v is None else v
+    if family is Family.EXPONENTIAL:
+        return rmst_exponential(scale * lam_or_mu, tau)
+    if family is Family.WEIBULL:
+        return rmst_weibull(scale * lam_or_mu, shape, tau)
+    if family is Family.LOG_LOGISTIC:
+        return rmst_loglogistic(lam_or_mu, shape, tau, scale)
+    if v is None:
+        return rmst_lognormal(lam_or_mu, shape, tau)
+    return _rmst_lognormal_frailty(lam_or_mu, shape, v, tau)
+
+
+def _natural(p: FamilyParams) -> tuple:
+    """(lam or mu, k or sigma^2) of p; see ``rmst_closed_form``."""
+    return (p.lam if p.mu is None else p.mu), (p.sigma2 if p.k is None else p.k)
+
+
+def rmst_random_effect(p: FamilyParams, u, tau: float):
     """RMST with a random offset on the linear-scale parameter."""
     return rmst_base(shifted(p, u), tau)
 
 
-def rmst_frailty(p: FamilyParams, v: float, tau: float) -> float:
+def rmst_frailty(p: FamilyParams, v, tau: float):
     """RMST with a multiplicative frailty v on the hazard.
 
     Closed forms are exact for exponential/weibull/log-logistic; the
     log-normal form is an approximation (``rmst_numeric`` integrates the
     exact S^v integrand).
     """
-    if not v > 0:
-        raise ValueError("frailty requires v > 0")
-    _check_tau(tau)
-    fam = p.family
-    if fam is Family.EXPONENTIAL:
-        return rmst_exponential(v * p.lam, tau)
-    if fam is Family.WEIBULL:
-        return rmst_weibull(v * p.lam, p.k, tau)
-    if fam is Family.LOG_LOGISTIC:
-        k = p.k
-        w = p.mu + k * math.log(tau)
-        s_tau = _logistic_tail(w)
-        part = incomplete_beta_compl(s_tau, 1.0 + 1.0 / k, v - 1.0 / k)
-        return v * math.exp(-p.mu / k) * part + tau * math.exp(v * math.log(s_tau))
-    # log-normal: approximate closed form
-    sigma = math.sqrt(p.sigma2)
-    log_tau = math.log(tau)
-    sf1 = std_normal_sf((log_tau - p.mu - p.sigma2) / sigma)
-    sf0 = std_normal_sf((log_tau - p.mu) / sigma)
-    head = math.exp(p.mu + 0.5 * p.sigma2) * (1.0 - sf1**v) / v
-    return head + tau * sf0**v
+    return rmst_closed_form(p.family, *_natural(p), tau, v)
 
 
-def rmst_base(p: FamilyParams, tau: float) -> float:
-    if p.family is Family.EXPONENTIAL:
-        return rmst_exponential(p.lam, tau)
-    if p.family is Family.WEIBULL:
-        return rmst_weibull(p.lam, p.k, tau)
-    if p.family is Family.LOG_LOGISTIC:
-        return rmst_loglogistic(p.mu, p.k, tau)
-    return rmst_lognormal(p.mu, p.sigma2, tau)
+def rmst_base(p: FamilyParams, tau: float):
+    return rmst_closed_form(p.family, *_natural(p), tau)
 
 
-def rmst_value(p: FamilyParams, e: EffectValue = NO_EFFECT, tau: float = None) -> float:
-    """Closed-form RMST for any family x effect combination."""
+def rmst_value(p: FamilyParams, e: EffectValue = NO_EFFECT, tau: float = None):
+    """Closed-form RMST for any family x effect combination; the parameters
+    of p and the effect value may be numpy arrays."""
     if e.kind is EffectKind.RANDOM:
         return rmst_random_effect(p, e.value, tau)
     if e.kind is EffectKind.FRAILTY:
@@ -270,18 +299,9 @@ class RmstSampleVector:
         return len(self.values)
 
 
-def _params_from_draw(family: Family, eta: float, shape: float | None) -> FamilyParams:
-    if family is Family.EXPONENTIAL:
-        return FamilyParams.exponential(math.exp(eta))
-    if family is Family.WEIBULL:
-        return FamilyParams.weibull(math.exp(eta), shape)
-    if family is Family.LOG_LOGISTIC:
-        return FamilyParams.loglogistic(eta, shape)
-    return FamilyParams.lognormal(eta, shape)
-
-
 def rmst_distribution(draws, query: RmstQuery) -> RmstSampleVector:
-    """Evaluate the closed-form RMST at every posterior draw.
+    """Evaluate the closed-form RMST at every posterior draw, as one array
+    evaluation over the draws.
 
     ``draws`` is a PosteriorDraws object (see the sampler module); the model
     family and effect type are taken from its model spec.
@@ -301,22 +321,17 @@ def rmst_distribution(draws, query: RmstQuery) -> RmstSampleVector:
     shapes = flat[:, shape_col] if shape_col is not None else None
 
     effect_kind = EffectKind(spec.effect)
+    v = None
     if query.cluster is not None:
         if effect_kind is EffectKind.NONE:
             raise ValueError("cluster queries require a random-effect or frailty model")
-        col = draws.layout.effect_indices[query.cluster - 1]
-        effect_vals = flat[:, col]
-    else:
-        effect_vals = None
-
-    out = np.empty(len(flat))
-    for s in range(len(flat)):
-        p = _params_from_draw(family, float(eta[s]), float(shapes[s]) if shapes is not None else None)
-        if effect_vals is None:
-            e = NO_EFFECT
+        effect_vals = flat[:, draws.layout.effect_indices[query.cluster - 1]]
+        if effect_kind is EffectKind.RANDOM:
+            eta = eta + effect_vals
         else:
-            e = EffectValue(effect_kind, float(effect_vals[s]))
-        out[s] = rmst_value(p, e, query.tau)
+            v = effect_vals
+    lam_or_mu = np.exp(eta) if family in (Family.EXPONENTIAL, Family.WEIBULL) else eta
+    out = rmst_closed_form(family, lam_or_mu, shapes, query.tau, v)
     label = f"group-{query.x1}"
     if query.cluster is not None:
         label += f"/cluster-{query.cluster}"

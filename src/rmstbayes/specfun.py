@@ -1,7 +1,10 @@
-"""Scalar special functions used by the closed-form restricted-mean formulas.
+"""Special functions used by the closed-form restricted-mean formulas.
 
-Everything here is dependency-free (stdlib ``math`` only) so the numeric
-kernel can be audited in isolation.  All functions are pure and thread-safe.
+``lower_incomplete_gamma`` is numpy and applies elementwise over arrays (and
+to scalars); the normal-tail functions and the incomplete beta are scalar
+stdlib ``math``, and callers apply them element by element.  The code
+depends on nothing beyond numpy, so the numeric kernel can be audited in
+isolation.  All functions are pure and thread-safe.
 
 Conventions: the incomplete gamma and incomplete beta integrals are
 *non-regularized*, i.e. the raw integrals
@@ -17,9 +20,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _EPS = 1e-16
 _MAX_ITER = 1000
 _SQRT2 = math.sqrt(2.0)
+_LGAMMA = np.vectorize(math.lgamma, otypes=[float])
 
 
 def std_normal_cdf(x: float) -> float:
@@ -45,58 +51,79 @@ def log_std_normal_sf(x: float) -> float:
     return -0.5 * x * x - math.log(x) - 0.5 * math.log(2.0 * math.pi) + math.log(series)
 
 
-def _reg_gamma_series(z: float, a: float) -> float:
-    # P(a, z) by power series, reliable for z < a + 1.
+def _reg_gamma_series(z: np.ndarray, a: np.ndarray, log_gamma_a: np.ndarray) -> np.ndarray:
+    # P(a, z) by power series, reliable for z < a + 1.  Elementwise over 1-D
+    # arrays; each entry stops at its own convergence, as a scalar loop would.
+    total_at = np.empty_like(z)
+    left = np.arange(len(z))
+    x, ap = z, a.copy()
     term = 1.0 / a
-    total = term
-    ap = a
+    total = term.copy()
     for _ in range(_MAX_ITER):
         ap += 1.0
-        term *= z / ap
+        term *= x / ap
         total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-z + a * math.log(z) - math.lgamma(a))
+        done = np.abs(term) < np.abs(total) * _EPS
+        total_at[left[done]] = total[done]
+        keep = ~done
+        left, x, ap, term, total = left[keep], x[keep], ap[keep], term[keep], total[keep]
+        if not len(left):
+            return total_at * np.exp(-z + a * np.log(z) - log_gamma_a)
     raise RuntimeError("incomplete gamma series failed to converge")
 
 
-def _reg_gamma_cf(z: float, a: float) -> float:
+def _reg_gamma_cf(z: np.ndarray, a: np.ndarray, log_gamma_a: np.ndarray) -> np.ndarray:
     # Q(a, z) by modified-Lentz continued fraction, reliable for z >= a + 1.
+    # Elementwise over 1-D arrays, like the series.
     tiny = 1e-300
+    h_at = np.empty_like(z)
+    left = np.arange(len(z))
+    ap = a
     b = z + 1.0 - a
-    c = 1.0 / tiny
+    c = np.full_like(z, 1.0 / tiny)
     d = 1.0 / b
-    h = d
+    h = d.copy()
     for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
+        an = -i * (i - ap)
         b += 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d[np.abs(d) < tiny] = tiny
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c[np.abs(c) < tiny] = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-z + a * math.log(z) - math.lgamma(a))
+        done = np.abs(delta - 1.0) < _EPS
+        h_at[left[done]] = h[done]
+        keep = ~done
+        left, ap, b, c, d, h = left[keep], ap[keep], b[keep], c[keep], d[keep], h[keep]
+        if not len(left):
+            return h_at * np.exp(-z + a * np.log(z) - log_gamma_a)
     raise RuntimeError("incomplete gamma continued fraction failed to converge")
 
 
-def lower_incomplete_gamma(z: float, a: float) -> float:
-    """Non-regularized lower incomplete gamma integral over [0, z]."""
-    if not a > 0.0:
-        raise ValueError(f"lower_incomplete_gamma requires a > 0, got a={a}")
-    if z < 0.0:
-        raise ValueError(f"lower_incomplete_gamma requires z >= 0, got z={z}")
-    if z == 0.0:
-        return 0.0
-    gamma_a = math.exp(math.lgamma(a))
-    if math.isinf(z):
-        return gamma_a
-    if z < a + 1.0:
-        return _reg_gamma_series(z, a) * gamma_a
-    return (1.0 - _reg_gamma_cf(z, a)) * gamma_a
+def lower_incomplete_gamma(z, a):
+    """Non-regularized lower incomplete gamma integral over [0, z],
+    elementwise over numpy arrays or scalars (a float for scalar input).
+
+    The power series serves z < a + 1 and the continued fraction the rest,
+    each on its own part of the array.
+    """
+    z, a = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(a, dtype=float))
+    shape = z.shape
+    z, a = z.ravel(), a.ravel()
+    if not np.all(a > 0.0):
+        raise ValueError(f"lower_incomplete_gamma requires a > 0, got a={a[~(a > 0.0)][0]}")
+    if not np.all(z >= 0.0):
+        raise ValueError(f"lower_incomplete_gamma requires z >= 0, got z={z[~(z >= 0.0)][0]}")
+    log_gamma_a = _LGAMMA(a)
+    out = np.exp(log_gamma_a)  # the value at z = inf
+    out[z == 0.0] = 0.0
+    lower = (z > 0.0) & (z < a + 1.0)
+    upper = (z >= a + 1.0) & (z < np.inf)
+    out[lower] *= _reg_gamma_series(z[lower], a[lower], log_gamma_a[lower])
+    out[upper] *= 1.0 - _reg_gamma_cf(z[upper], a[upper], log_gamma_a[upper])
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def _beta_head(z: float, a: float, b: float) -> float:

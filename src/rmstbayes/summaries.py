@@ -39,8 +39,19 @@ def silverman_bandwidth(v: np.ndarray) -> float:
 
 
 def kde_mode(v: np.ndarray, grid_points: int = 512) -> float:
-    """Argmax of a Gaussian kernel density estimate on a uniform grid
-    spanning the sample range."""
+    """Argmax of a binned Gaussian kernel density estimate on a uniform grid
+    spanning the sample range (Wand, "Fast computation of multivariate
+    kernel estimators", JCGS 1994).
+
+    The sample is binned linearly onto the grid, and the bin weights are
+    convolved with the kernel, cut off at 39 bandwidths, where it is
+    exp(-760).  That costs O(S + G L) time and O(G) memory for S values, G
+    grid points and a kernel of L points.  The mode is within one grid step
+    of the exact estimate's mode on the same grid, except where the
+    bandwidth is far below the grid step (one extreme value can stretch the
+    range): there the exact estimate on the grid is about 0 away from the
+    sample values, while the binned one peaks where most weight falls.
+    """
     lo, hi = float(v.min()), float(v.max())
     if lo == hi:
         return lo
@@ -48,10 +59,17 @@ def kde_mode(v: np.ndarray, grid_points: int = 512) -> float:
     if bw <= 0.0:
         return float(np.median(v))
     grid = np.linspace(lo, hi, grid_points)
-    # |z| > 39 contributes exp(-760) ~ 0; clipping avoids overflow in z * z
-    # when the sample spans many orders of magnitude relative to bw
-    z = np.clip(np.abs(grid[:, None] - v[None, :]) / bw, 0.0, 39.0)
-    density = np.exp(-0.5 * z * z).sum(axis=1)
+    step = (hi - lo) / (grid_points - 1)
+    # linear binning: each value splits its unit weight between the two
+    # grid points around it, in proportion to its nearness to each
+    pos = np.clip((v - lo) / step, 0.0, grid_points - 1.0)
+    left = np.minimum(pos.astype(np.intp), grid_points - 2)
+    frac = pos - left
+    weights = (np.bincount(left, weights=1.0 - frac, minlength=grid_points)
+               + np.bincount(left + 1, weights=frac, minlength=grid_points))
+    half = min(int(39.0 * bw / step), grid_points - 1)
+    kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * (step / bw)) ** 2)
+    density = np.convolve(weights, kernel)[half: half + grid_points]
     return float(grid[int(np.argmax(density))])
 
 

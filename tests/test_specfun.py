@@ -4,6 +4,7 @@ analytic identities."""
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +25,31 @@ def test_lower_incomplete_gamma_against_mpmath_grid():
             ref = float(mp.gammainc(a, 0, z))
             worst = max(worst, abs(got - ref) / ref)
     assert worst < 1e-12
+
+
+def test_lower_incomplete_gamma_array_matches_scalar_calls():
+    # the mpmath grid as one array: series (z < a + 1) and continued-fraction
+    # entries side by side, plus z = 0 and z = inf
+    a_vals = (0.05, 0.3, 0.7, 1.0, 1.5, 2.5, 5.0, 11.0, 30.0)
+    z_vals = (0.0, 1e-6, 0.01, 0.2, 0.9, 1.0, 2.3, 7.0, 25.0, 120.0, math.inf)
+    a = np.repeat(a_vals, len(z_vals))
+    z = np.tile(z_vals, len(a_vals))
+    assert np.any((z > 0) & (z < a + 1)) and np.any(np.isfinite(z) & (z >= a + 1))
+    got = lower_incomplete_gamma(z, a)
+    assert got.shape == z.shape
+    scalar = np.array([lower_incomplete_gamma(float(zi), float(ai)) for zi, ai in zip(z, a)])
+    np.testing.assert_allclose(got, scalar, rtol=1e-15, atol=0.0)
+    assert np.all(got[z == 0.0] == 0.0)
+    ref = np.array([float(mp.gammainc(ai, 0, zi)) for zi, ai in zip(z, a) if zi > 0.0])
+    assert np.max(np.abs(got[z > 0.0] - ref) / ref) < 1e-12
+    # broadcasting keeps the shape; a scalar call gives a float
+    grid = lower_incomplete_gamma(z.reshape(len(a_vals), -1), 2.5)
+    assert grid.shape == (len(a_vals), len(z_vals))
+    assert isinstance(lower_incomplete_gamma(2.3, 1.5), float)
+    with pytest.raises(ValueError):
+        lower_incomplete_gamma(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        lower_incomplete_gamma(np.array([1.0, -2.0]), 1.0)
 
 
 def test_lower_incomplete_gamma_limits():

@@ -62,6 +62,57 @@ def test_kde_mode_near_center_of_normal_sample():
     assert abs(kde_mode(v) - v.mean()) < 3 * bw
 
 
+def _dense_kde_mode(v, grid_points=512):
+    """The exact Gaussian KDE on the grid, summed over every value: the
+    reference for the binned estimate."""
+    lo, hi = float(v.min()), float(v.max())
+    bw = silverman_bandwidth(v)
+    grid = np.linspace(lo, hi, grid_points)
+    z = np.clip(np.abs(grid[:, None] - v[None, :]) / bw, 0.0, 39.0)
+    return float(grid[int(np.argmax(np.exp(-0.5 * z * z).sum(axis=1)))])
+
+
+def _samples(kind, rng, n):
+    if kind == "normal":
+        return rng.normal(10.0, 1.5, n)
+    if kind == "lognormal":
+        return np.exp(rng.normal(0.0, 0.8, n))
+    if kind == "bimodal":
+        return np.where(rng.random(n) < 0.6, rng.normal(0.0, 1.0, n), rng.normal(5.0, 0.7, n))
+    return rng.standard_t(1, n)
+
+
+@pytest.mark.parametrize("kind", ["normal", "lognormal", "bimodal", "cauchy"])
+def test_binned_kde_mode_within_one_grid_step_of_dense(kind):
+    for seed in range(4):
+        v = _samples(kind, np.random.default_rng(seed), 3000)
+        step = (v.max() - v.min()) / 511
+        if kind == "cauchy":
+            # the kernel is cut at 39 bandwidths, well inside the range
+            assert 39 * silverman_bandwidth(v) < 0.05 * (v.max() - v.min())
+        assert abs(kde_mode(v) - _dense_kde_mode(v)) <= step * (1 + 1e-9), seed
+
+
+def test_kde_mode_where_the_bandwidth_is_far_below_the_grid_step():
+    # One value at -2.8e5 stretches the grid step to 554, about 2000
+    # bandwidths.  The exact estimate on the grid is then 1 at the two
+    # extreme values and about 0 elsewhere, so its argmax is the sample
+    # minimum; the binned estimate puts the mode at the grid point nearest
+    # the bulk of the sample.
+    v = _samples("cauchy", np.random.default_rng(5), 3000)
+    step = (v.max() - v.min()) / 511
+    assert step > 1000 * silverman_bandwidth(v)
+    assert _dense_kde_mode(v) == v.min()
+    assert abs(kde_mode(v) - np.median(v)) <= step
+
+
+def test_kde_mode_degenerate_samples():
+    assert kde_mode(np.full(40, -2.5)) == -2.5
+    # zero IQR: the bandwidth falls back to the SD
+    v = np.array([0.0] * 95 + [1.0] * 5)
+    assert kde_mode(v) == _dense_kde_mode(v) == 0.0
+
+
 def test_normal_tail_probability_reference():
     # a posterior difference with mean -3.77 and SD 1.36 puts essentially all
     # mass below zero
