@@ -20,7 +20,7 @@ from rmstbayes.sampler import SamplerConfig, run_chains, split_rhat, effective_s
 from rmstbayes.simulation import ScenarioConfig, generate_scenario, scenario_truth
 from rmstbayes.summaries import summarize
 
-FAMILIES = {f.name.lower(): f for f in Family}
+FAMILIES = {f.value: f for f in Family}
 EFFECTS = {"fixed": EffectKind.NONE, "random": EffectKind.RANDOM,
            "frailty": EffectKind.FRAILTY}
 

@@ -14,7 +14,8 @@ which exponentiates the survival function: S(t|v) = S(t)^v and
 f(t|v) = v h(t) S(t)^v.
 
 ``log_hazard_survival`` holds each family's log-hazard and log-survival
-formula, once, in numpy; the likelihood evaluates it over all rows,
+formula, once, in numpy (the log-normal tail is one ``log_std_normal_sf``
+call over the array); the likelihood evaluates it over all rows,
 ``rmst_numeric`` over its quadrature points, and the scalar
 ``log_survival``/``log_density``/``hazard`` at one time point.
 ``kernel_args`` maps (FamilyParams, EffectValue) to its arguments.
@@ -28,10 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .specfun import log_std_normal_sf
-
-_LOG_NORM_SF = np.vectorize(log_std_normal_sf, otypes=[float])
-_LOG_2PI = math.log(2.0 * math.pi)
+from .specfun import _LOG_SQRT_2PI, log_std_normal_sf
 
 
 class Family(str, Enum):
@@ -152,8 +150,8 @@ def log_hazard_survival(family: Family, eta, shape, t, logt,
         log_h = eta + math.log(shape) + (shape - 1.0) * logt + log_s
     else:
         z = (logt - eta) / math.sqrt(shape)
-        log_s = _LOG_NORM_SF(z)
-        log_pdf = -logt - 0.5 * math.log(shape) - 0.5 * _LOG_2PI - 0.5 * z * z
+        log_s = log_std_normal_sf(z)
+        log_pdf = -logt - 0.5 * math.log(shape) - _LOG_SQRT_2PI - 0.5 * z * z
         log_h = log_pdf - log_s
     if kind is EffectKind.FRAILTY:
         return effect + log_h, np.exp(effect) * log_s

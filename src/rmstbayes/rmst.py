@@ -28,14 +28,12 @@ from .families import (
     shifted,
 )
 from .specfun import (
+    _elementwise,
+    _float_if_scalar,
     incomplete_beta_compl,
     lower_incomplete_gamma,
-    std_normal_cdf,
     std_normal_sf,
 )
-
-_NORM_CDF = np.vectorize(std_normal_cdf, otypes=[float])
-_NORM_SF = np.vectorize(std_normal_sf, otypes=[float])
 
 _LOG_HUGE = 700.0
 _LOG_TIME_SPAN = 60.0  # rmst_numeric integrates log(t / tau) over [-60, 0]
@@ -52,10 +50,6 @@ class QuadratureError(RuntimeError):
 def _check_tau(tau: float) -> None:
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-
-
-def _float_if_scalar(x):
-    return x if np.ndim(x) else float(x)
 
 
 def rmst_exponential(lam, tau: float):
@@ -81,15 +75,6 @@ def rmst_weibull(lam, k, tau: float):
     return _float_if_scalar(head * lower_incomplete_gamma(z, a) + tau * np.exp(-z))
 
 
-def _incomplete_beta_compl(s0, a, b) -> np.ndarray:
-    # The scalar incomplete_beta_compl at each element: its branchy
-    # recurrence stays scalar.
-    s0, a, b = np.broadcast_arrays(s0, a, b)
-    return np.array([incomplete_beta_compl(*args) for args in
-                     zip(s0.ravel().tolist(), a.ravel().tolist(), b.ravel().tolist())]
-                    ).reshape(s0.shape)
-
-
 def rmst_loglogistic(mu, k, tau: float, v=1.0):
     """v e^(-mu/k) B(1 - S(tau); 1 + 1/k, v - 1/k) + tau S(tau)^v, with a
     frailty v on the hazard (v = 1: none).
@@ -104,7 +89,7 @@ def rmst_loglogistic(mu, k, tau: float, v=1.0):
     w = mu + k * math.log(tau)
     ew = np.exp(-np.abs(w))
     s_tau = np.where(w > 0, ew / (1.0 + ew), 1.0 / (1.0 + ew))
-    part = _incomplete_beta_compl(s_tau, 1.0 + 1.0 / k, v - 1.0 / k)
+    part = _elementwise(incomplete_beta_compl, s_tau, 1.0 + 1.0 / k, v - 1.0 / k)
     return _float_if_scalar(v * np.exp(-mu / k) * part + tau * s_tau ** v)
 
 
@@ -117,7 +102,8 @@ def rmst_lognormal(mu, sigma2, tau: float):
     log_tau = math.log(tau)
     z1 = (log_tau - mu - sigma2) / sigma
     z0 = (log_tau - mu) / sigma
-    return _float_if_scalar(np.exp(mu + 0.5 * sigma2) * _NORM_CDF(z1) + tau * _NORM_SF(z0))
+    head = np.exp(mu + 0.5 * sigma2) * std_normal_sf(-z1)
+    return _float_if_scalar(head + tau * std_normal_sf(z0))
 
 
 def _rmst_lognormal_frailty(mu, sigma2, v, tau: float):
@@ -126,8 +112,8 @@ def _rmst_lognormal_frailty(mu, sigma2, v, tau: float):
     _check_tau(tau)
     sigma = np.sqrt(sigma2)
     log_tau = math.log(tau)
-    sf1 = _NORM_SF((log_tau - mu - sigma2) / sigma)
-    sf0 = _NORM_SF((log_tau - mu) / sigma)
+    sf1 = std_normal_sf((log_tau - mu - sigma2) / sigma)
+    sf0 = std_normal_sf((log_tau - mu) / sigma)
     head = np.exp(mu + 0.5 * sigma2) * (1.0 - sf1**v) / v
     return _float_if_scalar(head + tau * sf0**v)
 

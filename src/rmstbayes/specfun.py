@@ -1,10 +1,11 @@
-"""Special functions used by the closed-form restricted-mean formulas.
+"""Special functions used by the likelihood and the closed-form
+restricted-mean formulas.
 
-``lower_incomplete_gamma`` is numpy and applies elementwise over arrays (and
-to scalars); the normal-tail functions and the incomplete beta are scalar
-stdlib ``math``, and callers apply them element by element.  The code
-depends on nothing beyond numpy, so the numeric kernel can be audited in
-isolation.  All functions are pure and thread-safe.
+The incomplete gamma and the normal tails apply elementwise over numpy arrays
+and to scalars (a float for scalar input); the stdlib functions under them
+(``math.erfc``, ``math.lgamma``, and the scalar incomplete beta for its
+callers) meet arrays through one helper, ``_elementwise``.  The code depends
+on nothing beyond numpy.  All functions are pure and thread-safe.
 
 Conventions: the incomplete gamma and incomplete beta integrals are
 *non-regularized*, i.e. the raw integrals
@@ -25,30 +26,42 @@ import numpy as np
 _EPS = 1e-16
 _MAX_ITER = 1000
 _SQRT2 = math.sqrt(2.0)
-_LGAMMA = np.vectorize(math.lgamma, otypes=[float])
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x)."""
-    return 0.5 * math.erfc(-x / _SQRT2)
+def _elementwise(fn, *args) -> np.ndarray:
+    """The scalar ``fn`` at each element of the broadcast ``args``, as a
+    float array of their shape."""
+    args = np.broadcast_arrays(*args)
+    values = map(fn, *[x.ravel().tolist() for x in args])
+    return np.fromiter(values, float, args[0].size).reshape(args[0].shape)
 
 
-def std_normal_sf(x: float) -> float:
-    """Upper tail 1 - Phi(x), computed without cancellation."""
-    return 0.5 * math.erfc(x / _SQRT2)
+def _float_if_scalar(x):
+    return x if np.ndim(x) else float(x)
 
 
-def log_std_normal_sf(x: float) -> float:
-    """log(1 - Phi(x)), stable far into the upper tail.
+def std_normal_sf(x):
+    """Upper tail 1 - Phi(x), computed without cancellation, elementwise."""
+    return _float_if_scalar(0.5 * _elementwise(math.erfc, np.asarray(x, dtype=float) / _SQRT2))
 
-    erfc underflows near x ~ 37; beyond x = 25 an asymptotic expansion of the
-    Mills ratio is used instead (relative error < 1e-9 at the switch point).
-    """
-    if x < 25.0:
-        return math.log(0.5 * math.erfc(x / _SQRT2))
-    inv2 = 1.0 / (x * x)
-    series = 1.0 + inv2 * (-1.0 + inv2 * (3.0 + inv2 * -15.0))
-    return -0.5 * x * x - math.log(x) - 0.5 * math.log(2.0 * math.pi) + math.log(series)
+
+def log_std_normal_sf(x):
+    """log(1 - Phi(x)), elementwise: with q = erfc(|x|/sqrt 2)/2, log1p(-q)
+    for x <= 0 and log q for 0 < x < 25.  erfc underflows near x ~ 37, so from
+    x = 25 on an asymptotic Mills-ratio series is used (relative error < 1e-9
+    at the switch); log 0 is never taken."""
+    x = np.asarray(x, dtype=float)
+    q = 0.5 * _elementwise(math.erfc, np.abs(x) / _SQRT2)
+    out = np.log1p(-q, out=np.empty_like(q))
+    np.log(q, out=out, where=(x > 0.0) & (x < 25.0))
+    tail = x >= 25.0
+    if tail.any():
+        xt = x[tail]
+        inv2 = 1.0 / (xt * xt)
+        series = 1.0 + inv2 * (-1.0 + inv2 * (3.0 + inv2 * -15.0))
+        out[tail] = -0.5 * xt * xt - np.log(xt) - _LOG_SQRT_2PI + np.log(series)
+    return _float_if_scalar(out)
 
 
 def _reg_gamma_series(z: np.ndarray, a: np.ndarray, log_gamma_a: np.ndarray) -> np.ndarray:
@@ -116,7 +129,7 @@ def lower_incomplete_gamma(z, a):
         raise ValueError(f"lower_incomplete_gamma requires a > 0, got a={a[~(a > 0.0)][0]}")
     if not np.all(z >= 0.0):
         raise ValueError(f"lower_incomplete_gamma requires z >= 0, got z={z[~(z >= 0.0)][0]}")
-    log_gamma_a = _LGAMMA(a)
+    log_gamma_a = _elementwise(math.lgamma, a)
     out = np.exp(log_gamma_a)  # the value at z = inf
     out[z == 0.0] = 0.0
     lower = (z > 0.0) & (z < a + 1.0)

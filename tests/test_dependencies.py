@@ -1,5 +1,6 @@
-"""The runtime depends on numpy only: importing the package and running a
-short fit must not load scipy or mpmath (both are test-only dependencies)."""
+"""The runtime depends on numpy only: importing the package, running short
+Weibull and log-normal fits and the posterior RMST must not load scipy or
+mpmath (both are test-only dependencies)."""
 
 import os
 import subprocess
@@ -8,10 +9,13 @@ import sys
 SCRIPT = """
 import sys
 import rmstbayes
-from rmstbayes import ModelSpec, SamplerConfig, ScenarioConfig, generate_scenario, run_chains
-data = generate_scenario(ScenarioConfig("C", n=64), 0)
-run_chains(data, ModelSpec("weibull", "random"),
-           SamplerConfig(chains=1, iterations=40, burnin=20, seed=1))
+from rmstbayes import (ModelSpec, SamplerConfig, ScenarioConfig, generate_scenario,
+                       rmst_difference, run_chains)
+cfg = SamplerConfig(chains=1, iterations=40, burnin=20, seed=1)
+run_chains(generate_scenario(ScenarioConfig("C", n=64), 0), ModelSpec("weibull", "random"), cfg)
+draws = run_chains(generate_scenario(ScenarioConfig("B", n=64), 0),
+                   ModelSpec("lognormal", "random"), cfg)
+rmst_difference(draws, 100.0)
 print(sorted(m for m in ("scipy", "mpmath") if m in sys.modules))
 """
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rmstbayes.families as F
 from rmstbayes.families import (EffectKind, Family, FamilyParams, NO_EFFECT,
                                 frailty, log_density, log_survival,
                                 random_offset)
@@ -115,6 +116,23 @@ def test_pointwise_matches_row_by_row_scalar_evaluation():
         t = float(data.time[i])
         ref = log_density(p, e, t) if data.event[i] else log_survival(p, e, t)
         assert math.isclose(float(pw[i]), ref, rel_tol=1e-11)
+
+
+def test_lognormal_likelihood_is_one_array_evaluation(monkeypatch):
+    # the log-normal tail runs once over all rows, not once per row
+    calls = []
+    log_sf = F.log_std_normal_sf
+
+    def counted(z):
+        calls.append(np.shape(z))
+        return log_sf(z)
+
+    monkeypatch.setattr(F, "log_std_normal_sf", counted)
+    data = _toy(n=60, clusters=3)
+    model = Model(data, ModelSpec(Family.LOG_NORMAL, EffectKind.RANDOM))
+    theta = np.random.default_rng(2).normal(-1.0, 0.5, model.layout.dim)
+    assert pointwise_log_likelihood(model, theta).shape == (60,)
+    assert calls == [(60,)]
 
 
 def test_tiny_censored_observation_contributes_nothing():
