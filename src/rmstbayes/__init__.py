@@ -4,15 +4,13 @@ cluster random effects or gamma frailty, closed-form RMST evaluation over
 MCMC posterior draws, WAIC model comparison, and a CSV-driven CLI."""
 
 from .dataio import DataError, ingest_csv, write_csv
-from .families import (AltFamilyParams, EffectKind, EffectValue, Family,
-                       FamilyParams, NO_EFFECT, frailty, random_offset)
-from .inference import (Model, ModelSpec, ParamLayout, SurvivalDataset,
-                        log_posterior, log_prior, pointwise_log_likelihood)
+from .families import (EffectKind, EffectValue, Family, FamilyParams,
+                       NO_EFFECT, frailty, random_offset)
+from .inference import ModelSpec, SurvivalDataset
 from .model_selection import WaicResult, waic
 from .rmst import (RmstQuery, RmstSampleVector, rmst_difference,
-                   rmst_distribution, rmst_exponential, rmst_frailty,
-                   rmst_loglogistic, rmst_lognormal, rmst_numeric,
-                   rmst_random_effect, rmst_value, rmst_weibull)
+                   rmst_distribution, rmst_exponential, rmst_loglogistic,
+                   rmst_lognormal, rmst_numeric, rmst_value, rmst_weibull)
 from .sampler import (PosteriorDraws, SamplerConfig, effective_sample_size,
                       run_chains, split_rhat)
 from .simulation import (ScenarioConfig, SimMetrics, evaluate_replications,

@@ -5,7 +5,7 @@ table to stdout, and (with --output) writes a single JSON document that
 carries the fully resolved configuration alongside the results.  Output
 files are written to a temporary file and renamed into place so a failed
 run never leaves a partial document.  Exit status: 0 on success, 1 on
-runtime failure, 2 on usage errors.
+runtime failure, 2 on usage errors, invalid parameter values included.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ import tempfile
 import numpy as np
 
 from .dataio import DataError, ingest_csv
-from .families import (AltFamilyParams, EffectKind, EffectValue, Family,
-                       FamilyParams, NO_EFFECT, convert_loglogistic_alt,
-                       convert_weibull_alt)
+from .families import (EffectKind, Family, FamilyParams, NO_EFFECT, frailty,
+                       random_offset)
 from .inference import ModelSpec
 from .model_selection import waic as compute_waic
 from .rmst import rmst_difference, rmst_value
@@ -63,6 +62,20 @@ def _table(headers, rows) -> str:
     lines = ["  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells]
     lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines)
+
+
+def _open_interval(lo: float, hi: float):
+    """An argparse type: a number strictly between lo and hi."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not lo < value < hi:
+            raise argparse.ArgumentTypeError(f"must lie strictly between {lo:g} and {hi:g}, "
+                                             f"got {text!r}")
+        return value
+    return parse
 
 
 def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
@@ -179,35 +192,38 @@ def cmd_waic(args) -> int:
 
 def cmd_rmst(args, parser) -> int:
     family = Family(args.family)
-    if args.scale is not None:
-        if family not in (Family.WEIBULL, Family.LOG_LOGISTIC) or args.k is None:
-            parser.error("--scale requires --k and family weibull or loglogistic")
-        alt = AltFamilyParams(family, scale=args.scale, k=args.k)
-        params = (convert_weibull_alt(alt) if family is Family.WEIBULL
-                  else convert_loglogistic_alt(alt))
-    else:
-        try:
-            if family is Family.EXPONENTIAL:
-                params = FamilyParams.exponential(_require(parser, args.lam, "--lambda"))
-            elif family is Family.WEIBULL:
-                params = FamilyParams.weibull(_require(parser, args.lam, "--lambda"),
-                                              _require(parser, args.k, "--k"))
-            elif family is Family.LOG_LOGISTIC:
-                params = FamilyParams.loglogistic(_require(parser, args.mu, "--mu"),
-                                                  _require(parser, args.k, "--k"))
-            else:
-                params = FamilyParams.lognormal(_require(parser, args.mu, "--mu"),
-                                                _require(parser, args.sigma2, "--sigma2"))
-        except ValueError as exc:
-            parser.error(str(exc))
     if args.u is not None and args.v is not None:
         parser.error("--u and --v are mutually exclusive")
-    effect = NO_EFFECT
-    if args.u is not None:
-        effect = EffectValue(EffectKind.RANDOM, args.u)
-    elif args.v is not None:
-        effect = EffectValue(EffectKind.FRAILTY, args.v)
-    value = rmst_value(params, effect, args.tau)
+    try:
+        if args.scale is not None:
+            if family not in (Family.WEIBULL, Family.LOG_LOGISTIC) or args.k is None:
+                parser.error("--scale requires --k and family weibull or loglogistic")
+            scale, k = args.scale, args.k
+            # A negative scale ** -k would be complex.
+            if not (scale > 0 and k > 0):
+                parser.error("--scale and --k must be positive")
+            # S(t) = exp{-(t/scale)^k} or 1/(1 + (t/scale)^k)
+            params = (FamilyParams.weibull(scale ** -k, k) if family is Family.WEIBULL
+                      else FamilyParams.loglogistic(-k * math.log(scale), k))
+        elif family is Family.EXPONENTIAL:
+            params = FamilyParams.exponential(_require(parser, args.lam, "--lambda"))
+        elif family is Family.WEIBULL:
+            params = FamilyParams.weibull(_require(parser, args.lam, "--lambda"),
+                                          _require(parser, args.k, "--k"))
+        elif family is Family.LOG_LOGISTIC:
+            params = FamilyParams.loglogistic(_require(parser, args.mu, "--mu"),
+                                              _require(parser, args.k, "--k"))
+        else:
+            params = FamilyParams.lognormal(_require(parser, args.mu, "--mu"),
+                                            _require(parser, args.sigma2, "--sigma2"))
+        effect = NO_EFFECT
+        if args.u is not None:
+            effect = random_offset(args.u)
+        elif args.v is not None:
+            effect = frailty(args.v)
+        value = rmst_value(params, effect, args.tau)
+    except ValueError as exc:
+        parser.error(str(exc))
     doc = {
         "config": {
             "subcommand": "rmst", "family": family.value, "tau": args.tau,
@@ -267,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_fit)
     _add_column_flags(p_fit)
     _add_sampler_flags(p_fit)
-    p_fit.add_argument("--tau", type=float, default=100.0)
-    p_fit.add_argument("--ci-level", type=float, default=0.95)
+    p_fit.add_argument("--tau", type=_open_interval(0.0, math.inf), default=100.0)
+    p_fit.add_argument("--ci-level", type=_open_interval(0.0, 1.0), default=0.95)
     p_fit.add_argument("--threshold", type=float, action="append")
     p_fit.add_argument("--output")
 
@@ -289,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="time-scale parameterization (with --k)")
     p_rmst.add_argument("--u", type=float, help="random-effect offset")
     p_rmst.add_argument("--v", type=float, help="frailty multiplier")
-    p_rmst.add_argument("--tau", type=float, required=True)
+    p_rmst.add_argument("--tau", type=_open_interval(0.0, math.inf), required=True)
     p_rmst.add_argument("--output")
 
     p_sim = sub.add_parser("simulate", help="run the replication harness")
@@ -300,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="model family to fit (default: the generating family)")
     p_sim.add_argument("--effect", default="none",
                        choices=[e.value for e in EffectKind])
-    p_sim.add_argument("--tau", type=float, default=100.0)
+    p_sim.add_argument("--tau", type=_open_interval(0.0, math.inf), default=100.0)
     _add_sampler_flags(p_sim)
     p_sim.add_argument("--output")
     return parser

@@ -12,7 +12,7 @@ row numbers in a single DataError.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -80,8 +80,9 @@ def ingest_csv(path, time_col: str = "time", event_col: str = "event",
             problems.append(f"row {i}: missing value in a required column")
             continue
         t = _try_float(r[time_col])
-        if t is None or not t > 0:
-            row_problems.append(f"row {i}: time must be a positive number, got {r[time_col]!r}")
+        if t is None or not 0 < t < math.inf:
+            row_problems.append(f"row {i}: time must be a positive finite number, "
+                                f"got {r[time_col]!r}")
         ev = _try_float(r[event_col])
         if ev not in (0.0, 1.0):
             row_problems.append(f"row {i}: event must be 0 or 1, got {r[event_col]!r}")
@@ -96,6 +97,9 @@ def ingest_csv(path, time_col: str = "time", event_col: str = "event",
                     row_problems.append(f"row {i}: covariate {col!r} is not numeric "
                                         f"(no NA policy), got {r[col]!r}")
                     val = 0.0
+                elif not math.isfinite(val):
+                    row_problems.append(f"row {i}: covariate {col!r} must be finite, "
+                                        f"got {r[col]!r}")
                 cells.append(val)
             else:
                 cells.extend(1.0 if r[col] == lev else 0.0 for lev in levels[col][1:])

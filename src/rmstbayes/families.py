@@ -15,10 +15,9 @@ f(t|v) = v h(t) S(t)^v.
 
 ``log_hazard_survival`` holds each family's log-hazard and log-survival
 formula, once, in numpy (the log-normal tail is one ``log_std_normal_sf``
-call over the array); the likelihood evaluates it over all rows,
-``rmst_numeric`` over its quadrature points, and the scalar
-``log_survival``/``log_density``/``hazard`` at one time point.
-``kernel_args`` maps (FamilyParams, EffectValue) to its arguments.
+call over the array); the likelihood evaluates it over all rows and
+``rmst_numeric`` over its quadrature points.  ``kernel_args`` maps
+(FamilyParams, EffectValue) to its arguments.
 """
 
 from __future__ import annotations
@@ -105,6 +104,8 @@ class EffectValue:
     def __post_init__(self):
         if self.kind is EffectKind.FRAILTY and not _positive(self.value):
             raise ValueError("frailty value must be positive")
+        if self.kind is EffectKind.RANDOM and not _finite(self.value):
+            raise ValueError("random offset must be finite")
 
 
 NO_EFFECT = EffectValue(EffectKind.NONE)
@@ -116,15 +117,6 @@ def random_offset(u: float) -> EffectValue:
 
 def frailty(v: float) -> EffectValue:
     return EffectValue(EffectKind.FRAILTY, v)
-
-
-def shifted(p: FamilyParams, u: float) -> FamilyParams:
-    """Apply a random offset to the linear-scale parameter."""
-    if np.all(np.equal(u, 0.0)):
-        return p
-    if p.family in (Family.EXPONENTIAL, Family.WEIBULL):
-        return FamilyParams(p.family, lam=p.lam * np.exp(u), k=p.k)
-    return FamilyParams(p.family, mu=p.mu + u, k=p.k, sigma2=p.sigma2)
 
 
 def log_hazard_survival(family: Family, eta, shape, t, logt,
@@ -166,57 +158,3 @@ def kernel_args(p: FamilyParams, e: EffectValue = NO_EFFECT) -> tuple:
         eta, shape = p.mu, p.sigma2 if p.family is Family.LOG_NORMAL else p.k
     effect = math.log(e.value) if e.kind is EffectKind.FRAILTY else e.value
     return eta, shape, effect
-
-
-def _scalar_log_hazard_survival(p: FamilyParams, e: EffectValue, t: float) -> tuple:
-    if not t > 0:
-        raise ValueError(f"survival time must be positive, got {t}")
-    eta, shape, effect = kernel_args(p, e)
-    log_h, log_s = log_hazard_survival(p.family, eta, shape, t, math.log(t), e.kind, effect)
-    return float(log_h), float(log_s)
-
-
-def log_survival(p: FamilyParams, e: EffectValue = NO_EFFECT, t: float = None) -> float:
-    """log S(t | p, e); frailty v multiplies the cumulative hazard."""
-    return _scalar_log_hazard_survival(p, e, t)[1]
-
-
-def log_density(p: FamilyParams, e: EffectValue = NO_EFFECT, t: float = None) -> float:
-    """log f(t | p, e) = log h + log S; for frailty, f = v h(t) S(t)^v."""
-    log_h, log_s = _scalar_log_hazard_survival(p, e, t)
-    return log_h + log_s
-
-
-def hazard(p: FamilyParams, e: EffectValue = NO_EFFECT, t: float = None) -> float:
-    """h(t | p, e) = f/S; equals v * h_base(t) under frailty."""
-    return math.exp(_scalar_log_hazard_survival(p, e, t)[0])
-
-
-@dataclass(frozen=True)
-class AltFamilyParams:
-    """Time-scale parameterizations: weibull S(t)=exp{-(t/scale)^k},
-    log-logistic S(t)=1/(1+(t/scale)^k)."""
-
-    family: Family
-    scale: float
-    k: float
-
-    def __post_init__(self):
-        if self.family not in (Family.WEIBULL, Family.LOG_LOGISTIC):
-            raise ValueError("alternate parameterization exists for weibull/loglogistic only")
-        if not (self.scale > 0 and self.k > 0):
-            raise ValueError("alternate parameters require scale > 0 and k > 0")
-
-
-def convert_weibull_alt(alt: AltFamilyParams) -> FamilyParams:
-    """S(t)=exp{-(t/scale)^k}  ->  lam = scale^(-k)."""
-    if alt.family is not Family.WEIBULL:
-        raise ValueError("expected a weibull alternate parameterization")
-    return FamilyParams.weibull(lam=alt.scale ** (-alt.k), k=alt.k)
-
-
-def convert_loglogistic_alt(alt: AltFamilyParams) -> FamilyParams:
-    """S(t)=1/(1+(t/scale)^k)  ->  mu = -k log(scale)."""
-    if alt.family is not Family.LOG_LOGISTIC:
-        raise ValueError("expected a log-logistic alternate parameterization")
-    return FamilyParams.loglogistic(mu=-alt.k * math.log(alt.scale), k=alt.k)

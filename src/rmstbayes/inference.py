@@ -33,6 +33,10 @@ import numpy as np
 from .families import EffectKind, Family, log_hazard_survival
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# Gamma(a, b) prior (shape a, rate b) on the Weibull and log-logistic shape k.
+_SHAPE_PRIOR_A = 0.01
+_SHAPE_PRIOR_B = 0.01
+_SHAPE_LOG_NORM = _SHAPE_PRIOR_A * math.log(_SHAPE_PRIOR_B) - math.lgamma(_SHAPE_PRIOR_A)
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,8 @@ class SurvivalDataset:
         n = len(time)
         if x.ndim != 2 or x.shape[0] != n or len(event) != n or len(cluster) != n:
             raise ValueError("time, event, x, cluster must have matching lengths")
-        if not np.all(time > 0):
-            raise ValueError("all times must be positive")
+        if not np.all((time > 0) & (time < np.inf)):
+            raise ValueError("all times must be positive and finite")
         if not np.all((event == 0) | (event == 1)):
             raise ValueError("event indicators must be 0 or 1")
         if not np.all(np.isfinite(x)):
@@ -90,41 +94,27 @@ class SurvivalDataset:
 class ModelSpec:
     """Family + cluster-effect choice + prior hyperparameters.
 
-    ``coef_prior_variance`` is the diagonal of the normal prior covariance on
-    beta (scalar = shared).  ``phi_upper`` bounds the uniform prior on phi,
-    ``shape_prior_a``/``shape_prior_b`` are the gamma shape/rate prior on k,
-    and ``sigma2_upper`` bounds the uniform prior on sigma^2.
+    ``coef_prior_variance`` is the variance of the independent normal priors
+    on beta.  ``phi_upper`` bounds the uniform prior on phi, and
+    ``sigma2_upper`` bounds the uniform prior on sigma^2.
     """
 
     family: Family
     effect: EffectKind = EffectKind.NONE
     coef_prior_variance: float = 100.0
     phi_upper: float = 10.0
-    shape_prior_a: float = 0.01
-    shape_prior_b: float = 0.01
     sigma2_upper: float = 100.0
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "effect", EffectKind(self.effect))
-        for name in ("phi_upper", "shape_prior_a", "shape_prior_b", "sigma2_upper"):
+        for name in ("coef_prior_variance", "phi_upper", "sigma2_upper"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        cvar = np.atleast_1d(np.asarray(self.coef_prior_variance, dtype=float))
-        if not np.all(cvar > 0):
-            raise ValueError("coef_prior_variance entries must be positive")
 
     @property
     def has_shape(self) -> bool:
         return self.family is not Family.EXPONENTIAL
-
-    def coef_variances(self, q: int) -> np.ndarray:
-        cvar = np.atleast_1d(np.asarray(self.coef_prior_variance, dtype=float))
-        if len(cvar) == 1:
-            return np.full(q, cvar[0])
-        if len(cvar) != q:
-            raise ValueError(f"coef_prior_variance has {len(cvar)} entries for q={q}")
-        return cvar
 
 
 @dataclass(frozen=True)
@@ -225,10 +215,7 @@ class Model:
         self.x, self.time, self.event = data.x, data.time, data.event
         self.logt = np.log(data.time)
         self.cluster = data.cluster - 1
-        self.coef_var = spec.coef_variances(data.q)
-        self.coef_log_norm = -0.5 * (_LOG_2PI + np.log(self.coef_var))
-        a, b = spec.shape_prior_a, spec.shape_prior_b
-        self.shape_log_norm = a * math.log(b) - math.lgamma(a)  # Gamma(a, b) on k
+        self.coef_log_norm = -0.5 * (_LOG_2PI + math.log(spec.coef_prior_variance))
 
 
 def _check_theta(layout: ParamLayout, theta: np.ndarray) -> np.ndarray:
@@ -263,7 +250,7 @@ def log_prior(model: Model, theta: np.ndarray) -> float:
     theta = _check_theta(layout, theta)
 
     beta = layout.beta(theta)
-    total = float(np.sum(model.coef_log_norm - 0.5 * beta * beta / model.coef_var))
+    total = float(np.sum(model.coef_log_norm - 0.5 * beta * beta / spec.coef_prior_variance))
 
     if layout.shape_index is not None:
         log_shape = theta[layout.shape_index]
@@ -274,8 +261,8 @@ def log_prior(model: Model, theta: np.ndarray) -> float:
             total += -math.log(spec.sigma2_upper) + log_shape  # U(0,s) + Jacobian
         else:
             k = math.exp(log_shape)
-            a, b = spec.shape_prior_a, spec.shape_prior_b
-            total += model.shape_log_norm + (a - 1.0) * math.log(k) - b * k + log_shape
+            a, b = _SHAPE_PRIOR_A, _SHAPE_PRIOR_B
+            total += _SHAPE_LOG_NORM + (a - 1.0) * math.log(k) - b * k + log_shape
 
     if spec.effect is not EffectKind.NONE:
         log_phi = theta[layout.phi_index]

@@ -4,10 +4,12 @@ RMST(tau) = int_0^tau S(t) dt.  Closed forms exist for every family and for
 both cluster-effect types; the log-normal frailty case uses an approximate
 closed form (the exact integral is available through ``rmst_numeric``).
 Each closed form is written once and applies elementwise over numpy arrays
-of parameters as well as to scalars, so ``rmst_distribution`` evaluates it
-once over all posterior draws.  ``rmst_numeric`` integrates the survival
-function with adaptive Simpson quadrature and serves as the independent
-oracle for all the closed forms; no posterior path calls it.
+of parameters as well as to scalars; ``rmst_closed_form`` dispatches to
+them, ``rmst_distribution`` calls it once over all posterior draws and
+``rmst_value`` once per (FamilyParams, EffectValue) pair.  ``rmst_numeric``
+integrates the survival function with adaptive Simpson quadrature and serves
+as the independent oracle for all the closed forms; no posterior path calls
+it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .families import (
     NO_EFFECT,
     kernel_args,
     log_hazard_survival,
-    shifted,
 )
 from .specfun import (
     _elementwise,
@@ -141,38 +142,17 @@ def rmst_closed_form(family: Family, lam_or_mu, shape, tau: float, v=None):
     return _rmst_lognormal_frailty(lam_or_mu, shape, v, tau)
 
 
-def _natural(p: FamilyParams) -> tuple:
-    """(lam or mu, k or sigma^2) of p; see ``rmst_closed_form``."""
-    return (p.lam if p.mu is None else p.mu), (p.sigma2 if p.k is None else p.k)
-
-
-def rmst_random_effect(p: FamilyParams, u, tau: float):
-    """RMST with a random offset on the linear-scale parameter."""
-    return rmst_base(shifted(p, u), tau)
-
-
-def rmst_frailty(p: FamilyParams, v, tau: float):
-    """RMST with a multiplicative frailty v on the hazard.
-
-    Closed forms are exact for exponential/weibull/log-logistic; the
-    log-normal form is an approximation (``rmst_numeric`` integrates the
-    exact S^v integrand).
-    """
-    return rmst_closed_form(p.family, *_natural(p), tau, v)
-
-
-def rmst_base(p: FamilyParams, tau: float):
-    return rmst_closed_form(p.family, *_natural(p), tau)
-
-
 def rmst_value(p: FamilyParams, e: EffectValue = NO_EFFECT, tau: float = None):
     """Closed-form RMST for any family x effect combination; the parameters
     of p and the effect value may be numpy arrays."""
-    if e.kind is EffectKind.RANDOM:
-        return rmst_random_effect(p, e.value, tau)
-    if e.kind is EffectKind.FRAILTY:
-        return rmst_frailty(p, e.value, tau)
-    return rmst_base(p, tau)
+    u = e.value if e.kind is EffectKind.RANDOM else 0.0
+    if p.family in (Family.EXPONENTIAL, Family.WEIBULL):
+        lam_or_mu, shape = p.lam * np.exp(u), p.k
+    else:
+        lam_or_mu = p.mu + u
+        shape = p.sigma2 if p.family is Family.LOG_NORMAL else p.k
+    v = e.value if e.kind is EffectKind.FRAILTY else None
+    return rmst_closed_form(p.family, lam_or_mu, shape, tau, v)
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int) -> float:
@@ -278,11 +258,6 @@ class RmstSampleVector:
     """Per-draw RMST values aligned with the posterior draw order."""
 
     values: np.ndarray
-    label: str
-    tau: float
-
-    def __len__(self):
-        return len(self.values)
 
 
 def rmst_distribution(draws, query: RmstQuery) -> RmstSampleVector:
@@ -317,11 +292,7 @@ def rmst_distribution(draws, query: RmstQuery) -> RmstSampleVector:
         else:
             v = effect_vals
     lam_or_mu = np.exp(eta) if family in (Family.EXPONENTIAL, Family.WEIBULL) else eta
-    out = rmst_closed_form(family, lam_or_mu, shapes, query.tau, v)
-    label = f"group-{query.x1}"
-    if query.cluster is not None:
-        label += f"/cluster-{query.cluster}"
-    return RmstSampleVector(out, label, query.tau)
+    return RmstSampleVector(rmst_closed_form(family, lam_or_mu, shapes, query.tau, v))
 
 
 def rmst_difference(draws, tau: float, covariates: tuple = (),
@@ -330,5 +301,5 @@ def rmst_difference(draws, tau: float, covariates: tuple = (),
     (group 1 minus group 0)."""
     g0 = rmst_distribution(draws, RmstQuery(tau, 0, covariates, cluster))
     g1 = rmst_distribution(draws, RmstQuery(tau, 1, covariates, cluster))
-    diff = RmstSampleVector(g1.values - g0.values, "difference", tau)
+    diff = RmstSampleVector(g1.values - g0.values)
     return g0, g1, diff

@@ -7,10 +7,12 @@ The cluster effects are conditionally independent given beta, the shape and
 phi, so all M are proposed at once, each with its own step scale, and each
 is accepted or rejected on its own cluster's log-ratio: two likelihood
 passes for all M effects.  phi enters only the effects' prior, so its update
-takes no likelihood pass.  A sweep thus costs beta_updates + 3 likelihood
+takes no likelihood pass.  A sweep thus costs _BETA_UPDATES + 3 likelihood
 passes whatever M is.  Every step scale follows a Robbins-Monro recursion
 during burn-in and is frozen afterwards, so the kept portion of each chain
-is a fixed Markov kernel.
+is a fixed Markov kernel.  The targets, the initial step scale, the number
+of beta proposals per sweep and the initial-point retries are module
+constants; ``SamplerConfig`` holds only the chain count, lengths and seed.
 
 Randomness comes from numpy's counter-based Philox generator with per-chain
 substreams seeded by SeedSequence([seed, chain_index]); runs are bit-for-bit
@@ -28,6 +30,14 @@ import numpy as np
 from .inference import (Model, ModelSpec, ParamLayout, SurvivalDataset,
                         cluster_log_density, log_posterior, log_prior)
 
+_ADAPT_START = 50           # beta moments gathered before the adapted covariance
+_TARGET_ACCEPT_BLOCK = 0.234
+_TARGET_ACCEPT_SCALAR = 0.44
+_INITIAL_STEP = 0.1
+_INIT_JITTER_SD = 0.1
+_MAX_INIT_RETRIES = 100
+_BETA_UPDATES = 2          # beta-block proposals per sweep
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -35,13 +45,6 @@ class SamplerConfig:
     iterations: int = 2000
     burnin: int = 1000
     seed: int = 0
-    adapt_start: int = 50          # burn-in iterations before covariance adaptation
-    target_accept_block: float = 0.234
-    target_accept_scalar: float = 0.44
-    initial_step: float = 0.1
-    init_jitter_sd: float = 0.1
-    max_init_retries: int = 100
-    beta_updates: int = 2          # beta-block proposals per sweep
 
     def __post_init__(self):
         if self.chains < 1:
@@ -50,10 +53,6 @@ class SamplerConfig:
             raise ValueError("iterations must be positive")
         if not 0 <= self.burnin < self.iterations:
             raise ValueError("burn-in must satisfy 0 <= burnin < iterations")
-        if not self.initial_step > 0:
-            raise ValueError("initial_step must be positive")
-        if self.beta_updates < 1:
-            raise ValueError("beta_updates must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -96,20 +95,19 @@ class PosteriorDraws:
         return self.values[:, :, self.column_index(column)]
 
 
-def _initial_point(model: Model, rng: np.random.Generator,
-                   cfg: SamplerConfig) -> np.ndarray:
+def _initial_point(model: Model, rng: np.random.Generator) -> np.ndarray:
     layout = model.layout
     center = np.zeros(layout.dim)
     # beta = 0, log k = 0 (k=1), log sigma^2 = 0, effects at identity
     # (u=0 / log v=0), phi = phi_upper/2.
     if layout.phi_index is not None:
         center[layout.phi_index] = math.log(model.spec.phi_upper / 2.0)
-    for attempt in range(cfg.max_init_retries):
-        theta = center + rng.normal(0.0, cfg.init_jitter_sd, size=layout.dim)
+    for attempt in range(_MAX_INIT_RETRIES):
+        theta = center + rng.normal(0.0, _INIT_JITTER_SD, size=layout.dim)
         if math.isfinite(log_posterior(model, theta)):
             return theta
     raise RuntimeError(
-        f"failed to find a finite-posterior initial point in {cfg.max_init_retries} tries"
+        f"failed to find a finite-posterior initial point in {_MAX_INIT_RETRIES} tries"
     )
 
 
@@ -126,13 +124,13 @@ def _block_names(layout: ParamLayout) -> list:
 def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([cfg.seed, chain_index])))
     layout = model.layout
-    theta = _initial_point(model, rng, cfg)
+    theta = _initial_point(model, rng)
     lp = log_posterior(model, theta)
 
     # One adaptation slot per entry of _block_names: beta, the shape, each
     # cluster effect, phi.
     n_blocks = len(_block_names(layout))
-    log_scales = np.full(n_blocks, math.log(cfg.initial_step))
+    log_scales = np.full(n_blocks, math.log(_INITIAL_STEP))
     rm_iter = np.zeros(n_blocks, dtype=int)  # per-slot adaptation clocks
     accept_post = np.zeros(n_blocks)
     trials_post = np.zeros(n_blocks)
@@ -183,8 +181,8 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
 
     for it in range(cfg.iterations):
         adapting = it < cfg.burnin
-        for _ in range(cfg.beta_updates):
-            if beta_count > cfg.adapt_start:
+        for _ in range(_BETA_UPDATES):
+            if beta_count > _ADAPT_START:
                 if beta_chol is None:
                     # switching from the identity-shaped proposal: restart
                     # the scale at the standard 2.38/sqrt(q) optimum and
@@ -200,11 +198,11 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
                 step = rng.normal(size=q)
             proposal = theta.copy()
             proposal[:q] += math.exp(log_scales[0]) * step
-            metropolis(proposal, log_posterior(model, proposal), 0, cfg.target_accept_block)
+            metropolis(proposal, log_posterior(model, proposal), 0, _TARGET_ACCEPT_BLOCK)
         if shape_slot is not None:
             proposal = scalar_proposal(layout.shape_index, shape_slot)
             metropolis(proposal, log_posterior(model, proposal), shape_slot,
-                       cfg.target_accept_scalar)
+                       _TARGET_ACCEPT_SCALAR)
         if phi_slot is not None:
             # Given beta, the shape and phi the effects are conditionally
             # independent, so one proposal per cluster, each accepted on its
@@ -217,11 +215,11 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
             accepted = np.isfinite(log_ratio) & (log_ratio > np.log(rng.random(n_effects)))
             theta[effects] = np.where(accepted, proposal[effects], theta[effects])
             lp += float(np.sum(log_ratio[accepted]))
-            record(effect_slots, accepted.astype(float), cfg.target_accept_scalar)
+            record(effect_slots, accepted.astype(float), _TARGET_ACCEPT_SCALAR)
             # phi enters only the effects' prior: no likelihood pass.
             proposal = scalar_proposal(layout.phi_index, phi_slot)
             metropolis(proposal, lp + log_prior(model, proposal) - log_prior(model, theta),
-                       phi_slot, cfg.target_accept_scalar)
+                       phi_slot, _TARGET_ACCEPT_SCALAR)
         if adapting:
             if it >= moments_start:
                 # Welford update of the beta moments for the proposal

@@ -10,11 +10,13 @@ on nothing beyond numpy.  All functions are pure and thread-safe.
 Conventions: the incomplete gamma and incomplete beta integrals are
 *non-regularized*, i.e. the raw integrals
 
-    lower_incomplete_gamma(z, a) = int_0^z t^(a-1) e^(-t) dt
-    incomplete_beta(z, a, b)     = int_0^z t^(a-1) (1-t)^(b-1) dt
+    lower_incomplete_gamma(z, a)             = int_0^z t^(a-1) e^(-t) dt
+    incomplete_beta_compl(one_minus_z, a, b) = int_0^z t^(a-1) (1-t)^(b-1) dt
 
-The beta integral supports b <= 0 as long as z < 1 (the singularity at t=1
-is then excluded from the integration range).
+The beta integral takes its upper limit as the complement 1 - z, which the
+log-logistic RMST knows to full precision as a survival value.  It supports
+b <= 0 as long as z < 1 (the singularity at t=1 is then excluded from the
+integration range).
 """
 
 from __future__ import annotations
@@ -262,30 +264,22 @@ def _beta_nonpos_b(one_minus_z: float, a: float, b: float) -> float:
     return cur
 
 
-def incomplete_beta(z: float, a: float, b: float) -> float:
-    """Non-regularized incomplete beta integral over [0, z].
-
-    Requires 0 <= z <= 1 and a > 0.  z = 1 is allowed only when b > 0 (the
-    integral diverges at t = 1 otherwise).
-    """
-    if z < 0.0 or z > 1.0:
-        raise ValueError(f"incomplete_beta requires 0 <= z <= 1, got z={z}")
-    return incomplete_beta_compl(1.0 - z, a, b)
-
-
 def incomplete_beta_compl(one_minus_z: float, a: float, b: float) -> float:
-    """incomplete_beta(1 - one_minus_z, a, b), accurate for z near 1.
+    """Non-regularized incomplete beta integral over [0, z], given
+    one_minus_z = 1 - z; accurate for z near 1.
 
-    Callers that know 1-z to full precision (e.g. from a logistic survival
-    value) avoid the cancellation in forming z = 1 - (1-z).
+    Requires 0 <= one_minus_z <= 1 and a > 0.  z = 1 is allowed only when
+    b > 0 (the integral diverges at t = 1 otherwise).  Callers that know 1-z
+    to full precision (e.g. from a logistic survival value) avoid the
+    cancellation in forming z = 1 - (1-z).
     """
     if not a > 0.0:
-        raise ValueError(f"incomplete_beta requires a > 0, got a={a}")
+        raise ValueError(f"incomplete beta requires a > 0, got a={a}")
     s0 = one_minus_z
     if s0 < 0.0 or s0 > 1.0:
         raise ValueError(f"complement must lie in [0, 1], got {s0}")
     if s0 == 0.0 and b <= 0.0:
-        raise ValueError("incomplete_beta diverges at z=1 when b <= 0")
+        raise ValueError("incomplete beta diverges at z=1 when b <= 0")
     z = 1.0 - s0
     if z == 0.0:
         return 0.0

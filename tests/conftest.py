@@ -1,8 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from rmstbayes import (ModelSpec, SamplerConfig, ScenarioConfig,
                        generate_scenario, run_chains)
+from rmstbayes.families import kernel_args, log_hazard_survival
+
+
+def log_h_s(p, e, t):
+    """(log h, log S) of FamilyParams p under EffectValue e at one time t,
+    as floats, through the likelihood's kernel."""
+    eta, shape, effect = kernel_args(p, e)
+    log_h, log_s = log_hazard_survival(p.family, eta, shape, t, math.log(t), e.kind, effect)
+    return float(log_h), float(log_s)
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ import pytest
 
 from rmstbayes.cli import main
 from rmstbayes.dataio import write_csv
+from rmstbayes.rmst import integrate
 from rmstbayes.simulation import ScenarioConfig, generate_scenario
 
 
@@ -48,6 +49,18 @@ def test_rmst_alternate_parameterization(capsys):
           "--k", "2", "--tau", "100"])
     b = float(capsys.readouterr().out.strip().split("=")[-1])
     assert math.isclose(a, b, rel_tol=1e-12)
+    main(["rmst", "--family", "weibull", "--scale", "20", "--k", "1.5", "--tau", "100"])
+    a = float(capsys.readouterr().out.strip().split("=")[-1])
+    main(["rmst", "--family", "weibull", "--lambda", repr(20.0 ** -1.5),
+          "--k", "1.5", "--tau", "100"])
+    b = float(capsys.readouterr().out.strip().split("=")[-1])
+    assert math.isclose(a, b, rel_tol=1e-12)
+    # the time-scale survival functions, integrated by quadrature
+    for family, surv in (("weibull", lambda t: math.exp(-(t / 20.0) ** 1.5)),
+                         ("loglogistic", lambda t: 1.0 / (1.0 + (t / 20.0) ** 1.5))):
+        main(["rmst", "--family", family, "--scale", "20", "--k", "1.5", "--tau", "100"])
+        got = float(capsys.readouterr().out.strip().split("=")[-1])
+        assert abs(got - integrate(surv, 0.0, 100.0)) <= 1e-6
 
 
 def test_rmst_loglogistic_half_shape(capsys):
@@ -68,17 +81,28 @@ def test_rmst_with_effects(capsys):
     assert math.isclose(a, b, rel_tol=1e-9)
 
 
-def test_usage_errors_exit_two(csv_path):
-    with pytest.raises(SystemExit) as e:
-        main(["fit", "--input", csv_path, "--family", "gompertz"])
-    assert e.value.code == 2
-    with pytest.raises(SystemExit) as e:
-        main(["rmst", "--family", "weibull", "--tau", "10"])  # no parameters
-    assert e.value.code == 2
-    with pytest.raises(SystemExit) as e:
-        main(["rmst", "--family", "exponential", "--lambda", "0.02",
-              "--u", "0.1", "--v", "1.2", "--tau", "10"])
-    assert e.value.code == 2
+def test_usage_errors_exit_two(csv_path, monkeypatch):
+    # invalid values are rejected before any sampling
+    monkeypatch.setattr("rmstbayes.cli.run_chains", None)
+    rmst = ["rmst", "--family"]
+    for argv in (
+        ["fit", "--input", csv_path, "--family", "gompertz"],
+        rmst + ["weibull", "--tau", "10"],  # no parameters
+        rmst + ["exponential", "--lambda", "0.02", "--u", "0.1", "--v", "1.2", "--tau", "10"],
+        rmst + ["weibull", "--scale", "-1", "--k", "2", "--tau", "10"],
+        rmst + ["weibull", "--scale", "80", "--k", "-1.5", "--tau", "10"],
+        rmst + ["exponential", "--scale", "80", "--k", "1.5", "--tau", "10"],
+        rmst + ["weibull", "--lambda", "-1", "--k", "2", "--tau", "10"],
+        rmst + ["exponential", "--lambda", "0.02", "--v", "0", "--tau", "10"],
+        rmst + ["exponential", "--lambda", "0.02", "--tau", "-5"],
+        rmst + ["loglogistic", "--mu", "-9.6", "--k", "2", "--u", "nan", "--tau", "100"],
+        ["fit", "--input", csv_path, "--family", "exponential", "--tau", "0"],
+        ["fit", "--input", csv_path, "--family", "exponential", "--ci-level", "1.5"],
+        ["simulate", "--scenario", "C", "--tau", "nan"],
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv
 
 
 def test_missing_input_exits_one(tmp_path, capsys):

@@ -47,13 +47,16 @@ def test_round_trip_reproduces_generated_dataset(tmp_path):
 
 
 def test_row_level_errors_are_aggregated(tmp_path):
-    p = _write(tmp_path, "time,event,cluster,group\n"
-                         "-3,1,1,0\n10,2,1,0\nok,1,1,1\n5,1,1,0\n")
+    p = _write(tmp_path, "time,event,cluster,group,age\n"
+                         "-3,1,1,0,40\n10,2,1,0,41\nok,1,1,1,42\n5,1,1,0,43\n"
+                         "inf,1,1,0,44\n6,1,1,1,nan\n7,1,1,1,-inf\n")
     with pytest.raises(DataError) as err:
         ingest_csv(p)
     msg = str(err.value)
     assert "row 2" in msg and "row 3" in msg and "row 4" in msg
     assert "row 5" not in msg
+    assert "row 6: time" in msg
+    assert "row 7: covariate 'age'" in msg and "row 8: covariate 'age'" in msg
 
 
 def test_missing_required_column(tmp_path):

@@ -1,10 +1,14 @@
 """The runtime depends on numpy only: importing the package, running short
 Weibull and log-normal fits and the posterior RMST must not load scipy or
-mpmath (both are test-only dependencies)."""
+mpmath (both are test-only dependencies).  The package root exports a pinned
+list of names."""
 
 import os
 import subprocess
 import sys
+import types
+
+import rmstbayes
 
 SCRIPT = """
 import sys
@@ -27,3 +31,22 @@ def test_import_and_fit_load_neither_scipy_nor_mpmath():
     out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+ROOT_NAMES = [
+    "DataError", "EffectKind", "EffectValue", "Family", "FamilyParams", "ModelSpec",
+    "NO_EFFECT", "PosteriorDraws", "RmstQuery", "RmstSampleVector", "RmstSummary",
+    "SamplerConfig", "ScenarioConfig", "SimMetrics", "SurvivalDataset", "WaicResult",
+    "effective_sample_size", "evaluate_replications", "forest_rows", "frailty",
+    "generate_scenario", "histogram_bins", "ingest_csv", "random_offset",
+    "rmst_difference", "rmst_distribution", "rmst_exponential", "rmst_loglogistic",
+    "rmst_lognormal", "rmst_numeric", "rmst_value", "rmst_weibull", "run_chains",
+    "scenario_truth", "split_rhat", "summarize", "waic", "write_csv",
+]
+
+
+def test_package_root_names_are_pinned():
+    # the public surface grows or shrinks only by editing this list
+    names = [name for name, value in vars(rmstbayes).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert sorted(names) == sorted(ROOT_NAMES)

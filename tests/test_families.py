@@ -1,17 +1,16 @@
 """Survival-family kernels: densities, survivals, hazards, effect
-conditioning, and parameterization conversions."""
+conditioning, and parameter validation."""
 
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmstbayes.families import (AltFamilyParams, EffectKind, EffectValue,
-                                Family, FamilyParams, NO_EFFECT,
-                                convert_loglogistic_alt, convert_weibull_alt,
-                                frailty, hazard, log_density, log_survival,
-                                random_offset, shifted)
+from rmstbayes.families import (EffectKind, EffectValue, Family, FamilyParams,
+                                NO_EFFECT, frailty, random_offset)
+from tests.conftest import log_h_s
 
 mp.mp.dps = 30
 
@@ -39,7 +38,7 @@ def _mp_log_survival(p, t):
 def test_log_survival_matches_high_precision(p):
     for t in (0.01, 1.0, 10.0, 75.0, 300.0):
         ref = float(_mp_log_survival(p, t))
-        assert math.isclose(log_survival(p, NO_EFFECT, t), ref, rel_tol=1e-10, abs_tol=1e-12)
+        assert math.isclose(log_h_s(p, NO_EFFECT, t)[1], ref, rel_tol=1e-10, abs_tol=1e-12)
 
 
 @pytest.mark.parametrize("p", PARAMS)
@@ -47,58 +46,52 @@ def test_density_is_derivative_of_distribution(p):
     # f(t) = -dS/dt via central differences
     for t in (2.0, 20.0, 60.0):
         h = 1e-5 * t
-        s_lo = math.exp(log_survival(p, NO_EFFECT, t - h))
-        s_hi = math.exp(log_survival(p, NO_EFFECT, t + h))
+        s_lo = math.exp(log_h_s(p, NO_EFFECT, t - h)[1])
+        s_hi = math.exp(log_h_s(p, NO_EFFECT, t + h)[1])
         f_num = (s_lo - s_hi) / (2 * h)
-        f = math.exp(log_density(p, NO_EFFECT, t))
+        f = math.exp(sum(log_h_s(p, NO_EFFECT, t)))
         assert math.isclose(f, f_num, rel_tol=1e-6)
 
 
 @pytest.mark.parametrize("p", PARAMS)
 def test_hazard_is_density_over_survival(p):
     for t in (2.0, 20.0, 60.0):
-        f = math.exp(log_density(p, NO_EFFECT, t))
-        s = math.exp(log_survival(p, NO_EFFECT, t))
-        assert math.isclose(hazard(p, NO_EFFECT, t), f / s, rel_tol=1e-12)
+        f = math.exp(sum(log_h_s(p, NO_EFFECT, t)))
+        s = math.exp(log_h_s(p, NO_EFFECT, t)[1])
+        assert math.isclose(math.exp(log_h_s(p, NO_EFFECT, t)[0]), f / s, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("p", PARAMS)
 def test_identity_effects_reduce_to_base(p):
     for t in (1.0, 30.0):
-        base = log_survival(p, NO_EFFECT, t)
-        assert log_survival(p, random_offset(0.0), t) == base
-        assert log_survival(p, frailty(1.0), t) == base
-        assert log_density(p, frailty(1.0), t) == log_density(p, NO_EFFECT, t)
+        base = log_h_s(p, NO_EFFECT, t)[1]
+        assert log_h_s(p, random_offset(0.0), t)[1] == base
+        assert log_h_s(p, frailty(1.0), t)[1] == base
+        assert sum(log_h_s(p, frailty(1.0), t)) == sum(log_h_s(p, NO_EFFECT, t))
 
 
 @pytest.mark.parametrize("p", PARAMS)
 def test_frailty_exponentiates_survival(p):
     for v in (0.4, 2.5):
         for t in (5.0, 50.0):
-            assert math.isclose(log_survival(p, frailty(v), t),
-                                v * log_survival(p, NO_EFFECT, t), rel_tol=1e-14)
+            assert math.isclose(log_h_s(p, frailty(v), t)[1],
+                                v * log_h_s(p, NO_EFFECT, t)[1], rel_tol=1e-14)
             # f = v h S^v
-            expected = math.log(v) + math.log(hazard(p, NO_EFFECT, t)) \
-                + v * log_survival(p, NO_EFFECT, t)
-            assert math.isclose(log_density(p, frailty(v), t), expected, rel_tol=1e-10)
+            log_h, log_s = log_h_s(p, NO_EFFECT, t)
+            expected = math.log(v) + log_h + v * log_s
+            assert math.isclose(sum(log_h_s(p, frailty(v), t)), expected, rel_tol=1e-10)
 
 
 def test_random_offset_scales_rate_and_shifts_location():
     e = random_offset(0.7)
     p_exp = FamilyParams.exponential(0.02)
-    assert math.isclose(log_survival(p_exp, e, 10.0),
-                        log_survival(FamilyParams.exponential(0.02 * math.exp(0.7)),
-                                     NO_EFFECT, 10.0), rel_tol=1e-14)
+    assert math.isclose(log_h_s(p_exp, e, 10.0)[1],
+                        log_h_s(FamilyParams.exponential(0.02 * math.exp(0.7)),
+                                NO_EFFECT, 10.0)[1], rel_tol=1e-14)
     p_ll = FamilyParams.loglogistic(-9.0, 2.0)
-    assert math.isclose(log_survival(p_ll, e, 10.0),
-                        log_survival(FamilyParams.loglogistic(-8.3, 2.0),
-                                     NO_EFFECT, 10.0), rel_tol=1e-14)
-
-
-def test_shifted_preserves_family():
-    for p in PARAMS:
-        assert shifted(p, 0.3).family is p.family
-        assert shifted(p, 0.0) is p
+    assert math.isclose(log_h_s(p_ll, e, 10.0)[1],
+                        log_h_s(FamilyParams.loglogistic(-8.3, 2.0), NO_EFFECT, 10.0)[1],
+                        rel_tol=1e-14)
 
 
 def test_param_validation():
@@ -112,33 +105,10 @@ def test_param_validation():
         FamilyParams.lognormal(0.0, 0.0)
     with pytest.raises(ValueError):
         EffectValue(EffectKind.FRAILTY, 0.0)
-    with pytest.raises(ValueError):
-        log_survival(PARAMS[0], NO_EFFECT, 0.0)
-
-
-def test_weibull_alt_round_trip():
-    alt = AltFamilyParams(Family.WEIBULL, scale=20.0, k=1.5)
-    p = convert_weibull_alt(alt)
-    assert math.isclose(p.lam, 20.0 ** -1.5, rel_tol=1e-15)
-    assert math.isclose(p.lam ** (-1.0 / p.k), 20.0, rel_tol=1e-12) and p.k == 1.5
-    # S(scale) = 1/e in the time-scale parameterization
-    assert math.isclose(log_survival(p, NO_EFFECT, 20.0), -1.0, rel_tol=1e-12)
-
-
-def test_loglogistic_alt_round_trip():
-    alt = AltFamilyParams(Family.LOG_LOGISTIC, scale=50.0, k=2.0)
-    p = convert_loglogistic_alt(alt)
-    assert math.isclose(p.mu, -2.0 * math.log(50.0), rel_tol=1e-15)
-    assert math.isclose(math.exp(-p.mu / p.k), 50.0, rel_tol=1e-12)
-    # S(scale) = 1/2 in the time-scale parameterization
-    assert math.isclose(math.exp(log_survival(p, NO_EFFECT, 50.0)), 0.5, rel_tol=1e-12)
-
-
-def test_alt_params_reject_wrong_family():
-    with pytest.raises(ValueError):
-        AltFamilyParams(Family.EXPONENTIAL, scale=1.0, k=1.0)
-    with pytest.raises(ValueError):
-        convert_weibull_alt(AltFamilyParams(Family.LOG_LOGISTIC, scale=1.0, k=1.0))
+    for u in (math.nan, math.inf, np.array([0.1, -math.inf])):
+        with pytest.raises(ValueError):
+            random_offset(u)
+    assert np.array_equal(random_offset(np.array([0.1, -0.2])).value, [0.1, -0.2])
 
 
 @given(st.floats(0.1, 500.0), st.floats(-1.5, 1.5), st.floats(0.2, 3.0))
@@ -146,7 +116,7 @@ def test_alt_params_reject_wrong_family():
 def test_survival_decreasing_and_bounded(t, u, v):
     for p in PARAMS:
         for e in (NO_EFFECT, random_offset(u), frailty(v)):
-            ls1 = log_survival(p, e, t)
-            ls2 = log_survival(p, e, t * 1.5)
+            ls1 = log_h_s(p, e, t)[1]
+            ls2 = log_h_s(p, e, t * 1.5)[1]
             assert ls1 <= 0.0 + 1e-15
             assert ls2 <= ls1 + 1e-12

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import rmstbayes.families as F
 from rmstbayes.families import (EffectKind, Family, FamilyParams, NO_EFFECT,
-                                frailty, log_density, log_survival,
-                                random_offset)
+                                frailty, random_offset)
 from rmstbayes.inference import (Model, ModelSpec, SurvivalDataset,
                                  cluster_log_density, cluster_log_likelihood,
                                  effect_log_prior, log_likelihood, log_posterior,
                                  log_prior, pointwise_log_likelihood)
+from tests.conftest import log_h_s
 
 
 def _one_row(t=2.0, delta=1):
@@ -72,7 +72,7 @@ def test_weibull_frailty_likelihood_matches_scalar_reference():
         p = FamilyParams.weibull(lam, k)
         e = frailty(v[data.cluster[i] - 1])
         t = float(data.time[i])
-        expected += log_density(p, e, t) if data.event[i] else log_survival(p, e, t)
+        expected += sum(log_h_s(p, e, t)) if data.event[i] else log_h_s(p, e, t)[1]
     assert math.isclose(log_likelihood(Model(data, spec), theta), expected, rel_tol=1e-12)
 
 
@@ -114,7 +114,7 @@ def test_pointwise_matches_row_by_row_scalar_evaluation():
         p = FamilyParams.loglogistic(mu, k)
         e = random_offset(float(u[data.cluster[i] - 1]))
         t = float(data.time[i])
-        ref = log_density(p, e, t) if data.event[i] else log_survival(p, e, t)
+        ref = sum(log_h_s(p, e, t)) if data.event[i] else log_h_s(p, e, t)[1]
         assert math.isclose(float(pw[i]), ref, rel_tol=1e-11)
 
 
@@ -292,3 +292,6 @@ def test_dataset_validation():
         SurvivalDataset([1.0], [1], [[1.0]], [2])  # clusters must start at 1
     with pytest.raises(ValueError):
         SurvivalDataset([1.0], [1], [[math.nan]], [1])
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SurvivalDataset([t], [1], [[1.0]], [1])

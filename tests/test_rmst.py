@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rmstbayes.rmst as R
-from rmstbayes.families import (AltFamilyParams, EffectKind, EffectValue, Family,
-                                FamilyParams, NO_EFFECT, convert_loglogistic_alt,
-                                convert_weibull_alt, frailty, log_density,
-                                log_survival, random_offset)
+from rmstbayes.families import (EffectKind, EffectValue, Family, FamilyParams,
+                                NO_EFFECT, frailty, random_offset)
 from rmstbayes.specfun import incomplete_beta_compl, lower_incomplete_gamma
 from rmstbayes.inference import ModelSpec, ParamLayout
 from rmstbayes.sampler import PosteriorDraws, SamplerConfig
+from tests.conftest import log_h_s
 
 
 # ------------------------------------------------------- reference values ---
@@ -96,7 +95,7 @@ def test_loglogistic_small_shape_closed_form_matches_quadrature(k):
             assert math.isclose(R.rmst_loglogistic(mu, k, tau),
                                 R.rmst_numeric(p, NO_EFFECT, tau), rel_tol=1e-9)
             for v in (0.5, 2.0):
-                assert math.isclose(R.rmst_frailty(p, v, tau),
+                assert math.isclose(R.rmst_value(p, frailty(v), tau),
                                     R.rmst_numeric(p, frailty(v), tau), rel_tol=1e-9)
 
 
@@ -157,10 +156,10 @@ def test_restricted_mean_identity_density_form():
     for p in (FamilyParams.exponential(0.02), FamilyParams.weibull(0.005, 1.7),
               FamilyParams.loglogistic(-9.0, 2.0), FamilyParams.lognormal(3.0, 1.0)):
         tau = 100.0
-        lhs = R.integrate(lambda t: math.exp(log_survival(p, NO_EFFECT, t)) if t > 0 else 1.0,
+        lhs = R.integrate(lambda t: math.exp(log_h_s(p, NO_EFFECT, t)[1]) if t > 0 else 1.0,
                           0.0, tau)
-        rhs = R.integrate(lambda t: t * math.exp(log_density(p, NO_EFFECT, t)) if t > 0 else 0.0,
-                          0.0, tau) + tau * math.exp(log_survival(p, NO_EFFECT, tau))
+        rhs = R.integrate(lambda t: t * math.exp(sum(log_h_s(p, NO_EFFECT, t))) if t > 0 else 0.0,
+                          0.0, tau) + tau * math.exp(log_h_s(p, NO_EFFECT, tau)[1])
         assert abs(lhs - rhs) / lhs < 1e-8
 
 
@@ -168,35 +167,35 @@ def test_restricted_mean_identity_density_form():
 
 def test_random_effect_is_base_form_with_shifted_parameter():
     p = FamilyParams.exponential(0.02)
-    assert math.isclose(R.rmst_random_effect(p, math.log(2.0), 100.0),
+    assert math.isclose(R.rmst_value(p, random_offset(math.log(2.0)), 100.0),
                         R.rmst_exponential(0.04, 100.0), rel_tol=1e-14)
-    assert R.rmst_random_effect(p, 0.0, 100.0) == R.rmst_exponential(0.02, 100.0)
+    assert R.rmst_value(p, random_offset(0.0), 100.0) == R.rmst_exponential(0.02, 100.0)
     pw = FamilyParams.weibull(0.05, 1.7)
-    assert math.isclose(R.rmst_random_effect(pw, 0.3, 50.0),
+    assert math.isclose(R.rmst_value(pw, random_offset(0.3), 50.0),
                         R.rmst_numeric(pw, random_offset(0.3), 50.0), rel_tol=1e-9)
 
 
 def test_frailty_identity_and_algebraic_cases():
     for p in (FamilyParams.exponential(0.02), FamilyParams.weibull(0.005, 1.7),
               FamilyParams.loglogistic(-9.0, 2.0), FamilyParams.lognormal(3.0, 1.0)):
-        assert math.isclose(R.rmst_frailty(p, 1.0, 100.0),
-                            R.rmst_base(p, 100.0)
+        assert math.isclose(R.rmst_value(p, frailty(1.0), 100.0),
+                            R.rmst_value(p, NO_EFFECT, 100.0)
                             if p.family is not Family.LOG_NORMAL
-                            else R.rmst_frailty(p, 1.0, 100.0), rel_tol=1e-12)
+                            else R.rmst_value(p, frailty(1.0), 100.0), rel_tol=1e-12)
     # exponential frailty has the elementary form (1 - e^{-v lam tau}) / (v lam)
-    assert math.isclose(R.rmst_frailty(FamilyParams.exponential(0.02), 2.0, 100.0),
+    assert math.isclose(R.rmst_value(FamilyParams.exponential(0.02), frailty(2.0), 100.0),
                         (1 - math.exp(-4.0)) / 0.04, rel_tol=1e-14)
 
 
 def test_lognormal_frailty_identity_at_unit_frailty():
     p = FamilyParams.lognormal(3.0, 1.0)
-    assert math.isclose(R.rmst_frailty(p, 1.0, 100.0),
+    assert math.isclose(R.rmst_value(p, frailty(1.0), 100.0),
                         R.rmst_lognormal(3.0, 1.0, 100.0), rel_tol=1e-12)
 
 
 def test_loglogistic_frailty_matches_quadrature():
     p = FamilyParams.loglogistic(-10.0, 2.0)
-    got = R.rmst_frailty(p, 1.5, 100.0)
+    got = R.rmst_value(p, frailty(1.5), 100.0)
     ref = R.integrate(lambda t: (1 + math.exp(-10.0) * t * t) ** -1.5, 0.0, 100.0)
     assert math.isclose(got, ref, rel_tol=1e-9)
 
@@ -205,7 +204,7 @@ def test_loglogistic_frailty_small_v_uses_negative_beta_argument():
     # v - 1/k < 0 exercises the b <= 0 incomplete-beta path
     p = FamilyParams.loglogistic(-10.0, 2.0)
     v = 0.3
-    got = R.rmst_frailty(p, v, 100.0)
+    got = R.rmst_value(p, frailty(v), 100.0)
     ref = R.rmst_numeric(p, frailty(v), 100.0)
     assert math.isclose(got, ref, rel_tol=1e-9)
 
@@ -213,7 +212,7 @@ def test_loglogistic_frailty_small_v_uses_negative_beta_argument():
 def test_lognormal_frailty_reported_gap():
     p = FamilyParams.lognormal(3.0, 1.0)
     exact = R.rmst_numeric(p, frailty(2.0), 100.0)
-    approx = R.rmst_frailty(p, 2.0, 100.0)
+    approx = R.rmst_value(p, frailty(2.0), 100.0)
     gap = abs(approx - exact) / exact
     print(f"log-normal frailty approximation gap at (mu=3, s2=1, v=2, tau=100): {gap:.4f}")
     assert gap < 1.0  # the approximation is crude but not absurd
@@ -229,7 +228,7 @@ def test_lognormal_frailty_approx_matches_its_own_integrand():
     head = R.integrate(lambda y: math.exp(-0.5 * y * y) / math.sqrt(2 * math.pi)
                        * std_normal_sf(y) ** (v - 1.0), -40.0, z1)
     ref = math.exp(mu + s2 / 2) * head + tau * std_normal_sf(z0) ** v
-    got = R.rmst_frailty(FamilyParams.lognormal(mu, s2), v, tau)
+    got = R.rmst_value(FamilyParams.lognormal(mu, s2), frailty(v), tau)
     assert abs(got - ref) / ref < 1e-8
 
 
@@ -243,7 +242,7 @@ def test_lognormal_frailty_approximation_within_five_percent_in_box():
         for s2 in (0.25, 1.0, 2.25):
             for v in (0.5, 1.3, 2.0):
                 p = FamilyParams.lognormal(mu, s2)
-                a = R.rmst_frailty(p, v, 100.0)
+                a = R.rmst_value(p, frailty(v), 100.0)
                 e = R.rmst_numeric(p, frailty(v), 100.0)
                 worst = max(worst, abs(a - e) / e)
     assert worst <= 0.05
@@ -256,7 +255,7 @@ def test_weibull_alt_closed_form_agrees_with_converted_params():
     for scale, k, tau in ((20.0, 1.5, 50.0), (80.0, 0.9, 100.0), (5.0, 2.5, 30.0)):
         z = (tau / scale) ** k
         direct = scale * lower_incomplete_gamma(z, 1.0 / k + 1.0) + tau * math.exp(-z)
-        p = convert_weibull_alt(AltFamilyParams(Family.WEIBULL, scale=scale, k=k))
+        p = FamilyParams.weibull(scale ** -k, k)
         via = R.rmst_value(p, NO_EFFECT, tau)
         assert abs(direct - via) / via < 1e-10
 
@@ -267,7 +266,7 @@ def test_loglogistic_alt_closed_form_agrees_with_converted_params():
         r = (tau / scale) ** k
         direct = (scale * incomplete_beta_compl(1.0 / (1.0 + r), 1.0 + 1.0 / k, 1.0 - 1.0 / k)
                   + tau / (1.0 + r))
-        p = convert_loglogistic_alt(AltFamilyParams(Family.LOG_LOGISTIC, scale=scale, k=k))
+        p = FamilyParams.loglogistic(-k * math.log(scale), k)
         via = R.rmst_value(p, NO_EFFECT, tau)
         assert abs(direct - via) / via < 1e-10
 
@@ -297,7 +296,7 @@ def test_rmst_bounded_and_monotone_in_horizon(t1, t2):
     lo, hi = sorted((t1, t2))
     for p in (FamilyParams.exponential(0.02), FamilyParams.weibull(0.005, 1.7),
               FamilyParams.loglogistic(-9.0, 2.0), FamilyParams.lognormal(3.0, 1.0)):
-        a, b = R.rmst_base(p, lo), R.rmst_base(p, hi)
+        a, b = R.rmst_value(p, NO_EFFECT, lo), R.rmst_value(p, NO_EFFECT, hi)
         assert 0.0 <= a <= lo * (1 + 1e-12)
         assert a <= b * (1 + 1e-12)
 
@@ -427,7 +426,7 @@ def test_distribution_matches_quadrature_at_every_draw(fam, effect):
             if fam is Family.LOG_NORMAL and e.kind is EffectKind.FRAILTY:
                 # approximate closed form; rmst_numeric gives the exact value
                 # (see the xfail above), so check against the scalar path
-                ref = R.rmst_frailty(p, e.value, 100.0)
+                ref = R.rmst_value(p, e, 100.0)
             else:
                 with np.errstate(over="ignore"):
                     ref = R.rmst_numeric(p, e, 100.0)
@@ -457,7 +456,7 @@ def test_distribution_is_one_array_evaluation(monkeypatch):
     draws = _fake_draws(Family.WEIBULL, rows, EffectKind.RANDOM, n_clusters=2)
     for query in (R.RmstQuery(100.0, 0), R.RmstQuery(100.0, 1, cluster=2)):
         gamma_calls.clear()
-        assert len(R.rmst_distribution(draws, query)) == 300
+        assert R.rmst_distribution(draws, query).values.shape == (300,)
         assert gamma_calls == [(300,)]
     assert built == []
 
@@ -483,4 +482,4 @@ def test_closed_forms_take_arrays_and_scalars_alike():
     with pytest.raises(ValueError):
         R.rmst_weibull(np.array([0.1, -0.1]), 1.5, 100.0)
     with pytest.raises(ValueError):
-        R.rmst_frailty(FamilyParams.exponential(lam), np.array([1.0, 0.0, 2.0]), 100.0)
+        R.rmst_closed_form(Family.EXPONENTIAL, lam, None, 100.0, np.array([1.0, 0.0, 2.0]))

@@ -146,7 +146,7 @@ def test_sweep_cost_does_not_grow_with_clusters(monkeypatch, n_clusters):
     # sweeps.
     per_sweep = {name: (events.count(name) - short.count(name)) / 40
                  for name in set(events)}
-    beta_updates = SamplerConfig().beta_updates
+    from rmstbayes.sampler import _BETA_UPDATES as beta_updates
     assert per_sweep == {"log_posterior": beta_updates + 1,   # beta, shape
                          "cluster_log_density": 2,             # all M effects
                          "log_prior": 2,                       # phi

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from rmstbayes.families import EffectKind, Family, FamilyParams, NO_EFFECT, log_survival
+from rmstbayes.families import EffectKind, Family, FamilyParams, NO_EFFECT
 from rmstbayes.inference import ModelSpec
 from rmstbayes.rmst import rmst_numeric
 from rmstbayes.sampler import SamplerConfig
 from rmstbayes.simulation import (ScenarioConfig, SimMetrics,
                                   evaluate_replications, generate_scenario,
                                   scenario_truth)
+from tests.conftest import log_h_s
 
 
 def test_config_validation():
@@ -102,7 +103,7 @@ def test_inverse_cdf_survival_fractions(sc):
         sel = d.x[:, 1] == x1
         n = sel.sum()
         for t in (10.0, 25.0, 50.0):
-            s = math.exp(log_survival(p, NO_EFFECT, t))
+            s = math.exp(log_h_s(p, NO_EFFECT, t)[1])
             emp = float((d.time[sel] > t).mean())
             se = math.sqrt(s * (1 - s) / n)
             assert abs(emp - s) <= 3 * se + 1e-4, (sc, x1, t, emp, s)

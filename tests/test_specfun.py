@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import log_ndtr, ndtr
 
-from rmstbayes.specfun import (incomplete_beta, incomplete_beta_compl,
+from rmstbayes.specfun import (incomplete_beta_compl,
                                log_std_normal_sf, lower_incomplete_gamma,
                                std_normal_sf)
 
@@ -92,7 +92,7 @@ def test_incomplete_beta_positive_b_grid():
     for a in (0.07, 0.5, 1.0, 1.5, 3.3, 10.0, 19.7):
         for b in (0.04, 0.5, 1.0, 2.6, 8.0):
             for z in (1e-5, 0.1, 0.4, 0.5, 0.7, 0.95, 0.999, 1.0):
-                got = incomplete_beta(z, a, b)
+                got = incomplete_beta_compl(1 - z, a, b)
                 ref = _beta_ref(z, a, b)
                 worst = max(worst, abs(got - ref) / abs(ref))
     assert worst < 1e-10
@@ -104,7 +104,7 @@ def test_incomplete_beta_nonpositive_b_grid():
     for a in (1.3, 1.5, 2.0, 4.5, 19.7):
         for b in (0.0, -0.25, -0.5, -1.0, -2.7, -5.5):
             for z in (0.05, 0.3, 0.5, 0.8, 0.97, 0.9999):
-                got = incomplete_beta(z, a, b)
+                got = incomplete_beta_compl(1 - z, a, b)
                 ref = float(mp.quad(lambda t: t ** (a - 1) * (1 - t) ** (b - 1),
                                     [0, z / 2, z]))
                 worst = max(worst, abs(got - ref) / abs(ref))
@@ -113,23 +113,23 @@ def test_incomplete_beta_nonpositive_b_grid():
 
 def test_incomplete_beta_full_range_is_beta_function():
     for a, b in ((1.5, 0.5), (2.0, 3.0), (0.3, 0.7)):
-        got = incomplete_beta(1.0, a, b)
+        got = incomplete_beta_compl(0.0, a, b)
         ref = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
         assert math.isclose(got, ref, rel_tol=1e-12)
 
 
 def test_incomplete_beta_diverges_at_one_for_nonpositive_b():
     with pytest.raises(ValueError):
-        incomplete_beta(1.0, 1.5, -0.5)
+        incomplete_beta_compl(0.0, 1.5, -0.5)
 
 
 def test_incomplete_beta_rejects_bad_domain():
     with pytest.raises(ValueError):
-        incomplete_beta(-0.1, 1.0, 1.0)
+        incomplete_beta_compl(1.1, 1.0, 1.0)  # z = -0.1
     with pytest.raises(ValueError):
-        incomplete_beta(1.1, 1.0, 1.0)
+        incomplete_beta_compl(-0.1, 1.0, 1.0)  # z = 1.1
     with pytest.raises(ValueError):
-        incomplete_beta(0.5, 0.0, 1.0)
+        incomplete_beta_compl(0.5, 0.0, 1.0)
 
 
 def test_incomplete_beta_compl_accurate_near_one():
@@ -146,7 +146,8 @@ def test_incomplete_beta_compl_accurate_near_one():
 @settings(max_examples=60, deadline=None)
 def test_incomplete_beta_monotone_in_z(a, b, z1, z2):
     lo, hi = sorted((z1, z2))
-    assert incomplete_beta(lo, a, b) <= incomplete_beta(hi, a, b) * (1 + 1e-9) + 1e-15
+    assert (incomplete_beta_compl(1 - lo, a, b)
+            <= incomplete_beta_compl(1 - hi, a, b) * (1 + 1e-9) + 1e-15)
 
 
 @given(st.floats(0.2, 10.0), st.floats(-3.0, 5.0), st.floats(0.02, 0.98))
@@ -155,8 +156,9 @@ def test_incomplete_beta_recurrence_identity(a, b, z):
     # B(z;a,b) = ((a+b)/b) B(z;a,b+1) - z^a (1-z)^b / b
     if abs(b) < 1e-3 or abs(round(b) - b) < 1e-3:
         return
-    left = incomplete_beta(z, a, b)
-    right = (a + b) / b * incomplete_beta(z, a, b + 1.0) - z ** a * (1 - z) ** b / b
+    left = incomplete_beta_compl(1 - z, a, b)
+    right = ((a + b) / b * incomplete_beta_compl(1 - z, a, b + 1.0)
+             - z ** a * (1 - z) ** b / b)
     assert math.isclose(left, right, rel_tol=1e-7, abs_tol=1e-12)
 
 
