@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rmstbayes import cli
 from rmstbayes.families import (EffectKind, EffectValue, Family, FamilyParams,
                                 NO_EFFECT, frailty, random_offset)
 from tests.conftest import log_h_s
@@ -109,6 +110,42 @@ def test_param_validation():
         with pytest.raises(ValueError):
             random_offset(u)
     assert np.array_equal(random_offset(np.array([0.1, -0.2])).value, [0.1, -0.2])
+
+
+def _scale_params(monkeypatch, argv):
+    """The FamilyParams that `rmstbayes rmst --scale` builds, or None if it
+    exits before computing an RMST."""
+    seen = []
+
+    def record(params, effect, tau):
+        seen.append(params)
+        return 0.0
+    monkeypatch.setattr(cli, "rmst_value", record)
+    cli.main(["rmst", "--tau", "100"] + argv)
+    return seen[0] if seen else None
+
+
+def test_weibull_alt_round_trip(monkeypatch, capsys):
+    p = _scale_params(monkeypatch, ["--family", "weibull", "--scale", "20", "--k", "1.5"])
+    assert math.isclose(p.lam, 20.0 ** -1.5, rel_tol=1e-15)
+    assert math.isclose(p.lam ** (-1.0 / p.k), 20.0, rel_tol=1e-12) and p.k == 1.5
+    # S(scale) = 1/e in the time-scale parameterization
+    assert math.isclose(log_h_s(p, NO_EFFECT, 20.0)[1], -1.0, rel_tol=1e-12)
+
+
+def test_loglogistic_alt_round_trip(monkeypatch, capsys):
+    p = _scale_params(monkeypatch, ["--family", "loglogistic", "--scale", "50", "--k", "2"])
+    assert math.isclose(p.mu, -2.0 * math.log(50.0), rel_tol=1e-15)
+    assert math.isclose(math.exp(-p.mu / p.k), 50.0, rel_tol=1e-12)
+    # S(scale) = 1/2 in the time-scale parameterization
+    assert math.isclose(math.exp(log_h_s(p, NO_EFFECT, 50.0)[1]), 0.5, rel_tol=1e-12)
+
+
+def test_alt_params_reject_wrong_family(monkeypatch, capsys):
+    for family in ("exponential", "lognormal"):
+        with pytest.raises(SystemExit) as exc:
+            _scale_params(monkeypatch, ["--family", family, "--scale", "1", "--k", "1"])
+        assert exc.value.code == 2
 
 
 @given(st.floats(0.1, 500.0), st.floats(-1.5, 1.5), st.floats(0.2, 3.0))
