@@ -14,7 +14,8 @@ where the shape coordinate is log k (weibull, log-logistic) or log sigma^2
 (log-normal), effects are u_i (random) or log v_i (frailty), and phi is the
 effect-scale hyperparameter.  All positive parameters are carried on log
 scale so random-walk proposals are unconstrained; the log-priors include the
-corresponding Jacobian terms.
+corresponding Jacobian terms.  Only ``ParamLayout`` computes offsets; readers
+slice theta with its ``q``, ``shape_index``, ``effect_indices`` and ``phi_index``.
 
 A ``Model`` compiles a dataset and a spec once per fit; ``log_prior``,
 ``log_likelihood``, ``pointwise_log_likelihood`` and ``log_posterior`` take
@@ -132,10 +133,10 @@ class ParamLayout:
         return self.q if self.has_shape else None
 
     @property
-    def effect_indices(self) -> range:
+    def effect_indices(self) -> slice:
         start = self.q + (1 if self.has_shape else 0)
         m = self.n_clusters if self.effect is not EffectKind.NONE else 0
-        return range(start, start + m)
+        return slice(start, start + m)
 
     @property
     def phi_index(self) -> int | None:
@@ -145,10 +146,7 @@ class ParamLayout:
 
     @property
     def dim(self) -> int:
-        d = self.q + (1 if self.has_shape else 0)
-        if self.effect is not EffectKind.NONE:
-            d += self.n_clusters + 1
-        return d
+        return self.effect_indices.stop if self.phi_index is None else self.phi_index + 1
 
     def column_names(self, design_names: tuple = ()) -> tuple:
         names = list(design_names) if design_names else [f"beta{j}" for j in range(self.q)]
@@ -160,45 +158,26 @@ class ParamLayout:
             names.append("phi")
         return tuple(names)
 
-    def beta(self, theta: np.ndarray) -> np.ndarray:
-        return theta[: self.q]
-
-    def shape_value(self, theta: np.ndarray) -> float | None:
-        """Natural-scale shape (k or sigma^2) from a sampling-scale vector."""
-        i = self.shape_index
-        return math.exp(theta[i]) if i is not None else None
-
-    def effects(self, theta: np.ndarray) -> np.ndarray:
-        """Sampling-scale effect block (u_i, or log v_i)."""
-        return theta[self.effect_indices.start: self.effect_indices.stop]
-
-    def phi(self, theta: np.ndarray) -> float | None:
-        i = self.phi_index
-        return math.exp(theta[i]) if i is not None else None
+    @property
+    def _log_scale(self) -> np.ndarray:
+        """Mask of the coordinates sampled on log scale: every one after beta
+        (the shape, frailty effects, phi) except random effects u."""
+        mask = np.arange(self.dim) >= self.q
+        if self.effect is EffectKind.RANDOM:
+            mask[self.effect_indices] = False
+        return mask
 
     def to_natural(self, theta: np.ndarray) -> np.ndarray:
         """Exponentiate the log-scale coordinates (shape, frailty v, phi)."""
-        out = np.array(theta, dtype=float, copy=True)
-        for i in self._log_scale_indices():
-            out[..., i] = np.exp(out[..., i])
+        out, mask = np.array(theta, dtype=float, copy=True), self._log_scale
+        out[..., mask] = np.exp(out[..., mask])
         return out
 
     def to_sampling(self, natural: np.ndarray) -> np.ndarray:
         """Inverse of to_natural."""
-        out = np.array(natural, dtype=float, copy=True)
-        for i in self._log_scale_indices():
-            out[..., i] = np.log(out[..., i])
+        out, mask = np.array(natural, dtype=float, copy=True), self._log_scale
+        out[..., mask] = np.log(out[..., mask])
         return out
-
-    def _log_scale_indices(self):
-        idx = []
-        if self.shape_index is not None:
-            idx.append(self.shape_index)
-        if self.effect is EffectKind.FRAILTY:
-            idx.extend(self.effect_indices)
-        if self.phi_index is not None:
-            idx.append(self.phi_index)
-        return idx
 
 
 class Model:
@@ -229,10 +208,11 @@ def pointwise_log_likelihood(model: Model, theta: np.ndarray) -> np.ndarray:
     """Per-row delta*log f + (1-delta)*log S; sums to log_likelihood."""
     layout, spec = model.layout, model.spec
     theta = _check_theta(layout, theta)
-    eta = model.x @ layout.beta(theta)
-    effect = (layout.effects(theta)[model.cluster]
+    eta = model.x @ theta[: layout.q]
+    shape = math.exp(theta[layout.shape_index]) if layout.has_shape else None
+    effect = (theta[layout.effect_indices][model.cluster]
               if spec.effect is not EffectKind.NONE else 0.0)
-    log_h, log_s = log_hazard_survival(spec.family, eta, layout.shape_value(theta),
+    log_h, log_s = log_hazard_survival(spec.family, eta, shape,
                                        model.time, model.logt, spec.effect, effect)
     return model.event * log_h + log_s
 
@@ -249,10 +229,10 @@ def log_prior(model: Model, theta: np.ndarray) -> float:
     spec, layout = model.spec, model.layout
     theta = _check_theta(layout, theta)
 
-    beta = layout.beta(theta)
+    beta = theta[: layout.q]
     total = float(np.sum(model.coef_log_norm - 0.5 * beta * beta / spec.coef_prior_variance))
 
-    if layout.shape_index is not None:
+    if layout.has_shape:
         log_shape = theta[layout.shape_index]
         if spec.family is Family.LOG_NORMAL:
             sigma2 = math.exp(log_shape)
@@ -278,9 +258,8 @@ def effect_log_prior(model: Model, theta: np.ndarray) -> np.ndarray:
     """Per-cluster log prior of the sampling-scale effects given phi:
     u_i ~ N(0, phi^2), or v_i ~ Gamma(1/phi, 1/phi) with the Jacobian of
     log v.  ``log_prior`` sums it."""
-    layout = model.layout
-    eff = layout.effects(theta)
-    phi = layout.phi(theta)
+    eff = theta[model.layout.effect_indices]
+    phi = math.exp(theta[model.layout.phi_index])
     if model.spec.effect is EffectKind.RANDOM:
         return -0.5 * (_LOG_2PI + 2.0 * math.log(phi)) - 0.5 * eff * eff / (phi * phi)
     r = 1.0 / phi

@@ -30,8 +30,11 @@ class WaicResult:
 
 def pointwise_matrix(data: SurvivalDataset, spec: ModelSpec,
                      draws: PosteriorDraws) -> np.ndarray:
-    """(draws, observations) matrix of pointwise log-likelihoods."""
+    """(draws, observations) matrix of pointwise log-likelihoods; ValueError
+    unless ``draws`` were sampled from ``spec`` on data of this layout."""
     model = Model(data, spec)
+    if spec != draws.spec or model.layout != draws.layout:
+        raise ValueError("the draws were sampled from another model or dataset layout")
     thetas = draws.layout.to_sampling(draws.flat())
     out = np.empty((len(thetas), len(data.time)))
     for s, theta in enumerate(thetas):

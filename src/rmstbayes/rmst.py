@@ -49,8 +49,8 @@ class QuadratureError(RuntimeError):
 
 
 def _check_tau(tau: float) -> None:
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
 
 
 def rmst_exponential(lam, tau: float):
@@ -232,27 +232,6 @@ def rmst_numeric(p: FamilyParams, e: EffectValue = NO_EFFECT, tau: float = None,
             + tau * math.exp(-_LOG_TIME_SPAN))
 
 
-@dataclass(frozen=True)
-class RmstQuery:
-    """Where to evaluate the RMST posterior: horizon, arm, covariates, cluster.
-
-    ``covariates`` supplies values for the design columns after the intercept
-    and group indicator (defaults to zeros).  ``cluster`` is a 1-based cluster
-    index, or None for the marginal RMST (u = 0 / v = 1).
-    """
-
-    tau: float
-    x1: int
-    covariates: tuple = ()
-    cluster: int | None = None
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        if self.x1 not in (0, 1):
-            raise ValueError("x1 must be 0 (control) or 1 (treatment)")
-
-
 @dataclass
 class RmstSampleVector:
     """Per-draw RMST values aligned with the posterior draw order."""
@@ -260,46 +239,51 @@ class RmstSampleVector:
     values: np.ndarray
 
 
-def rmst_distribution(draws, query: RmstQuery) -> RmstSampleVector:
+def rmst_distribution(draws, tau: float, x1: int, cluster: int | None = None,
+                      covariates: tuple = ()) -> RmstSampleVector:
     """Evaluate the closed-form RMST at every posterior draw, as one array
     evaluation over the draws.
 
-    ``draws`` is a PosteriorDraws object (see the sampler module); the model
-    family and effect type are taken from its model spec.
+    ``draws`` is a PosteriorDraws object (see the sampler module): its model
+    spec gives the family and its layout the columns of beta, the shape and
+    the effects.  ``x1`` is the arm, 0 (control) or 1 (treatment).
+    ``cluster`` is a 1-based cluster index in 1..M, or None for the marginal
+    RMST (u = 0 / v = 1).  ``covariates`` supplies values for the design
+    columns after the intercept and group indicator (defaults to zeros).
     """
-    spec = draws.spec
-    family = spec.family
+    _check_tau(tau)
+    layout, family = draws.layout, draws.spec.family
+    if x1 not in (0, 1):
+        raise ValueError("x1 must be 0 (control) or 1 (treatment)")
+    if covariates and len(covariates) != layout.q - 2:
+        raise ValueError(f"expected {layout.q - 2} extra covariate values, got {len(covariates)}")
     flat = draws.flat()
-    beta = flat[:, : draws.layout.q]
-    if query.covariates and len(query.covariates) != draws.layout.q - 2:
-        raise ValueError(
-            f"expected {draws.layout.q - 2} extra covariate values, got {len(query.covariates)}"
-        )
-    eta = beta[:, 0] + query.x1 * beta[:, 1]
-    for j, val in enumerate(query.covariates):
+    beta = flat[:, : layout.q]
+    eta = beta[:, 0] + x1 * beta[:, 1]
+    for j, val in enumerate(covariates):
         eta = eta + val * beta[:, 2 + j]
-    shape_col = draws.layout.shape_index
-    shapes = flat[:, shape_col] if shape_col is not None else None
+    shapes = flat[:, layout.shape_index] if layout.has_shape else None
 
-    effect_kind = EffectKind(spec.effect)
     v = None
-    if query.cluster is not None:
-        if effect_kind is EffectKind.NONE:
+    if cluster is not None:
+        if layout.effect is EffectKind.NONE:
             raise ValueError("cluster queries require a random-effect or frailty model")
-        effect_vals = flat[:, draws.layout.effect_indices[query.cluster - 1]]
-        if effect_kind is EffectKind.RANDOM:
+        if cluster not in range(1, layout.n_clusters + 1):
+            raise ValueError(f"cluster must lie in 1..{layout.n_clusters}, got {cluster}")
+        effect_vals = flat[:, layout.effect_indices.start + int(cluster) - 1]
+        if layout.effect is EffectKind.RANDOM:
             eta = eta + effect_vals
         else:
             v = effect_vals
     lam_or_mu = np.exp(eta) if family in (Family.EXPONENTIAL, Family.WEIBULL) else eta
-    return RmstSampleVector(rmst_closed_form(family, lam_or_mu, shapes, query.tau, v))
+    return RmstSampleVector(rmst_closed_form(family, lam_or_mu, shapes, tau, v))
 
 
-def rmst_difference(draws, tau: float, covariates: tuple = (),
-                    cluster: int | None = None) -> tuple[RmstSampleVector, RmstSampleVector, RmstSampleVector]:
+def rmst_difference(draws, tau: float, cluster: int | None = None,
+                    covariates: tuple = ()) -> tuple[RmstSampleVector, RmstSampleVector, RmstSampleVector]:
     """Group-0 and group-1 RMST sample vectors plus their per-draw difference
-    (group 1 minus group 0)."""
-    g0 = rmst_distribution(draws, RmstQuery(tau, 0, covariates, cluster))
-    g1 = rmst_distribution(draws, RmstQuery(tau, 1, covariates, cluster))
+    (group 1 minus group 0); the arguments are those of rmst_distribution."""
+    g0 = rmst_distribution(draws, tau, 0, cluster, covariates)
+    g1 = rmst_distribution(draws, tau, 1, cluster, covariates)
     diff = RmstSampleVector(g1.values - g0.values)
     return g0, g1, diff

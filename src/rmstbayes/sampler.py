@@ -112,12 +112,9 @@ def _initial_point(model: Model, rng: np.random.Generator) -> np.ndarray:
 
 
 def _block_names(layout: ParamLayout) -> list:
-    names = ["beta"]
-    if layout.shape_index is not None:
-        names.append("shape")
-    names.extend(f"effect[{i}]" for i in range(1, len(layout.effect_indices) + 1))
+    names = ["beta", "shape"] if layout.has_shape else ["beta"]
     if layout.phi_index is not None:
-        names.append("phi")
+        names += [f"effect[{i}]" for i in range(1, layout.n_clusters + 1)] + ["phi"]
     return names
 
 
@@ -127,19 +124,20 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
     theta = _initial_point(model, rng)
     lp = log_posterior(model, theta)
 
-    # One adaptation slot per entry of _block_names: beta, the shape, each
-    # cluster effect, phi.
-    n_blocks = len(_block_names(layout))
+    # Adaptation slots, in the order of _block_names: 0 for the beta block,
+    # i - q + 1 for the coordinate at index i >= q (shape, effects, phi).
+    q = layout.q
+    n_blocks = layout.dim - q + 1
     log_scales = np.full(n_blocks, math.log(_INITIAL_STEP))
     rm_iter = np.zeros(n_blocks, dtype=int)  # per-slot adaptation clocks
     accept_post = np.zeros(n_blocks)
     trials_post = np.zeros(n_blocks)
-    shape_slot = 1 if layout.shape_index is not None else None
-    n_effects = len(layout.effect_indices)
-    first = 1 if shape_slot is None else 2
-    effect_slots = slice(first, first + n_effects)
-    effects = slice(layout.effect_indices.start, layout.effect_indices.stop)
-    phi_slot = n_blocks - 1 if layout.phi_index is not None else None
+
+    def slot_of(index):
+        return index - q + 1
+
+    effects = layout.effect_indices
+    effect_slots = slice(slot_of(effects.start), slot_of(effects.stop))
 
     def record(slot, accepted, target):
         """Robbins-Monro step-scale update during burn-in, acceptance counts
@@ -160,12 +158,13 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
             theta, lp = proposal, lp_prop
         record(slot, 1.0 if accept else 0.0, target)
 
-    def scalar_proposal(index, slot):
+    def scalar_step(index, log_target):
+        """Random-walk Metropolis on theta[index]; ``log_target`` maps the
+        proposal to its log posterior."""
         proposal = theta.copy()
-        proposal[index] += math.exp(log_scales[slot]) * rng.normal()
-        return proposal
+        proposal[index] += math.exp(log_scales[slot_of(index)]) * rng.normal()
+        metropolis(proposal, log_target(proposal), slot_of(index), _TARGET_ACCEPT_SCALAR)
 
-    q = layout.q
     # Running moments of beta for the adapted full proposal covariance; the
     # coefficients are mutually correlated (intercept vs. slopes), so a
     # diagonal proposal mixes too slowly at the default chain lengths.
@@ -199,27 +198,25 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
             proposal = theta.copy()
             proposal[:q] += math.exp(log_scales[0]) * step
             metropolis(proposal, log_posterior(model, proposal), 0, _TARGET_ACCEPT_BLOCK)
-        if shape_slot is not None:
-            proposal = scalar_proposal(layout.shape_index, shape_slot)
-            metropolis(proposal, log_posterior(model, proposal), shape_slot,
-                       _TARGET_ACCEPT_SCALAR)
-        if phi_slot is not None:
+        if layout.has_shape:
+            scalar_step(layout.shape_index, lambda prop: log_posterior(model, prop))
+        if layout.phi_index is not None:
             # Given beta, the shape and phi the effects are conditionally
             # independent, so one proposal per cluster, each accepted on its
             # own log-ratio, is the kernel of M scalar Metropolis updates at
             # the cost of two likelihood passes.
             proposal = theta.copy()
-            proposal[effects] += np.exp(log_scales[effect_slots]) * rng.normal(size=n_effects)
+            proposal[effects] += (np.exp(log_scales[effect_slots])
+                                  * rng.normal(size=layout.n_clusters))
             log_ratio = (cluster_log_density(model, proposal)
                          - cluster_log_density(model, theta))
-            accepted = np.isfinite(log_ratio) & (log_ratio > np.log(rng.random(n_effects)))
+            accepted = np.isfinite(log_ratio) & (log_ratio > np.log(rng.random(layout.n_clusters)))
             theta[effects] = np.where(accepted, proposal[effects], theta[effects])
             lp += float(np.sum(log_ratio[accepted]))
             record(effect_slots, accepted.astype(float), _TARGET_ACCEPT_SCALAR)
             # phi enters only the effects' prior: no likelihood pass.
-            proposal = scalar_proposal(layout.phi_index, phi_slot)
-            metropolis(proposal, lp + log_prior(model, proposal) - log_prior(model, theta),
-                       phi_slot, _TARGET_ACCEPT_SCALAR)
+            scalar_step(layout.phi_index,
+                        lambda prop: lp + log_prior(model, prop) - log_prior(model, theta))
         if adapting:
             if it >= moments_start:
                 # Welford update of the beta moments for the proposal

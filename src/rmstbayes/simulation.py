@@ -21,38 +21,41 @@ see scenario_truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .families import EffectKind, Family
+from .families import Family
 from .inference import ModelSpec, SurvivalDataset
 from .rmst import rmst_difference, rmst_exponential, rmst_loglogistic, rmst_lognormal
 from .sampler import SamplerConfig, run_chains
 from .summaries import summarize
 
-_SCENARIO_BETA = {
-    "A": (5.0, -0.24, 1.0),
-    "B": (3.0, -0.5, 1.0),
-    "C": (-4.5, 0.5, 1.0),
-}
 
-_SCENARIO_FAMILY = {
-    "A": Family.LOG_LOGISTIC,
-    "B": Family.LOG_NORMAL,
-    "C": Family.EXPONENTIAL,
+@dataclass(frozen=True)
+class _Scenario:
+    family: Family
+    beta: tuple   # default (b0, b1, b2)
+    shape: float | None   # log-logistic k (A) or log-normal sigma^2 (B)
+    clusters: int
+
+
+_SCENARIOS = {
+    "A": _Scenario(Family.LOG_LOGISTIC, (5.0, -0.24, 1.0), shape=2.0, clusters=4),
+    "B": _Scenario(Family.LOG_NORMAL, (3.0, -0.5, 1.0), shape=1.0, clusters=4),
+    "C": _Scenario(Family.EXPONENTIAL, (-4.5, 0.5, 1.0), shape=None, clusters=4),
 }
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario's run settings; its family, shape and cluster count are
+    fixed by the scenario (see _SCENARIOS), and ``beta`` defaults to it."""
+
     scenario: str
     n: int = 512
-    clusters: int = 4
     beta: tuple = ()
     random_effect_variance: float = 0.1
-    shape_k: float = 2.0          # scenario A log-logistic shape
-    sigma2: float = 1.0           # scenario B log-normal variance
     censor_prob: float = 0.1
     cap: float = 100.0
     tau: float = 100.0
@@ -60,10 +63,10 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.scenario not in _SCENARIO_BETA:
+        if self.scenario not in _SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose A, B, or C")
         if not self.beta:
-            object.__setattr__(self, "beta", _SCENARIO_BETA[self.scenario])
+            object.__setattr__(self, "beta", _SCENARIOS[self.scenario].beta)
         if self.n % (2 * self.clusters) != 0:
             raise ValueError("n must be divisible by 2 * clusters for balance")
         if not 0.0 <= self.censor_prob <= 1.0:
@@ -71,12 +74,15 @@ class ScenarioConfig:
 
     @property
     def family(self) -> Family:
-        return _SCENARIO_FAMILY[self.scenario]
+        return _SCENARIOS[self.scenario].family
 
+    @property
+    def shape(self) -> float | None:
+        return _SCENARIOS[self.scenario].shape
 
-def _linear_scale(cfg: ScenarioConfig, x1, x2, u):
-    b0, b1, b2 = cfg.beta
-    return b0 + b1 * x1 + b2 * x2 + u
+    @property
+    def clusters(self) -> int:
+        return _SCENARIOS[self.scenario].clusters
 
 
 def generate_scenario(cfg: ScenarioConfig, replicate: int = 0) -> SurvivalDataset:
@@ -87,19 +93,17 @@ def generate_scenario(cfg: ScenarioConfig, replicate: int = 0) -> SurvivalDatase
     x1 = np.tile(np.repeat([0, 1], per_cell), cfg.clusters).astype(float)
     x2 = rng.standard_normal(cfg.n)
     u_cluster = rng.normal(0.0, math.sqrt(cfg.random_effect_variance), size=cfg.clusters)
-    u = u_cluster[cluster - 1]
-    lin = _linear_scale(cfg, x1, x2, u)
+    b0, b1, b2 = cfg.beta
+    lin = b0 + b1 * x1 + b2 * x2 + u_cluster[cluster - 1]
 
     if cfg.scenario == "A":
-        m = -lin
         quant = rng.random(cfg.n)
-        # inverse CDF of S(t) = 1/(1 + (e^m t)^k)
-        t = np.exp(-m) * (1.0 / quant - 1.0) ** (1.0 / cfg.shape_k)
+        # inverse CDF of S(t) = 1/(1 + (e^m t)^k) with m = -lin
+        t = np.exp(lin) * (1.0 / quant - 1.0) ** (1.0 / cfg.shape)
     elif cfg.scenario == "B":
-        t = np.exp(rng.normal(lin, math.sqrt(cfg.sigma2)))
+        t = np.exp(rng.normal(lin, math.sqrt(cfg.shape)))
     else:
-        lam = np.exp(lin)
-        t = rng.exponential(1.0 / lam)
+        t = rng.exponential(1.0 / np.exp(lin))  # rate exp(lin)
 
     event = np.ones(cfg.n, dtype=int)
     censored = rng.random(cfg.n) < cfg.censor_prob
@@ -122,9 +126,9 @@ def scenario_truth(cfg: ScenarioConfig) -> tuple:
     for x1 in (0.0, 1.0):
         lin = b0 + b1 * x1
         if cfg.scenario == "A":
-            vals.append(rmst_loglogistic(cfg.shape_k * (-lin), cfg.shape_k, cfg.tau))
+            vals.append(rmst_loglogistic(cfg.shape * (-lin), cfg.shape, cfg.tau))
         elif cfg.scenario == "B":
-            vals.append(rmst_lognormal(lin, cfg.sigma2, cfg.tau))
+            vals.append(rmst_lognormal(lin, cfg.shape, cfg.tau))
         else:
             vals.append(rmst_exponential(math.exp(lin), cfg.tau))
     return vals[0], vals[1], vals[1] - vals[0]

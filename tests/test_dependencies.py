@@ -35,7 +35,7 @@ def test_import_and_fit_load_neither_scipy_nor_mpmath():
 
 ROOT_NAMES = [
     "DataError", "EffectKind", "EffectValue", "Family", "FamilyParams", "ModelSpec",
-    "NO_EFFECT", "PosteriorDraws", "RmstQuery", "RmstSampleVector", "RmstSummary",
+    "NO_EFFECT", "PosteriorDraws", "RmstSampleVector", "RmstSummary",
     "SamplerConfig", "ScenarioConfig", "SimMetrics", "SurvivalDataset", "WaicResult",
     "effective_sample_size", "evaluate_replications", "forest_rows", "frailty",
     "generate_scenario", "histogram_bins", "ingest_csv", "random_offset",

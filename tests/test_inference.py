@@ -207,7 +207,7 @@ def test_per_cluster_pieces_factorise_the_posterior(family, effect):
     prior = effect_log_prior(model, theta)
     assert ll.shape == prior.shape == (5,)
     assert abs(ll.sum() - log_likelihood(model, theta)) < 1e-10
-    for i, col in enumerate(model.layout.effect_indices):
+    for i, col in enumerate(range(model.layout.dim)[model.layout.effect_indices]):
         moved = theta.copy()
         moved[col] += 0.37
         d_ll = cluster_log_likelihood(model, moved) - ll

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from rmstbayes.families import Family
-from rmstbayes.inference import ModelSpec
+from rmstbayes.inference import ModelSpec, SurvivalDataset
 from rmstbayes.model_selection import waic, waic_from_matrix
+from rmstbayes.sampler import SamplerConfig, run_chains
 
 
 def test_single_draw_has_zero_penalty():
@@ -95,3 +96,20 @@ def test_waic_matches_pipeline_computation(exp_fit_small):
     res = waic(data, spec, draws)
     ref = waic_from_matrix(pointwise_matrix(data, spec, draws))
     assert math.isclose(res.waic, ref.waic, rel_tol=1e-14)
+
+
+def test_waic_refuses_draws_from_another_model(scenario_c_small):
+    data = scenario_c_small
+    spec = ModelSpec("weibull", "random")
+    draws = run_chains(data, spec, SamplerConfig(chains=1, iterations=200, burnin=100, seed=3))
+    assert math.isfinite(waic(data, spec, draws).waic)
+    # one more design column and one cluster fewer: the same parameter count
+    keep = data.cluster <= 3
+    wider = SurvivalDataset(data.time[keep], data.event[keep],
+                            np.column_stack([data.x[keep], data.x[keep, 2] ** 2]),
+                            data.cluster[keep])
+    for other_data, other_spec in ((data, ModelSpec("loglogistic", "random")),
+                                   (data, ModelSpec("weibull", "random", phi_upper=5.0)),
+                                   (wider, spec)):
+        with pytest.raises(ValueError, match="another model"):
+            waic(other_data, other_spec, draws)

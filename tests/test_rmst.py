@@ -3,6 +3,7 @@ quadrature oracle, reference values, analytic limits, and per-draw
 posterior evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -345,24 +346,70 @@ def test_distribution_mean_matches_per_draw_quadrature():
 def test_cluster_query_uses_that_clusters_effect():
     rows = [[-4.5, 0.5, 0.3, -0.3, 2.0]]  # beta0, beta1, u1, u2, phi
     draws = _fake_draws(Family.EXPONENTIAL, rows, EffectKind.RANDOM, n_clusters=2)
-    v1 = R.rmst_distribution(draws, R.RmstQuery(100.0, 0, cluster=1)).values[0]
+    v1 = R.rmst_distribution(draws, 100.0, 0, cluster=1).values[0]
     expected = R.rmst_exponential(math.exp(-4.5 + 0.3), 100.0)
     assert math.isclose(v1, expected, rel_tol=1e-12)
-    marginal = R.rmst_distribution(draws, R.RmstQuery(100.0, 0)).values[0]
+    marginal = R.rmst_distribution(draws, 100.0, 0).values[0]
     assert math.isclose(marginal, R.rmst_exponential(math.exp(-4.5), 100.0), rel_tol=1e-12)
 
 
 def test_cluster_query_rejected_without_effects():
     draws = _fake_draws(Family.EXPONENTIAL, [[-4.5, 0.5]])
     with pytest.raises(ValueError):
-        R.rmst_distribution(draws, R.RmstQuery(100.0, 0, cluster=1))
+        R.rmst_distribution(draws, 100.0, 0, cluster=1)
 
 
 def test_query_validation():
+    draws = _fake_draws(Family.EXPONENTIAL, [[-4.5, 0.5]])
     with pytest.raises(ValueError):
-        R.RmstQuery(0.0, 0)
+        R.rmst_distribution(draws, 0.0, 0)
     with pytest.raises(ValueError):
-        R.RmstQuery(100.0, 2)
+        R.rmst_distribution(draws, 100.0, 2)
+
+
+@pytest.mark.parametrize("cluster", [0, -1, 4])
+def test_cluster_outside_one_to_m_rejected(cluster):
+    # cluster 0 and -1 would index from the end (clusters 3 and 2), and
+    # M + 1 past it
+    rows = [[-4.5, 0.5, 0.3, -0.3, 0.1, 2.0]]  # beta0, beta1, u1, u2, u3, phi
+    draws = _fake_draws(Family.EXPONENTIAL, rows, EffectKind.RANDOM, n_clusters=3)
+    with pytest.raises(ValueError, match="1..3"):
+        R.rmst_distribution(draws, 100.0, 0, cluster=cluster)
+    with pytest.raises(ValueError, match="1..3"):
+        R.rmst_difference(draws, 100.0, cluster=cluster)
+
+
+_INFINITE_TAU_CASES = [
+    (FamilyParams.exponential(0.011), frailty(1.3)),
+    (FamilyParams.weibull(0.01, 1.5), NO_EFFECT),
+    (FamilyParams.loglogistic(-9.6, 2.0), random_offset(0.2)),
+    (FamilyParams.lognormal(3.0, 1.0), NO_EFFECT),
+    (FamilyParams.lognormal(3.0, 1.0), frailty(0.8)),
+]
+
+
+@pytest.mark.parametrize("p, e", _INFINITE_TAU_CASES,
+                         ids=["exponential-frailty", "weibull", "loglogistic-random",
+                              "lognormal", "lognormal-frailty"])
+def test_infinite_tau_rejected_without_warning(p, e):
+    # every closed form reaches the one tau check before any arithmetic
+    calls = [lambda tau: R.rmst_value(p, e, tau), lambda tau: R.rmst_numeric(p, e, tau)]
+    if p.family is Family.EXPONENTIAL:
+        calls.append(lambda tau: R.rmst_exponential(p.lam, tau))
+    elif p.family is Family.WEIBULL:
+        calls.append(lambda tau: R.rmst_weibull(p.lam, p.k, tau))
+    elif p.family is Family.LOG_LOGISTIC:
+        calls.append(lambda tau: R.rmst_loglogistic(p.mu, p.k, tau))
+    else:
+        calls.append(lambda tau: R.rmst_lognormal(p.mu, p.sigma2, tau))
+    draws = _fake_draws(Family.WEIBULL, [[-6.0, 0.5, 1.7]])
+    calls.append(lambda tau: R.rmst_distribution(draws, tau, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            for tau in (math.inf, math.nan, -1.0):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    call(tau)
 
 
 def _posterior_rows(family, effect, rng, n=200):
@@ -412,16 +459,16 @@ def test_distribution_matches_quadrature_at_every_draw(fam, effect):
     has_effect = effect is not EffectKind.NONE
     draws = _fake_draws(fam, rows, effect, n_clusters=2 if has_effect else 0)
     shape = rows[:, 2] if fam is not Family.EXPONENTIAL else [None] * len(rows)
-    queries = [R.RmstQuery(100.0, 1)] + ([R.RmstQuery(100.0, 0, cluster=1)] if has_effect else [])
-    for query in queries:
-        got = R.rmst_distribution(draws, query).values
+    queries = [(1, None)] + ([(0, 1)] if has_effect else [])
+    for x1, cluster in queries:
+        got = R.rmst_distribution(draws, 100.0, x1, cluster).values
         assert got.shape == (len(rows),)
-        eta = rows[:, 0] + query.x1 * rows[:, 1]
+        eta = rows[:, 0] + x1 * rows[:, 1]
         worst = 0.0
         for s in range(len(rows)):
             p = _draw_params(fam, eta[s], shape[s])
             e = NO_EFFECT
-            if query.cluster is not None:
+            if cluster is not None:
                 e = (random_offset if effect is EffectKind.RANDOM else frailty)(rows[s, -3])
             if fam is Family.LOG_NORMAL and e.kind is EffectKind.FRAILTY:
                 # approximate closed form; rmst_numeric gives the exact value
@@ -431,7 +478,7 @@ def test_distribution_matches_quadrature_at_every_draw(fam, effect):
                 with np.errstate(over="ignore"):
                     ref = R.rmst_numeric(p, e, 100.0)
             worst = max(worst, abs(got[s] - ref) / ref)
-        assert worst <= 1e-8, (query, worst)
+        assert worst <= 1e-8, (x1, cluster, worst)
 
 
 def test_distribution_is_one_array_evaluation(monkeypatch):
@@ -454,9 +501,9 @@ def test_distribution_is_one_array_evaluation(monkeypatch):
     rng = np.random.default_rng(5)
     rows = _posterior_rows(Family.WEIBULL, EffectKind.RANDOM, rng, n=300)
     draws = _fake_draws(Family.WEIBULL, rows, EffectKind.RANDOM, n_clusters=2)
-    for query in (R.RmstQuery(100.0, 0), R.RmstQuery(100.0, 1, cluster=2)):
+    for x1, cluster in ((0, None), (1, 2)):
         gamma_calls.clear()
-        assert R.rmst_distribution(draws, query).values.shape == (300,)
+        assert R.rmst_distribution(draws, 100.0, x1, cluster).values.shape == (300,)
         assert gamma_calls == [(300,)]
     assert built == []
 

@@ -62,9 +62,9 @@ def test_truths_equal_quadrature_on_same_parameters():
         for x1, val in ((0.0, g0), (1.0, g1)):
             lin = b0 + b1 * x1
             if sc == "A":
-                p = FamilyParams.loglogistic(cfg.shape_k * -lin, cfg.shape_k)
+                p = FamilyParams.loglogistic(cfg.shape * -lin, cfg.shape)
             elif sc == "B":
-                p = FamilyParams.lognormal(lin, cfg.sigma2)
+                p = FamilyParams.lognormal(lin, cfg.shape)
             else:
                 p = FamilyParams.exponential(math.exp(lin))
             assert abs(val - rmst_numeric(p, NO_EFFECT, cfg.tau)) / val < 1e-8
@@ -95,9 +95,9 @@ def test_inverse_cdf_survival_fractions(sc):
     for x1 in (0.0, 1.0):
         lin = cfg.beta[0] + cfg.beta[1] * x1
         if sc == "A":
-            p = FamilyParams.loglogistic(cfg.shape_k * -lin, cfg.shape_k)
+            p = FamilyParams.loglogistic(cfg.shape * -lin, cfg.shape)
         elif sc == "B":
-            p = FamilyParams.lognormal(lin, cfg.sigma2)
+            p = FamilyParams.lognormal(lin, cfg.shape)
         else:
             p = FamilyParams.exponential(math.exp(lin))
         sel = d.x[:, 1] == x1
