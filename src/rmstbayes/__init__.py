@@ -9,8 +9,7 @@ from .families import (EffectKind, EffectValue, Family, FamilyParams,
 from .inference import ModelSpec, SurvivalDataset
 from .model_selection import WaicResult, waic
 from .rmst import (RmstSampleVector, rmst_difference, rmst_distribution,
-                   rmst_exponential, rmst_loglogistic, rmst_lognormal,
-                   rmst_numeric, rmst_value, rmst_weibull)
+                   rmst_numeric, rmst_value)
 from .sampler import (PosteriorDraws, SamplerConfig, effective_sample_size,
                       run_chains, split_rhat)
 from .simulation import (ScenarioConfig, SimMetrics, evaluate_replications,

@@ -16,8 +16,10 @@ f(t|v) = v h(t) S(t)^v.
 ``log_hazard_survival`` holds each family's log-hazard and log-survival
 formula, once, in numpy (the log-normal tail is one ``log_std_normal_sf``
 call over the array); the likelihood evaluates it over all rows and
-``rmst_numeric`` over its quadrature points.  ``kernel_args`` maps
-(FamilyParams, EffectValue) to its arguments.
+``rmst_numeric`` over its quadrature points.  Its (eta, shape, kind,
+effect), with eta = log lam or mu and effect = u or log v, are also the
+arguments of ``rmst.rmst_closed_form``; ``kernel_args`` maps (FamilyParams,
+EffectValue) to them.
 """
 
 from __future__ import annotations
@@ -153,8 +155,8 @@ def log_hazard_survival(family: Family, eta, shape, t, logt,
 def kernel_args(p: FamilyParams, e: EffectValue = NO_EFFECT) -> tuple:
     """(eta, shape, effect) arguments of ``log_hazard_survival`` for p and e."""
     if p.family in (Family.EXPONENTIAL, Family.WEIBULL):
-        eta, shape = math.log(p.lam), p.k
+        eta, shape = np.log(p.lam), p.k
     else:
         eta, shape = p.mu, p.sigma2 if p.family is Family.LOG_NORMAL else p.k
-    effect = math.log(e.value) if e.kind is EffectKind.FRAILTY else e.value
+    effect = np.log(e.value) if e.kind is EffectKind.FRAILTY else e.value
     return eta, shape, effect

@@ -1,15 +1,15 @@
 """Closed-form restricted mean survival time (RMST) and posterior RMST samples.
 
-RMST(tau) = int_0^tau S(t) dt.  Closed forms exist for every family and for
-both cluster-effect types; the log-normal frailty case uses an approximate
-closed form (the exact integral is available through ``rmst_numeric``).
-Each closed form is written once and applies elementwise over numpy arrays
-of parameters as well as to scalars; ``rmst_closed_form`` dispatches to
-them, ``rmst_distribution`` calls it once over all posterior draws and
-``rmst_value`` once per (FamilyParams, EffectValue) pair.  ``rmst_numeric``
-integrates the survival function with adaptive Simpson quadrature and serves
-as the independent oracle for all the closed forms; no posterior path calls
-it.
+RMST(tau) = int_0^tau S(t) dt.  Each family's closed form is written once,
+as a private kernel elementwise over arrays or scalars; the log-normal
+frailty form is approximate.  ``rmst_closed_form`` is their one dispatcher
+and the one check of their arguments, which are those of the likelihood
+kernel ``families.log_hazard_survival``: (family, eta, shape, kind, effect).
+``rmst_distribution`` calls it once over all posterior draws, ``rmst_value``
+through ``families.kernel_args``.  ``rmst_numeric`` integrates the survival
+function by adaptive Simpson quadrature and is the independent oracle for
+every closed form (and the exact value for log-normal frailty); no
+posterior path calls it.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .families import (
     Family,
     FamilyParams,
     NO_EFFECT,
+    _finite,
+    _positive,
     kernel_args,
     log_hazard_survival,
 )
@@ -53,106 +55,83 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must be positive and finite, got {tau}")
 
 
-def rmst_exponential(lam, tau: float):
-    """(1 - e^(-lam tau)) / lam."""
-    if not np.all(lam > 0):
-        raise ValueError(f"lam must be positive, got {lam}")
-    _check_tau(tau)
-    return _float_if_scalar(-np.expm1(-lam * tau) / lam)
-
-
-def rmst_weibull(lam, k, tau: float):
-    """lam^(-1/k) gamma_inc(lam tau^k; 1/k + 1) + tau exp(-lam tau^k).
-
-    Where log(lam tau^k) > 700, z is taken as infinite, which leaves
-    lam^(-1/k) Gamma(1/k + 1)."""
-    if not (np.all(lam > 0) and np.all(k > 0)):
-        raise ValueError("weibull requires lam > 0 and k > 0")
-    _check_tau(tau)
+def _weibull_rmst(lam, k, tau: float):
+    # lam^(-1/k) gamma_inc(lam tau^k; 1/k + 1) + tau exp(-lam tau^k).  Where
+    # log(lam tau^k) > 700, z is taken as infinite, which leaves
+    # lam^(-1/k) Gamma(1/k + 1).
     a = 1.0 / k + 1.0
     log_z = np.log(lam) + k * math.log(tau)
     z = np.where(log_z > _LOG_HUGE, np.inf, np.exp(np.minimum(log_z, _LOG_HUGE)))
     head = lam ** (-1.0 / k)
-    return _float_if_scalar(head * lower_incomplete_gamma(z, a) + tau * np.exp(-z))
+    return head * lower_incomplete_gamma(z, a) + tau * np.exp(-z)
 
 
-def rmst_loglogistic(mu, k, tau: float, v=1.0):
-    """v e^(-mu/k) B(1 - S(tau); 1 + 1/k, v - 1/k) + tau S(tau)^v, with a
-    frailty v on the hazard (v = 1: none).
-
-    For k <= 1 the beta's second argument is <= 0; the integral stays finite
-    because it stops short of 1 (finite-tau RMST needs no first moment).
-    """
-    if not np.all(k > 0):
-        raise ValueError("loglogistic requires k > 0")
-    _check_tau(tau)
+def _loglogistic_rmst(mu, k, v, tau: float):
+    # v e^(-mu/k) B(1 - S(tau); 1 + 1/k, v - 1/k) + tau S(tau)^v, with a
+    # frailty v on the hazard (v = 1: none).  For k <= 1 the beta's second
+    # argument is <= 0; the integral stays finite because it stops short of 1
+    # (finite-tau RMST needs no first moment).
     # S(tau) = 1/(1 + e^w), overflow-safe
     w = mu + k * math.log(tau)
     ew = np.exp(-np.abs(w))
     s_tau = np.where(w > 0, ew / (1.0 + ew), 1.0 / (1.0 + ew))
     part = _elementwise(incomplete_beta_compl, s_tau, 1.0 + 1.0 / k, v - 1.0 / k)
-    return _float_if_scalar(v * np.exp(-mu / k) * part + tau * s_tau ** v)
+    return v * np.exp(-mu / k) * part + tau * s_tau ** v
 
 
-def rmst_lognormal(mu, sigma2, tau: float):
-    """exp(mu + sigma2/2) Phi((log tau - mu - sigma2)/sigma) + tau (1 - Phi((log tau - mu)/sigma))."""
-    if not np.all(sigma2 > 0):
-        raise ValueError("lognormal requires sigma2 > 0")
-    _check_tau(tau)
+def _lognormal_rmst(mu, sigma2, v, tau: float):
+    # exp(mu + sigma2/2) Phi(z1) + tau (1 - Phi(z0)) without a frailty (v is None),
+    # z1 = (log tau - mu - sigma2)/sigma and z0 = (log tau - mu)/sigma
     sigma = np.sqrt(sigma2)
     log_tau = math.log(tau)
     z1 = (log_tau - mu - sigma2) / sigma
     z0 = (log_tau - mu) / sigma
-    head = np.exp(mu + 0.5 * sigma2) * std_normal_sf(-z1)
-    return _float_if_scalar(head + tau * std_normal_sf(z0))
-
-
-def _rmst_lognormal_frailty(mu, sigma2, v, tau: float):
-    # The paper's approximate closed form; rmst_numeric integrates the exact
-    # S^v integrand.
-    _check_tau(tau)
-    sigma = np.sqrt(sigma2)
-    log_tau = math.log(tau)
-    sf1 = std_normal_sf((log_tau - mu - sigma2) / sigma)
-    sf0 = std_normal_sf((log_tau - mu) / sigma)
-    head = np.exp(mu + 0.5 * sigma2) * (1.0 - sf1**v) / v
-    return _float_if_scalar(head + tau * sf0**v)
-
-
-def rmst_closed_form(family: Family, lam_or_mu, shape, tau: float, v=None):
-    """Closed-form RMST of ``family``, elementwise over numpy arrays or
-    scalars.
-
-    ``lam_or_mu`` is lam (exponential, weibull) or mu (log-logistic,
-    log-normal), ``shape`` is k, or sigma^2 for log-normal (unused for
-    exponential), and ``v`` is a frailty multiplying the hazard (None: no
-    frailty).  The log-normal frailty form is an approximation.
-    """
-    if v is not None and not np.all(v > 0):
-        raise ValueError("frailty requires v > 0")
-    scale = 1.0 if v is None else v
-    if family is Family.EXPONENTIAL:
-        return rmst_exponential(scale * lam_or_mu, tau)
-    if family is Family.WEIBULL:
-        return rmst_weibull(scale * lam_or_mu, shape, tau)
-    if family is Family.LOG_LOGISTIC:
-        return rmst_loglogistic(lam_or_mu, shape, tau, scale)
     if v is None:
-        return rmst_lognormal(lam_or_mu, shape, tau)
-    return _rmst_lognormal_frailty(lam_or_mu, shape, v, tau)
+        return np.exp(mu + 0.5 * sigma2) * std_normal_sf(-z1) + tau * std_normal_sf(z0)
+    # The paper's approximate frailty form; rmst_numeric integrates the exact
+    # S^v integrand.
+    return (np.exp(mu + 0.5 * sigma2) * (1.0 - std_normal_sf(z1)**v) / v
+            + tau * std_normal_sf(z0)**v)
+
+
+def rmst_closed_form(family: Family, eta, shape, tau: float,
+                     kind: EffectKind = EffectKind.NONE, effect=0.0):
+    """Closed-form RMST of ``family`` up to ``tau``, elementwise over numpy
+    arrays or scalars (a float for scalar input).
+
+    The arguments are those of ``families.log_hazard_survival``: ``eta`` is
+    log lam (exponential, weibull) or mu (log-logistic, log-normal),
+    ``shape`` is k, or sigma^2 for log-normal (unused for exponential), and
+    ``effect`` is a random offset u added to eta or, for a frailty, log v.
+    The log-normal frailty form is an approximation.
+    """
+    _check_tau(tau)
+    if not (_finite(eta) and _finite(effect)):
+        raise ValueError("eta and the effect must be finite")
+    if family is not Family.EXPONENTIAL and not _positive(shape):
+        raise ValueError(f"{family.value} requires a positive shape")
+    if kind is EffectKind.RANDOM:
+        eta = eta + effect
+    v = np.exp(effect) if kind is EffectKind.FRAILTY else None
+    if family in (Family.EXPONENTIAL, Family.WEIBULL):
+        lam = np.exp(eta) if v is None else v * np.exp(eta)
+        if not _positive(lam):
+            raise ValueError("the rate exp(eta) underflows to 0")
+        # exponential: (1 - e^(-lam tau)) / lam
+        value = (-np.expm1(-lam * tau) / lam if family is Family.EXPONENTIAL
+                 else _weibull_rmst(lam, shape, tau))
+    elif family is Family.LOG_LOGISTIC:
+        value = _loglogistic_rmst(eta, shape, 1.0 if v is None else v, tau)
+    else:
+        value = _lognormal_rmst(eta, shape, v, tau)
+    return _float_if_scalar(value)
 
 
 def rmst_value(p: FamilyParams, e: EffectValue = NO_EFFECT, tau: float = None):
     """Closed-form RMST for any family x effect combination; the parameters
     of p and the effect value may be numpy arrays."""
-    u = e.value if e.kind is EffectKind.RANDOM else 0.0
-    if p.family in (Family.EXPONENTIAL, Family.WEIBULL):
-        lam_or_mu, shape = p.lam * np.exp(u), p.k
-    else:
-        lam_or_mu = p.mu + u
-        shape = p.sigma2 if p.family is Family.LOG_NORMAL else p.k
-    v = e.value if e.kind is EffectKind.FRAILTY else None
-    return rmst_closed_form(p.family, lam_or_mu, shape, tau, v)
+    eta, shape, effect = kernel_args(p, e)
+    return rmst_closed_form(p.family, eta, shape, tau, e.kind, effect)
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int) -> float:
@@ -250,8 +229,9 @@ def rmst_distribution(draws, tau: float, x1: int, cluster: int | None = None,
     ``cluster`` is a 1-based cluster index in 1..M, or None for the marginal
     RMST (u = 0 / v = 1).  ``covariates`` supplies values for the design
     columns after the intercept and group indicator (defaults to zeros).
+    The linear predictor is the kernel's eta, and the cluster's column is
+    handed over as u, or as log v for a frailty.
     """
-    _check_tau(tau)
     layout, family = draws.layout, draws.spec.family
     if x1 not in (0, 1):
         raise ValueError("x1 must be 0 (control) or 1 (treatment)")
@@ -264,19 +244,18 @@ def rmst_distribution(draws, tau: float, x1: int, cluster: int | None = None,
         eta = eta + val * beta[:, 2 + j]
     shapes = flat[:, layout.shape_index] if layout.has_shape else None
 
-    v = None
+    kind, effect = EffectKind.NONE, 0.0
     if cluster is not None:
         if layout.effect is EffectKind.NONE:
             raise ValueError("cluster queries require a random-effect or frailty model")
         if cluster not in range(1, layout.n_clusters + 1):
             raise ValueError(f"cluster must lie in 1..{layout.n_clusters}, got {cluster}")
-        effect_vals = flat[:, layout.effect_indices.start + int(cluster) - 1]
-        if layout.effect is EffectKind.RANDOM:
-            eta = eta + effect_vals
-        else:
-            v = effect_vals
-    lam_or_mu = np.exp(eta) if family in (Family.EXPONENTIAL, Family.WEIBULL) else eta
-    return RmstSampleVector(rmst_closed_form(family, lam_or_mu, shapes, tau, v))
+        kind, effect = layout.effect, flat[:, layout.effect_indices.start + int(cluster) - 1]
+        if kind is EffectKind.FRAILTY:
+            if not _positive(effect):
+                raise ValueError("frailty draws must be positive")
+            effect = np.log(effect)
+    return RmstSampleVector(rmst_closed_form(family, eta, shapes, tau, kind, effect))
 
 
 def rmst_difference(draws, tau: float, cluster: int | None = None,

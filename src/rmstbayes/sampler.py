@@ -168,8 +168,9 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
     # Running moments of beta for the adapted full proposal covariance; the
     # coefficients are mutually correlated (intercept vs. slopes), so a
     # diagonal proposal mixes too slowly at the default chain lengths.
-    # Accumulation starts at the midpoint of burn-in so the transit from the
-    # (deliberately generic) initial point does not inflate the estimate.
+    # Accumulation starts a quarter of the way into burn-in so the transit
+    # from the (deliberately generic) initial point does not inflate the
+    # estimate.
     beta_mean = np.zeros(q)
     beta_m2 = np.zeros((q, q))
     beta_count = 0

@@ -4,10 +4,9 @@ Three generators, all with four clusters, a balanced binary group indicator,
 a standard-normal covariate x2, and cluster offsets u_i ~ N(0, 0.1):
 
 * A: log-logistic, S(t) = 1 / (1 + (e^m t)^k) with k = 2 and
-     m = -(b0 + b1*x1 + b2*x2 + u); equivalently mu = k*m in the library's
-     log-odds parameterization.
-* B: log-normal, log T ~ N(b0 + b1*x1 + b2*x2 + u, sigma^2), sigma^2 = 1.
-* C: exponential with rate exp(b0 + b1*x1 + b2*x2 + u).
+     m = -(b0 + b1*x1 + b2*x2 + u); the kernel's eta is mu = k*m.
+* B: log-normal, log T ~ N(eta, sigma^2), eta = b0 + b1*x1 + b2*x2 + u, sigma^2 = 1.
+* C: exponential with rate exp(eta), eta = b0 + b1*x1 + b2*x2 + u.
 
 Each subject is independently censored with probability ``censor_prob`` at a
 U(0, T) time, then every time above the administrative cap is truncated to
@@ -27,7 +26,7 @@ import numpy as np
 
 from .families import Family
 from .inference import ModelSpec, SurvivalDataset
-from .rmst import rmst_difference, rmst_exponential, rmst_loglogistic, rmst_lognormal
+from .rmst import rmst_closed_form, rmst_difference
 from .sampler import SamplerConfig, run_chains
 from .summaries import summarize
 
@@ -122,16 +121,11 @@ def generate_scenario(cfg: ScenarioConfig, replicate: int = 0) -> SurvivalDatase
 def scenario_truth(cfg: ScenarioConfig) -> tuple:
     """Closed-form (group0, group1, difference) RMSTs at x2 = 0, u = 0."""
     b0, b1, _ = cfg.beta
-    vals = []
-    for x1 in (0.0, 1.0):
-        lin = b0 + b1 * x1
-        if cfg.scenario == "A":
-            vals.append(rmst_loglogistic(cfg.shape * (-lin), cfg.shape, cfg.tau))
-        elif cfg.scenario == "B":
-            vals.append(rmst_lognormal(lin, cfg.shape, cfg.tau))
-        else:
-            vals.append(rmst_exponential(math.exp(lin), cfg.tau))
-    return vals[0], vals[1], vals[1] - vals[0]
+    # the linear predictor is the kernel's eta, except in A (mu = -k lin)
+    scale = -cfg.shape if cfg.scenario == "A" else 1.0
+    g0, g1 = (rmst_closed_form(cfg.family, scale * (b0 + b1 * x1), cfg.shape, cfg.tau)
+              for x1 in (0.0, 1.0))
+    return g0, g1, g1 - g0
 
 
 @dataclass(frozen=True)

@@ -235,28 +235,6 @@ def _ln_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _beta_nonpos_b(one_minus_z: float, a: float, b: float) -> float:
-    # B(z; a, b) for b <= 0 and z > 1/2, by the downward recurrence
-    #   B(z; a, b) = ((a+b)/b) B(z; a, b+1) - z^a (1-z)^b / b
-    # started from a b + m in (0, 1].  Falls back to the split power series
-    # when b sits on (or next to) a nonpositive integer, where the recurrence
-    # divides by ~0.
-    s0 = one_minus_z
-    z = 1.0 - s0
-    m = int(math.ceil(-b)) + 1
-    if any(abs(b + j) < 1e-4 for j in range(m)):
-        return _beta_head(0.5, a, b) + _beta_tail(s0, a, b)
-    top = b + m
-    cur = math.exp(_ln_beta(a, top)) * _reg_beta_pos(z, s0, a, top)
-    log_z = math.log(z)
-    log_s0 = math.log(s0)
-    for j in range(m - 1, -1, -1):
-        bj = b + j
-        boundary = math.exp(a * log_z + bj * log_s0)
-        cur = (a + bj) / bj * cur - boundary / bj
-    return cur
-
-
 def incomplete_beta_compl(one_minus_z: float, a: float, b: float) -> float:
     """Non-regularized incomplete beta integral over [0, z], given
     one_minus_z = 1 - z; accurate for z near 1.
@@ -276,13 +254,13 @@ def incomplete_beta_compl(one_minus_z: float, a: float, b: float) -> float:
     z = 1.0 - s0
     if z == 0.0:
         return 0.0
-    # |b| near zero: the continued fraction (b > 0) and the recurrence
-    # (b <= 0) both divide by ~b and cancel catastrophically; the expm1-based
-    # series split is exact there.
+    # The continued fraction needs b > 0 and cancels catastrophically as b
+    # nears 0; for b <= 1e-4 the power series, split at t = 1/2 with the tail
+    # in expm1 form, serves instead.
     if b > 1e-4:
         return math.exp(_ln_beta(a, b)) * _reg_beta_pos(z, s0, a, b)
     if s0 == 0.0:
         return math.exp(_ln_beta(a, b))  # full integral, 0 < b <= 1e-4
     if s0 >= 0.5:
         return _beta_head(z, a, b)
-    return _beta_nonpos_b(s0, a, b)
+    return _beta_head(0.5, a, b) + _beta_tail(s0, a, b)

@@ -39,8 +39,7 @@ ROOT_NAMES = [
     "SamplerConfig", "ScenarioConfig", "SimMetrics", "SurvivalDataset", "WaicResult",
     "effective_sample_size", "evaluate_replications", "forest_rows", "frailty",
     "generate_scenario", "histogram_bins", "ingest_csv", "random_offset",
-    "rmst_difference", "rmst_distribution", "rmst_exponential", "rmst_loglogistic",
-    "rmst_lognormal", "rmst_numeric", "rmst_value", "rmst_weibull", "run_chains",
+    "rmst_difference", "rmst_distribution", "rmst_numeric", "rmst_value", "run_chains",
     "scenario_truth", "split_rhat", "summarize", "waic", "write_csv",
 ]
 

@@ -2,6 +2,7 @@
 quadrature oracle, reference values, analytic limits, and per-draw
 posterior evaluation."""
 
+import inspect
 import math
 import warnings
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import rmstbayes.rmst as R
 from rmstbayes.families import (EffectKind, EffectValue, Family, FamilyParams,
-                                NO_EFFECT, frailty, random_offset)
+                                NO_EFFECT, frailty, kernel_args, log_hazard_survival,
+                                random_offset)
 from rmstbayes.specfun import incomplete_beta_compl, lower_incomplete_gamma
 from rmstbayes.inference import ModelSpec, ParamLayout
 from rmstbayes.sampler import PosteriorDraws, SamplerConfig
@@ -21,31 +23,33 @@ from tests.conftest import log_h_s
 # ------------------------------------------------------- reference values ---
 
 def test_exponential_reference_values():
-    assert abs(R.rmst_exponential(math.exp(-4.5), 100.0) - 60.37) <= 0.01
-    assert abs(R.rmst_exponential(math.exp(-4.0), 100.0) - 45.85) <= 0.01
-    assert math.isclose(R.rmst_exponential(1.0, 1.0), 1 - math.exp(-1), rel_tol=1e-14)
+    assert abs(R.rmst_closed_form(Family.EXPONENTIAL, -4.5, None, 100.0) - 60.37) <= 0.01
+    assert abs(R.rmst_closed_form(Family.EXPONENTIAL, -4.0, None, 100.0) - 45.85) <= 0.01
+    assert math.isclose(R.rmst_closed_form(Family.EXPONENTIAL, 0.0, None, 1.0),
+                        1 - math.exp(-1), rel_tol=1e-14)
 
 
 def test_loglogistic_reference_values():
-    assert abs(R.rmst_loglogistic(-10.0, 2.0, 100.0) - 87.99) <= 0.01
-    assert abs(R.rmst_loglogistic(-9.52, 2.0, 100.0) - 82.69) <= 0.01
+    assert abs(R.rmst_closed_form(Family.LOG_LOGISTIC, -10.0, 2.0, 100.0) - 87.99) <= 0.01
+    assert abs(R.rmst_closed_form(Family.LOG_LOGISTIC, -9.52, 2.0, 100.0) - 82.69) <= 0.01
     # k=2 admits the elementary form alpha * arctan(tau / alpha)
     alpha = math.exp(10.0 / 2.0)
-    assert math.isclose(R.rmst_loglogistic(-10.0, 2.0, 100.0),
+    assert math.isclose(R.rmst_closed_form(Family.LOG_LOGISTIC, -10.0, 2.0, 100.0),
                         alpha * math.atan(100.0 / alpha), rel_tol=1e-12)
     # k <= 1; mpmath quadrature of 1 / (1 + e^-1.5 t^0.5) over [0, 100]
-    assert math.isclose(R.rmst_loglogistic(-1.5, 0.5, 100.0), 42.5177303072,
-                        rel_tol=1e-11)
+    assert math.isclose(R.rmst_closed_form(Family.LOG_LOGISTIC, -1.5, 0.5, 100.0),
+                        42.5177303072, rel_tol=1e-11)
 
 
 def test_lognormal_reference_values():
-    assert abs(R.rmst_lognormal(3.0, 1.0, 100.0) - 29.51) <= 0.01
-    assert abs(R.rmst_lognormal(2.5, 1.0, 100.0) - 19.14) <= 0.01
+    assert abs(R.rmst_closed_form(Family.LOG_NORMAL, 3.0, 1.0, 100.0) - 29.51) <= 0.01
+    assert abs(R.rmst_closed_form(Family.LOG_NORMAL, 2.5, 1.0, 100.0) - 19.14) <= 0.01
 
 
 def test_weibull_shape_one_reduces_to_exponential():
-    assert math.isclose(R.rmst_weibull(0.02, 1.0, 80.0),
-                        R.rmst_exponential(0.02, 80.0), rel_tol=1e-12)
+    assert math.isclose(R.rmst_value(FamilyParams.weibull(0.02, 1.0), NO_EFFECT, 80.0),
+                        R.rmst_value(FamilyParams.exponential(0.02), NO_EFFECT, 80.0),
+                        rel_tol=1e-12)
 
 
 # ----------------------------------------------------- quadrature oracles ---
@@ -84,7 +88,7 @@ def test_weibull_small_shape_quadrature_converges():
     p = FamilyParams.weibull(0.141, 0.505)
     got = R.rmst_numeric(p, NO_EFFECT, 142.0)
     assert math.isclose(got, 49.3956216908, rel_tol=1e-10)
-    assert math.isclose(got, R.rmst_weibull(0.141, 0.505, 142.0), rel_tol=1e-10)
+    assert math.isclose(got, R.rmst_value(p, NO_EFFECT, 142.0), rel_tol=1e-10)
 
 
 @pytest.mark.parametrize("k", [0.3, 0.5, 0.52, 0.8, 1.0])
@@ -93,7 +97,7 @@ def test_loglogistic_small_shape_closed_form_matches_quadrature(k):
     for mu in (-3.0, -1.56, 0.0):
         p = FamilyParams.loglogistic(mu, k)
         for tau in (40.0, 100.0):
-            assert math.isclose(R.rmst_loglogistic(mu, k, tau),
+            assert math.isclose(R.rmst_value(p, NO_EFFECT, tau),
                                 R.rmst_numeric(p, NO_EFFECT, tau), rel_tol=1e-9)
             for v in (0.5, 2.0):
                 assert math.isclose(R.rmst_value(p, frailty(v), tau),
@@ -169,8 +173,9 @@ def test_restricted_mean_identity_density_form():
 def test_random_effect_is_base_form_with_shifted_parameter():
     p = FamilyParams.exponential(0.02)
     assert math.isclose(R.rmst_value(p, random_offset(math.log(2.0)), 100.0),
-                        R.rmst_exponential(0.04, 100.0), rel_tol=1e-14)
-    assert R.rmst_value(p, random_offset(0.0), 100.0) == R.rmst_exponential(0.02, 100.0)
+                        R.rmst_value(FamilyParams.exponential(0.04), NO_EFFECT, 100.0),
+                        rel_tol=1e-14)
+    assert R.rmst_value(p, random_offset(0.0), 100.0) == R.rmst_value(p, NO_EFFECT, 100.0)
     pw = FamilyParams.weibull(0.05, 1.7)
     assert math.isclose(R.rmst_value(pw, random_offset(0.3), 50.0),
                         R.rmst_numeric(pw, random_offset(0.3), 50.0), rel_tol=1e-9)
@@ -191,7 +196,7 @@ def test_frailty_identity_and_algebraic_cases():
 def test_lognormal_frailty_identity_at_unit_frailty():
     p = FamilyParams.lognormal(3.0, 1.0)
     assert math.isclose(R.rmst_value(p, frailty(1.0), 100.0),
-                        R.rmst_lognormal(3.0, 1.0, 100.0), rel_tol=1e-12)
+                        R.rmst_value(p, NO_EFFECT, 100.0), rel_tol=1e-12)
 
 
 def test_loglogistic_frailty_matches_quadrature():
@@ -276,17 +281,19 @@ def test_loglogistic_alt_closed_form_agrees_with_converted_params():
 
 def test_large_horizon_limits_equal_means():
     big = 1e6
-    assert math.isclose(R.rmst_exponential(0.02, big), 1 / 0.02, rel_tol=1e-9)
+    assert math.isclose(R.rmst_value(FamilyParams.exponential(0.02), NO_EFFECT, big),
+                        1 / 0.02, rel_tol=1e-9)
     lam, k = 0.005, 1.7
-    assert math.isclose(R.rmst_weibull(lam, k, big),
+    assert math.isclose(R.rmst_value(FamilyParams.weibull(lam, k), NO_EFFECT, big),
                         lam ** (-1 / k) * math.exp(math.lgamma(1 + 1 / k)), rel_tol=1e-9)
     mu, s2 = 3.0, 1.0
-    assert math.isclose(R.rmst_lognormal(mu, s2, big), math.exp(mu + s2 / 2), rel_tol=1e-9)
+    assert math.isclose(R.rmst_value(FamilyParams.lognormal(mu, s2), NO_EFFECT, big),
+                        math.exp(mu + s2 / 2), rel_tol=1e-9)
     # log-logistic mean for k > 1: (pi/k) / sin(pi/k) * e^{-mu/k}; at a 1e6
     # horizon the missing tail is ~6e-5 of the mean
     mu, k = -9.0, 2.0
     mean = math.exp(-mu / k) * (math.pi / k) / math.sin(math.pi / k)
-    at_big = R.rmst_loglogistic(mu, k, big)
+    at_big = R.rmst_value(FamilyParams.loglogistic(mu, k), NO_EFFECT, big)
     assert math.isclose(at_big, mean, rel_tol=1e-4)
     assert at_big <= mean
 
@@ -347,10 +354,11 @@ def test_cluster_query_uses_that_clusters_effect():
     rows = [[-4.5, 0.5, 0.3, -0.3, 2.0]]  # beta0, beta1, u1, u2, phi
     draws = _fake_draws(Family.EXPONENTIAL, rows, EffectKind.RANDOM, n_clusters=2)
     v1 = R.rmst_distribution(draws, 100.0, 0, cluster=1).values[0]
-    expected = R.rmst_exponential(math.exp(-4.5 + 0.3), 100.0)
+    expected = R.rmst_closed_form(Family.EXPONENTIAL, -4.5 + 0.3, None, 100.0)
     assert math.isclose(v1, expected, rel_tol=1e-12)
     marginal = R.rmst_distribution(draws, 100.0, 0).values[0]
-    assert math.isclose(marginal, R.rmst_exponential(math.exp(-4.5), 100.0), rel_tol=1e-12)
+    assert math.isclose(marginal, R.rmst_closed_form(Family.EXPONENTIAL, -4.5, None, 100.0),
+                        rel_tol=1e-12)
 
 
 def test_cluster_query_rejected_without_effects():
@@ -393,15 +401,9 @@ _INFINITE_TAU_CASES = [
                               "lognormal", "lognormal-frailty"])
 def test_infinite_tau_rejected_without_warning(p, e):
     # every closed form reaches the one tau check before any arithmetic
-    calls = [lambda tau: R.rmst_value(p, e, tau), lambda tau: R.rmst_numeric(p, e, tau)]
-    if p.family is Family.EXPONENTIAL:
-        calls.append(lambda tau: R.rmst_exponential(p.lam, tau))
-    elif p.family is Family.WEIBULL:
-        calls.append(lambda tau: R.rmst_weibull(p.lam, p.k, tau))
-    elif p.family is Family.LOG_LOGISTIC:
-        calls.append(lambda tau: R.rmst_loglogistic(p.mu, p.k, tau))
-    else:
-        calls.append(lambda tau: R.rmst_lognormal(p.mu, p.sigma2, tau))
+    eta, shape, effect = kernel_args(p, e)
+    calls = [lambda tau: R.rmst_value(p, e, tau), lambda tau: R.rmst_numeric(p, e, tau),
+             lambda tau: R.rmst_closed_form(p.family, eta, shape, tau, e.kind, effect)]
     draws = _fake_draws(Family.WEIBULL, [[-6.0, 0.5, 1.7]])
     calls.append(lambda tau: R.rmst_distribution(draws, tau, 0))
     with warnings.catch_warnings():
@@ -526,7 +528,53 @@ def test_closed_forms_take_arrays_and_scalars_alike():
             one = R.rmst_value(pj, ej, 100.0)
             assert isinstance(one, float)
             assert math.isclose(got[j], one, rel_tol=1e-15)
-    with pytest.raises(ValueError):
-        R.rmst_weibull(np.array([0.1, -0.1]), 1.5, 100.0)
-    with pytest.raises(ValueError):
-        R.rmst_closed_form(Family.EXPONENTIAL, lam, None, 100.0, np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(ValueError, match="positive shape"):
+        R.rmst_closed_form(Family.WEIBULL, np.log(lam), np.array([1.5, -1.5, 1.0]), 100.0)
+
+
+# ------------------------------------------------- one argument convention ---
+
+def test_closed_form_takes_the_likelihood_kernels_arguments():
+    def names(fn):
+        return [n for n in inspect.signature(fn).parameters
+                if n in ("family", "eta", "shape", "kind", "effect")]
+    assert names(R.rmst_closed_form) == names(log_hazard_survival) == [
+        "family", "eta", "shape", "kind", "effect"]
+
+
+_ONE_DRAW = {Family.EXPONENTIAL: [-4.5, 0.5], Family.WEIBULL: [-6.0, 0.5, 1.7],
+             Family.LOG_LOGISTIC: [-9.0, 0.3, 2.0], Family.LOG_NORMAL: [3.0, -0.5, 1.0]}
+
+
+@pytest.mark.parametrize("fam", list(Family))
+def test_nan_eta_rejected_by_every_family(fam):
+    shape = None if fam is Family.EXPONENTIAL else 1.5
+    with pytest.raises(ValueError, match="finite"):
+        R.rmst_closed_form(fam, math.nan, shape, 100.0)
+    with pytest.raises(ValueError, match="finite"):
+        R.rmst_closed_form(fam, np.array([-4.0, math.nan]), shape, 100.0)
+    with pytest.raises(ValueError, match="finite"):
+        R.rmst_closed_form(fam, -4.0, shape, 100.0, EffectKind.RANDOM, math.nan)
+    row = list(_ONE_DRAW[fam])
+    row[0] = math.nan
+    draws = _fake_draws(fam, [_ONE_DRAW[fam], row])
+    with pytest.raises(ValueError, match="finite"):
+        R.rmst_distribution(draws, 100.0, 0)
+
+
+@pytest.mark.parametrize("fam", [Family.EXPONENTIAL, Family.WEIBULL])
+def test_underflowing_rate_rejected_without_warning(fam):
+    # eta is finite, but exp(eta) rounds to 0, where the closed forms divide
+    # by the rate or take its log
+    with pytest.raises(ValueError, match="underflows"):
+        R.rmst_closed_form(fam, np.array([-4.0, -800.0]), 1.5, 100.0)
+    with pytest.raises(ValueError, match="underflows"):
+        R.rmst_closed_form(fam, -700.0, 1.5, 100.0, EffectKind.FRAILTY, -100.0)
+
+
+def test_frailty_draw_of_zero_refused():
+    rows = [[-4.5, 0.5, v, 1.0, 0.5] for v in (1.0, 0.0, 2.0)]  # beta0, beta1, v1, v2, phi
+    draws = _fake_draws(Family.EXPONENTIAL, rows, EffectKind.FRAILTY, n_clusters=2)
+    with pytest.raises(ValueError, match="positive"):
+        R.rmst_distribution(draws, 100.0, 0, cluster=1)
+    assert R.rmst_distribution(draws, 100.0, 0, cluster=2).values.shape == (3,)

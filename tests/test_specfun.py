@@ -111,6 +111,15 @@ def test_incomplete_beta_nonpositive_b_grid():
     assert worst < 1e-9
 
 
+def test_incomplete_beta_just_below_zero_b_matches_mpmath():
+    # a log-logistic frailty case (b = v - 1/k just below 0, 1 - z < 1/2)
+    # where a downward recurrence in b was off by 5.7e-12
+    s0, a, b = 0.3720159899949766, 2.7300200748493504, -0.0005398800982825414
+    with mp.workdps(40):
+        ref = float(mp.betainc(a, b, 0, 1 - mp.mpf(s0), regularized=False))
+    assert math.isclose(incomplete_beta_compl(s0, a, b), ref, rel_tol=1e-13)
+
+
 def test_incomplete_beta_full_range_is_beta_function():
     for a, b in ((1.5, 0.5), (2.0, 3.0), (0.3, 0.7)):
         got = incomplete_beta_compl(0.0, a, b)
