@@ -38,6 +38,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _SHAPE_PRIOR_A = 0.01
 _SHAPE_PRIOR_B = 0.01
 _SHAPE_LOG_NORM = _SHAPE_PRIOR_A * math.log(_SHAPE_PRIOR_B) - math.lgamma(_SHAPE_PRIOR_A)
+_COEF_PRIOR_VARIANCE = 100.0
+_COEF_LOG_NORM = -0.5 * (_LOG_2PI + math.log(_COEF_PRIOR_VARIANCE))
+_SIGMA2_UPPER = 100.0
+_PHI_UPPER = 10.0
 
 
 @dataclass(frozen=True)
@@ -93,25 +97,15 @@ class SurvivalDataset:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Family + cluster-effect choice + prior hyperparameters.
-
-    ``coef_prior_variance`` is the variance of the independent normal priors
-    on beta.  ``phi_upper`` bounds the uniform prior on phi, and
-    ``sigma2_upper`` bounds the uniform prior on sigma^2.
-    """
+    """One of the 12 model variants: a survival family and a cluster-effect
+    kind.  The priors are the same for every variant (see ``log_prior``)."""
 
     family: Family
     effect: EffectKind = EffectKind.NONE
-    coef_prior_variance: float = 100.0
-    phi_upper: float = 10.0
-    sigma2_upper: float = 100.0
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "effect", EffectKind(self.effect))
-        for name in ("coef_prior_variance", "phi_upper", "sigma2_upper"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
 
     @property
     def has_shape(self) -> bool:
@@ -182,8 +176,8 @@ class ParamLayout:
 
 class Model:
     """A dataset and a model spec compiled once per fit: the parameter
-    layout, the prior constants, and the per-row arrays (log t, events,
-    0-based cluster index) that every posterior evaluation reuses."""
+    layout and the per-row arrays (log t, events, 0-based cluster index)
+    that every posterior evaluation reuses."""
 
     def __init__(self, data: SurvivalDataset, spec: ModelSpec):
         self.spec = spec
@@ -194,7 +188,6 @@ class Model:
         self.x, self.time, self.event = data.x, data.time, data.event
         self.logt = np.log(data.time)
         self.cluster = data.cluster - 1
-        self.coef_log_norm = -0.5 * (_LOG_2PI + math.log(spec.coef_prior_variance))
 
 
 def _check_theta(layout: ParamLayout, theta: np.ndarray) -> np.ndarray:
@@ -222,7 +215,9 @@ def log_likelihood(model: Model, theta: np.ndarray) -> float:
 
 
 def log_prior(model: Model, theta: np.ndarray) -> float:
-    """Joint log prior density including Jacobians of the log transforms.
+    """Joint log prior density including Jacobians of the log transforms:
+    beta_j ~ N(0, 100), k ~ Gamma(0.01, 0.01) (shape, rate), sigma^2 ~
+    U(0, 100), phi ~ U(0, 10), and the effects as in ``effect_log_prior``.
 
     Returns -inf when phi or sigma^2 fall outside their uniform supports.
     """
@@ -230,15 +225,15 @@ def log_prior(model: Model, theta: np.ndarray) -> float:
     theta = _check_theta(layout, theta)
 
     beta = theta[: layout.q]
-    total = float(np.sum(model.coef_log_norm - 0.5 * beta * beta / spec.coef_prior_variance))
+    total = float(np.sum(_COEF_LOG_NORM - 0.5 * beta * beta / _COEF_PRIOR_VARIANCE))
 
     if layout.has_shape:
         log_shape = theta[layout.shape_index]
         if spec.family is Family.LOG_NORMAL:
             sigma2 = math.exp(log_shape)
-            if sigma2 >= spec.sigma2_upper:
+            if sigma2 >= _SIGMA2_UPPER:
                 return -math.inf
-            total += -math.log(spec.sigma2_upper) + log_shape  # U(0,s) + Jacobian
+            total += -math.log(_SIGMA2_UPPER) + log_shape  # U(0,s) + Jacobian
         else:
             k = math.exp(log_shape)
             a, b = _SHAPE_PRIOR_A, _SHAPE_PRIOR_B
@@ -247,9 +242,9 @@ def log_prior(model: Model, theta: np.ndarray) -> float:
     if spec.effect is not EffectKind.NONE:
         log_phi = theta[layout.phi_index]
         phi = math.exp(log_phi)
-        if phi >= spec.phi_upper:
+        if phi >= _PHI_UPPER:
             return -math.inf
-        total += -math.log(spec.phi_upper) + log_phi  # U(0,xi) + Jacobian
+        total += -math.log(_PHI_UPPER) + log_phi  # U(0,xi) + Jacobian
         total += float(np.sum(effect_log_prior(model, theta)))
     return total
 

@@ -15,6 +15,8 @@ import numpy as np
 from .inference import Model, ModelSpec, SurvivalDataset, pointwise_log_likelihood
 from .sampler import PosteriorDraws
 
+_MIN_DRAWS = 100
+
 
 @dataclass(frozen=True)
 class WaicResult:
@@ -42,11 +44,10 @@ def pointwise_matrix(data: SurvivalDataset, spec: ModelSpec,
     return out
 
 
-def waic(data: SurvivalDataset, spec: ModelSpec, draws: PosteriorDraws,
-         min_draws: int = 100) -> WaicResult:
+def waic(data: SurvivalDataset, spec: ModelSpec, draws: PosteriorDraws) -> WaicResult:
     flat_len = draws.flat().shape[0]
-    if flat_len < min_draws:
-        raise ValueError(f"need >= {min_draws} kept draws for WAIC, have {flat_len}")
+    if flat_len < _MIN_DRAWS:
+        raise ValueError(f"need >= {_MIN_DRAWS} kept draws for WAIC, have {flat_len}")
     return waic_from_matrix(pointwise_matrix(data, spec, draws))
 
 

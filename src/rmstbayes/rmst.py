@@ -5,11 +5,13 @@ as a private kernel elementwise over arrays or scalars; the log-normal
 frailty form is approximate.  ``rmst_closed_form`` is their one dispatcher
 and the one check of their arguments, which are those of the likelihood
 kernel ``families.log_hazard_survival``: (family, eta, shape, kind, effect).
-``rmst_distribution`` calls it once over all posterior draws, ``rmst_value``
-through ``families.kernel_args``.  ``rmst_numeric`` integrates the survival
-function by adaptive Simpson quadrature and is the independent oracle for
-every closed form (and the exact value for log-normal frailty); no
-posterior path calls it.
+The exponential and Weibull forms work from eta = log lam itself, with a
+frailty v folded in as eta + log v.  ``rmst_distribution`` calls it once over
+all posterior draws, with eta = beta . (1, x1, covariates...), and
+``rmst_value`` through ``families.kernel_args``.  ``rmst_numeric``
+integrates the survival function by adaptive Simpson quadrature and is the
+independent oracle for every closed form (and the exact value for log-normal
+frailty); no posterior path calls it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .specfun import (
 
 _LOG_HUGE = 700.0
 _LOG_TIME_SPAN = 60.0  # rmst_numeric integrates log(t / tau) over [-60, 0]
+_NUMERIC_TOL = 1e-10   # rmst_numeric's absolute tolerance
 _MAX_DEPTH = 60
 # Adaptive Simpson gives up past this many open intervals at one depth, which
 # bounds its memory; smooth integrands stay orders of magnitude below.
@@ -55,15 +58,14 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must be positive and finite, got {tau}")
 
 
-def _weibull_rmst(lam, k, tau: float):
-    # lam^(-1/k) gamma_inc(lam tau^k; 1/k + 1) + tau exp(-lam tau^k).  Where
-    # log(lam tau^k) > 700, z is taken as infinite, which leaves
-    # lam^(-1/k) Gamma(1/k + 1).
+def _weibull_rmst(eta, k, tau: float):
+    # e^(-eta/k) gamma_inc(z; 1/k + 1) + tau e^(-z) with z = e^eta tau^k,
+    # from eta = log lam directly.  Where log z > 700, z is taken as
+    # infinite, which leaves e^(-eta/k) Gamma(1/k + 1).
     a = 1.0 / k + 1.0
-    log_z = np.log(lam) + k * math.log(tau)
+    log_z = eta + k * math.log(tau)
     z = np.where(log_z > _LOG_HUGE, np.inf, np.exp(np.minimum(log_z, _LOG_HUGE)))
-    head = lam ** (-1.0 / k)
-    return head * lower_incomplete_gamma(z, a) + tau * np.exp(-z)
+    return np.exp(-eta / k) * lower_incomplete_gamma(z, a) + tau * np.exp(-z)
 
 
 def _loglogistic_rmst(mu, k, v, tau: float):
@@ -110,16 +112,18 @@ def rmst_closed_form(family: Family, eta, shape, tau: float,
         raise ValueError("eta and the effect must be finite")
     if family is not Family.EXPONENTIAL and not _positive(shape):
         raise ValueError(f"{family.value} requires a positive shape")
-    if kind is EffectKind.RANDOM:
+    proportional = family in (Family.EXPONENTIAL, Family.WEIBULL)
+    # on a proportional hazard, a frailty v is the offset log v on eta
+    if kind is EffectKind.RANDOM or (kind is EffectKind.FRAILTY and proportional):
         eta = eta + effect
-    v = np.exp(effect) if kind is EffectKind.FRAILTY else None
-    if family in (Family.EXPONENTIAL, Family.WEIBULL):
-        lam = np.exp(eta) if v is None else v * np.exp(eta)
+    v = np.exp(effect) if kind is EffectKind.FRAILTY and not proportional else None
+    if proportional:
+        lam = np.exp(eta)
         if not _positive(lam):
             raise ValueError("the rate exp(eta) underflows to 0")
         # exponential: (1 - e^(-lam tau)) / lam
         value = (-np.expm1(-lam * tau) / lam if family is Family.EXPONENTIAL
-                 else _weibull_rmst(lam, shape, tau))
+                 else _weibull_rmst(eta, shape, tau))
     elif family is Family.LOG_LOGISTIC:
         value = _loglogistic_rmst(eta, shape, 1.0 if v is None else v, tau)
     else:
@@ -187,17 +191,16 @@ def integrate(f, a: float, b: float, tol: float = 1e-10, max_depth: int = _MAX_D
                              a, b, tol, max_depth)
 
 
-def rmst_numeric(p: FamilyParams, e: EffectValue = NO_EFFECT, tau: float = None,
-                 tol: float = 1e-10) -> float:
+def rmst_numeric(p: FamilyParams, e: EffectValue = NO_EFFECT, tau: float = None) -> float:
     """RMST by quadrature of the survival function in log time:
 
         int_0^tau S(t) dt = int_{-60}^0 S(tau e^s) tau e^s ds + tau e^-60,
 
     taking S = 1 below tau e^-60.  For shapes k < 1, S(t) has an unbounded
     slope at t = 0, where adaptive Simpson in t fails to converge; in log time
-    the integrand is smooth.  Independent of the closed forms; for
-    log-normal frailty this is the exact value (the closed form there is
-    approximate).
+    the integrand is smooth.  The absolute tolerance is 1e-10.  Independent
+    of the closed forms; for log-normal frailty this is the exact value (the
+    closed form there is approximate).
     """
     _check_tau(tau)
     eta, shape, effect = kernel_args(p, e)
@@ -207,7 +210,7 @@ def rmst_numeric(p: FamilyParams, e: EffectValue = NO_EFFECT, tau: float = None,
         log_s = log_hazard_survival(p.family, eta, shape, t, np.log(t), e.kind, effect)[1]
         return np.exp(log_s) * t
 
-    return (_adaptive_simpson(integrand, -_LOG_TIME_SPAN, 0.0, tol, _MAX_DEPTH)
+    return (_adaptive_simpson(integrand, -_LOG_TIME_SPAN, 0.0, _NUMERIC_TOL, _MAX_DEPTH)
             + tau * math.exp(-_LOG_TIME_SPAN))
 
 
@@ -238,10 +241,9 @@ def rmst_distribution(draws, tau: float, x1: int, cluster: int | None = None,
     if covariates and len(covariates) != layout.q - 2:
         raise ValueError(f"expected {layout.q - 2} extra covariate values, got {len(covariates)}")
     flat = draws.flat()
-    beta = flat[:, : layout.q]
-    eta = beta[:, 0] + x1 * beta[:, 1]
-    for j, val in enumerate(covariates):
-        eta = eta + val * beta[:, 2 + j]
+    row = np.zeros(layout.q)
+    row[: 2 + len(covariates)] = (1.0, x1, *covariates)
+    eta = flat[:, : layout.q] @ row
     shapes = flat[:, layout.shape_index] if layout.has_shape else None
 
     kind, effect = EffectKind.NONE, 0.0

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import (Model, ModelSpec, ParamLayout, SurvivalDataset,
+from .inference import (_PHI_UPPER, Model, ModelSpec, ParamLayout, SurvivalDataset,
                         cluster_log_density, log_posterior, log_prior)
 
 _ADAPT_START = 50           # beta moments gathered before the adapted covariance
@@ -88,6 +88,8 @@ class PosteriorDraws:
                 return self.columns.index(column)
             except ValueError:
                 raise KeyError(f"unknown column {column!r}; have {self.columns}") from None
+        if not 0 <= int(column) < len(self.columns):
+            raise KeyError(f"column index {column} outside 0..{len(self.columns) - 1}")
         return int(column)
 
     def column(self, column) -> np.ndarray:
@@ -99,9 +101,9 @@ def _initial_point(model: Model, rng: np.random.Generator) -> np.ndarray:
     layout = model.layout
     center = np.zeros(layout.dim)
     # beta = 0, log k = 0 (k=1), log sigma^2 = 0, effects at identity
-    # (u=0 / log v=0), phi = phi_upper/2.
+    # (u=0 / log v=0), phi at half its prior's upper bound.
     if layout.phi_index is not None:
-        center[layout.phi_index] = math.log(model.spec.phi_upper / 2.0)
+        center[layout.phi_index] = math.log(_PHI_UPPER / 2.0)
     for attempt in range(_MAX_INIT_RETRIES):
         theta = center + rng.normal(0.0, _INIT_JITTER_SD, size=layout.dim)
         if math.isfinite(log_posterior(model, theta)):
@@ -181,21 +183,20 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
 
     for it in range(cfg.iterations):
         adapting = it < cfg.burnin
+        # the beta moments change only at the end of a sweep: factorise once
+        if beta_count > _ADAPT_START:
+            if beta_chol is None:
+                # switching from the identity-shaped proposal: restart the
+                # scale at the standard 2.38/sqrt(q) optimum and reset the
+                # adaptation clock so re-tuning is fast
+                log_scales[0] = math.log(2.38 / math.sqrt(q))
+                rm_iter[0] = 0
+            if adapting or beta_chol is None:
+                cov = beta_m2 / (beta_count - 1)
+                cov[np.diag_indices_from(cov)] += 1e-10
+                beta_chol = np.linalg.cholesky(cov)
         for _ in range(_BETA_UPDATES):
-            if beta_count > _ADAPT_START:
-                if beta_chol is None:
-                    # switching from the identity-shaped proposal: restart
-                    # the scale at the standard 2.38/sqrt(q) optimum and
-                    # reset the adaptation clock so re-tuning is fast
-                    log_scales[0] = math.log(2.38 / math.sqrt(q))
-                    rm_iter[0] = 0
-                if adapting or beta_chol is None:
-                    cov = beta_m2 / (beta_count - 1)
-                    cov[np.diag_indices_from(cov)] += 1e-10
-                    beta_chol = np.linalg.cholesky(cov)
-                step = beta_chol @ rng.normal(size=q)
-            else:
-                step = rng.normal(size=q)
+            step = rng.normal(size=q) if beta_chol is None else beta_chol @ rng.normal(size=q)
             proposal = theta.copy()
             proposal[:q] += math.exp(log_scales[0]) * step
             metropolis(proposal, log_posterior(model, proposal), 0, _TARGET_ACCEPT_BLOCK)

@@ -9,8 +9,8 @@ a standard-normal covariate x2, and cluster offsets u_i ~ N(0, 0.1):
 * C: exponential with rate exp(eta), eta = b0 + b1*x1 + b2*x2 + u.
 
 Each subject is independently censored with probability ``censor_prob`` at a
-U(0, T) time, then every time above the administrative cap is truncated to
-the cap and censored.
+U(0, T) time, then every time above the administrative cap of 100 is
+truncated to the cap and censored.
 
 Note on Scenario A's treatment coefficient: the default is -0.24, the value
 whose closed-form group RMSTs at tau=100 are (87.99, 82.69, diff -5.30);
@@ -39,6 +39,7 @@ class _Scenario:
     clusters: int
 
 
+_CAP = 100.0   # administrative censoring time
 _SCENARIOS = {
     "A": _Scenario(Family.LOG_LOGISTIC, (5.0, -0.24, 1.0), shape=2.0, clusters=4),
     "B": _Scenario(Family.LOG_NORMAL, (3.0, -0.5, 1.0), shape=1.0, clusters=4),
@@ -56,7 +57,6 @@ class ScenarioConfig:
     beta: tuple = ()
     random_effect_variance: float = 0.1
     censor_prob: float = 0.1
-    cap: float = 100.0
     tau: float = 100.0
     replications: int = 10
     seed: int = 0
@@ -109,8 +109,8 @@ def generate_scenario(cfg: ScenarioConfig, replicate: int = 0) -> SurvivalDatase
     censor_times = rng.random(cfg.n) * t
     t = np.where(censored, censor_times, t)
     event = np.where(censored, 0, event)
-    over_cap = t > cfg.cap
-    t = np.where(over_cap, cfg.cap, t)
+    over_cap = t > _CAP
+    t = np.where(over_cap, _CAP, t)
     event = np.where(over_cap, 0, event)
 
     x = np.column_stack([np.ones(cfg.n), x1, x2])

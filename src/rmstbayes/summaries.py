@@ -10,6 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_KDE_GRID_POINTS = 512
+_HISTOGRAM_BINS = 50
+
 
 @dataclass(frozen=True)
 class RmstSummary:
@@ -38,10 +41,10 @@ def silverman_bandwidth(v: np.ndarray) -> float:
     return 0.9 * spread * len(v) ** (-0.2)
 
 
-def kde_mode(v: np.ndarray, grid_points: int = 512) -> float:
+def kde_mode(v: np.ndarray) -> float:
     """Argmax of a binned Gaussian kernel density estimate on a uniform grid
-    spanning the sample range (Wand, "Fast computation of multivariate
-    kernel estimators", JCGS 1994).
+    of 512 points spanning the sample range (Wand, "Fast computation of
+    multivariate kernel estimators", JCGS 1994).
 
     The sample is binned linearly onto the grid, and the bin weights are
     convolved with the kernel, cut off at 39 bandwidths, where it is
@@ -58,18 +61,18 @@ def kde_mode(v: np.ndarray, grid_points: int = 512) -> float:
     bw = silverman_bandwidth(v)
     if bw <= 0.0:
         return float(np.median(v))
-    grid = np.linspace(lo, hi, grid_points)
-    step = (hi - lo) / (grid_points - 1)
+    grid = np.linspace(lo, hi, _KDE_GRID_POINTS)
+    step = (hi - lo) / (_KDE_GRID_POINTS - 1)
     # linear binning: each value splits its unit weight between the two
     # grid points around it, in proportion to its nearness to each
-    pos = np.clip((v - lo) / step, 0.0, grid_points - 1.0)
-    left = np.minimum(pos.astype(np.intp), grid_points - 2)
+    pos = np.clip((v - lo) / step, 0.0, _KDE_GRID_POINTS - 1.0)
+    left = np.minimum(pos.astype(np.intp), _KDE_GRID_POINTS - 2)
     frac = pos - left
-    weights = (np.bincount(left, weights=1.0 - frac, minlength=grid_points)
-               + np.bincount(left + 1, weights=frac, minlength=grid_points))
-    half = min(int(39.0 * bw / step), grid_points - 1)
+    weights = (np.bincount(left, weights=1.0 - frac, minlength=_KDE_GRID_POINTS)
+               + np.bincount(left + 1, weights=frac, minlength=_KDE_GRID_POINTS))
+    half = min(int(39.0 * bw / step), _KDE_GRID_POINTS - 1)
     kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * (step / bw)) ** 2)
-    density = np.convolve(weights, kernel)[half: half + grid_points]
+    density = np.convolve(weights, kernel)[half: half + _KDE_GRID_POINTS]
     return float(grid[int(np.argmax(density))])
 
 
@@ -93,24 +96,21 @@ def summarize(v, level: float = 0.95, thresholds=()) -> RmstSummary:
     )
 
 
-def forest_rows(cluster_summaries, marginal: RmstSummary | None = None) -> list:
+def forest_rows(cluster_summaries, marginal: RmstSummary) -> list:
     """Rows of (label, mean, ci_low, ci_high), one per cluster, with the
-    marginal summary appended last when provided."""
+    marginal summary appended last."""
     rows = [(str(label), s.mean, s.ci_low, s.ci_high)
             for label, s in cluster_summaries.items()]
-    if marginal is not None:
-        rows.append(("marginal", marginal.mean, marginal.ci_low, marginal.ci_high))
+    rows.append(("marginal", marginal.mean, marginal.ci_low, marginal.ci_high))
     return rows
 
 
-def histogram_bins(v, bins: int = 50) -> tuple:
-    """(edges, counts) over [min, max]; a degenerate range collapses to a
-    single bin containing everything."""
+def histogram_bins(v) -> tuple:
+    """(edges, counts) of 50 equal bins over [min, max]; a degenerate range
+    collapses to a single bin containing everything."""
     v = np.asarray(v, dtype=float)
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
     lo, hi = float(v.min()), float(v.max())
     if lo == hi:
         return np.array([lo - 0.5, lo + 0.5]), np.array([len(v)])
-    counts, edges = np.histogram(v, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(v, bins=_HISTOGRAM_BINS, range=(lo, hi))
     return edges, counts

@@ -1,8 +1,11 @@
 """The runtime depends on numpy only: importing the package, running short
 Weibull and log-normal fits and the posterior RMST must not load scipy or
 mpmath (both are test-only dependencies).  The package root exports a pinned
-list of names."""
+list of names, and the options its dataclasses and functions take are pinned
+too."""
 
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -49,3 +52,55 @@ def test_package_root_names_are_pinned():
     names = [name for name, value in vars(rmstbayes).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
     assert sorted(names) == sorted(ROOT_NAMES)
+
+
+# Field names of each root-exported dataclass, and parameter names with their
+# defaults of each root-exported function.
+OPTIONS = [
+    "EffectValue(kind, value)",
+    "FamilyParams(family, lam, k, mu, sigma2)",
+    "ModelSpec(family, effect)",
+    "PosteriorDraws(values, columns, layout, spec, acceptance, config)",
+    "RmstSampleVector(values)",
+    "RmstSummary(mean, median, mode, sd, ci_level, ci_low, ci_high, exceedance)",
+    "SamplerConfig(chains, iterations, burnin, seed)",
+    "ScenarioConfig(scenario, n, beta, random_effect_variance, censor_prob, tau, "
+    "replications, seed)",
+    "SimMetrics(bias, mse, mode_diff, median_diff, truth, replications, failures)",
+    "SurvivalDataset(time, event, x, cluster, column_names)",
+    "WaicResult(lppd, p_waic, pointwise_lppd, pointwise_p)",
+    "effective_sample_size(draws, column)",
+    "evaluate_replications(cfg, spec, sampler_cfg)",
+    "forest_rows(cluster_summaries, marginal)",
+    "frailty(v)",
+    "generate_scenario(cfg, replicate=0)",
+    "histogram_bins(v)",
+    "ingest_csv(path, time_col='time', event_col='event', cluster_col='cluster', "
+    "group_col='group', covariate_cols=None)",
+    "random_offset(u)",
+    "rmst_difference(draws, tau, cluster=None, covariates=())",
+    "rmst_distribution(draws, tau, x1, cluster=None, covariates=())",
+    "rmst_numeric(p, e=EffectValue(kind=<EffectKind.NONE: 'none'>, value=0.0), tau=None)",
+    "rmst_value(p, e=EffectValue(kind=<EffectKind.NONE: 'none'>, value=0.0), tau=None)",
+    "run_chains(data, spec, cfg)",
+    "scenario_truth(cfg)",
+    "split_rhat(draws, column)",
+    "summarize(v, level=0.95, thresholds=())",
+    "waic(data, spec, draws)",
+    "write_csv(data, path)",
+]
+
+
+def test_settable_options_are_pinned():
+    # a new option, or a new default, is a visible edit of this list
+    got = []
+    for name, value in sorted(vars(rmstbayes).items()):
+        if isinstance(value, type) and dataclasses.is_dataclass(value):
+            params = [f.name for f in dataclasses.fields(value)]
+        elif inspect.isfunction(value):
+            params = [p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+                      for p in inspect.signature(value).parameters.values()]
+        else:
+            continue
+        got.append(f"{name}({', '.join(params)})")
+    assert got == OPTIONS

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rmstbayes.families as F
+import rmstbayes.inference as I
 from rmstbayes.families import (EffectKind, Family, FamilyParams, NO_EFFECT,
                                 frailty, random_offset)
 from rmstbayes.inference import (Model, ModelSpec, SurvivalDataset,
@@ -153,10 +154,11 @@ def test_layout_mismatch_raises():
 # ----------------------------------------------------------------- prior ---
 
 def test_prior_outside_uniform_supports_is_minus_inf():
-    spec = ModelSpec(Family.EXPONENTIAL, EffectKind.RANDOM, phi_upper=10.0)
+    # phi ~ U(0, 10) and sigma^2 ~ U(0, 100)
+    spec = ModelSpec(Family.EXPONENTIAL, EffectKind.RANDOM)
     theta = np.array([0.0, 0.0, 0.0, math.log(10.1)])
     assert log_prior(_prior_model(spec, 2), theta) == -math.inf
-    model_ln = _prior_model(ModelSpec(Family.LOG_NORMAL, sigma2_upper=100.0))
+    model_ln = _prior_model(ModelSpec(Family.LOG_NORMAL))
     assert log_prior(model_ln, np.array([0.0, math.log(101.0)])) == -math.inf
     assert math.isfinite(log_prior(model_ln, np.array([0.0, math.log(99.0)])))
 
@@ -171,8 +173,7 @@ def test_prior_exchangeable_in_cluster_effects():
 
 
 def test_frailty_prior_matches_gamma_density_with_jacobian():
-    spec = ModelSpec(Family.EXPONENTIAL, EffectKind.FRAILTY, phi_upper=10.0,
-                     coef_prior_variance=100.0)
+    spec = ModelSpec(Family.EXPONENTIAL, EffectKind.FRAILTY)  # beta0 ~ N(0, 100), phi ~ U(0, 10)
     phi = 0.5
     theta = np.array([0.0, 0.0, 0.0, math.log(phi)])  # v = (1, 1)
     got = log_prior(_prior_model(spec, 2), theta)
@@ -184,8 +185,7 @@ def test_frailty_prior_matches_gamma_density_with_jacobian():
 
 
 def test_random_effect_prior_matches_normal_density():
-    spec = ModelSpec(Family.EXPONENTIAL, EffectKind.RANDOM, phi_upper=10.0,
-                     coef_prior_variance=100.0)
+    spec = ModelSpec(Family.EXPONENTIAL, EffectKind.RANDOM)  # beta0 ~ N(0, 100), phi ~ U(0, 10)
     phi, u = 2.0, 0.7
     theta = np.array([0.0, u, math.log(phi)])
     got = log_prior(_prior_model(spec, 1), theta)
@@ -232,18 +232,20 @@ def test_posterior_is_likelihood_plus_prior():
 
 def test_minus_inf_prior_propagates():
     data = _toy()
-    spec = ModelSpec(Family.EXPONENTIAL, EffectKind.RANDOM, phi_upper=1.0)
-    theta = np.concatenate([np.zeros(3), np.zeros(3), [math.log(2.0)]])
+    spec = ModelSpec(Family.EXPONENTIAL, EffectKind.RANDOM)
+    theta = np.concatenate([np.zeros(3), np.zeros(3), [math.log(10.5)]])  # phi > 10
     assert log_posterior(Model(data, spec), theta) == -math.inf
 
 
-def test_exponential_posterior_mode_matches_closed_form_mle():
-    # flat-ish prior: the beta0 argmax on a grid sits at log(sum delta / sum t)
+def test_exponential_posterior_mode_matches_closed_form_mle(monkeypatch):
+    # flat-ish prior: the beta0 argmax on a grid sits at log(sum delta / sum t);
+    # the prior's normalising constant does not move the argmax
+    monkeypatch.setattr(I, "_COEF_PRIOR_VARIANCE", 1e8)
     rng = np.random.default_rng(9)
     n = 400
     t = rng.exponential(40.0, n)
     data = SurvivalDataset(t, np.ones(n, dtype=int), np.ones((n, 1)), np.ones(n, dtype=int))
-    model = Model(data, ModelSpec(Family.EXPONENTIAL, coef_prior_variance=1e8))
+    model = Model(data, ModelSpec(Family.EXPONENTIAL))
     grid = np.linspace(-5.0, -2.0, 1201)
     vals = [log_posterior(model, np.array([b])) for b in grid]
     best = grid[int(np.argmax(vals))]
@@ -251,11 +253,12 @@ def test_exponential_posterior_mode_matches_closed_form_mle():
     assert abs(best - mle) < (grid[1] - grid[0]) * 1.5
 
 
-def test_time_rescaling_shifts_exponential_argmax():
+def test_time_rescaling_shifts_exponential_argmax(monkeypatch):
+    monkeypatch.setattr(I, "_COEF_PRIOR_VARIANCE", 1e8)  # flat-ish prior on beta0
     rng = np.random.default_rng(10)
     n = 300
     t = rng.exponential(25.0, n)
-    spec = ModelSpec(Family.EXPONENTIAL, coef_prior_variance=1e8)
+    spec = ModelSpec(Family.EXPONENTIAL)
     grid = np.linspace(-6.0, -1.0, 2001)
 
     def argmax(times):

@@ -3,9 +3,11 @@ quadrature oracle, reference values, analytic limits, and per-draw
 posterior evaluation."""
 
 import inspect
+import itertools
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,6 +82,31 @@ def test_closed_forms_match_quadrature(fam):
             qd = R.rmst_numeric(p, e, tau)
             worst = max(worst, abs(cf - qd) / qd)
     assert worst < 1e-8
+
+
+def _weibull_rmst_mpmath(eta, effect, k, tau):
+    """int_0^tau exp(-e^(eta + effect) t^k) dt by mpmath quadrature at 30
+    digits, split around the time scale e^(-(eta + effect)/k)."""
+    with mp.workdps(30):
+        lam, k = mp.exp(mp.mpf(eta) + mp.mpf(effect)), mp.mpf(k)
+        scale = lam ** (-1 / k)
+        points = [0] + [c * scale for c in (0.25, 1, 4) if c * scale < tau] + [tau]
+        return float(mp.quad(lambda t: mp.exp(-lam * t ** k), points))
+
+
+@pytest.mark.parametrize("kind, effect", [(EffectKind.NONE, 0.0),
+                                          (EffectKind.RANDOM, -0.4),
+                                          (EffectKind.FRAILTY, math.log(1.7))],
+                         ids=["none", "random", "frailty"])
+def test_proportional_hazard_forms_match_mpmath(kind, effect):
+    # exponential (k = 1) and Weibull from eta = log lam itself; a random
+    # effect u and a frailty v both enter as an offset on eta (u or log v)
+    for fam, shapes in ((Family.EXPONENTIAL, (1.0,)), (Family.WEIBULL, (0.3, 1.3, 5.0))):
+        for eta, k, tau in itertools.product((-12.0, -5.0, -1.0, 0.4), shapes,
+                                             (5.0, 60.0, 150.0)):
+            got = R.rmst_closed_form(fam, eta, k, tau, kind, effect)
+            ref = _weibull_rmst_mpmath(eta, effect, k, tau)
+            assert math.isclose(got, ref, rel_tol=1e-14), (fam, eta, k, tau)
 
 
 def test_weibull_small_shape_quadrature_converges():
@@ -311,10 +338,10 @@ def test_rmst_bounded_and_monotone_in_horizon(t1, t2):
 
 # ------------------------------------------------ posterior-draw evaluation ---
 
-def _fake_draws(family, rows, effect=EffectKind.NONE, n_clusters=0):
+def _fake_draws(family, rows, effect=EffectKind.NONE, n_clusters=0, q=2):
     """PosteriorDraws with hand-chosen natural-scale rows (one chain)."""
     spec = ModelSpec(family, effect)
-    layout = ParamLayout(q=2, has_shape=spec.has_shape, effect=spec.effect,
+    layout = ParamLayout(q=q, has_shape=spec.has_shape, effect=spec.effect,
                          n_clusters=n_clusters,
                          shape_name="sigma2" if family is Family.LOG_NORMAL else "k")
     values = np.asarray(rows, dtype=float)[None, :, :]
@@ -359,6 +386,33 @@ def test_cluster_query_uses_that_clusters_effect():
     marginal = R.rmst_distribution(draws, 100.0, 0).values[0]
     assert math.isclose(marginal, R.rmst_closed_form(Family.EXPONENTIAL, -4.5, None, 100.0),
                         rel_tol=1e-12)
+
+
+def test_covariates_enter_eta_through_the_design_row():
+    # q = 4: eta = beta0 + x1 beta1 + c1 beta2 + c2 beta3 at every draw
+    rng = np.random.default_rng(13)
+    rows = np.column_stack([rng.normal(-4.0, 0.3, 20), rng.normal(0.5, 0.2, (20, 3)),
+                            rng.gamma(5.0, 0.3, 20)])  # beta0..beta3, k
+    draws = _fake_draws(Family.WEIBULL, rows, q=4)
+    cov = (0.7, -1.3)
+    for x1 in (0, 1):
+        got = R.rmst_distribution(draws, 100.0, x1, covariates=cov).values
+        for j, (b0, b1, b2, b3, k) in enumerate(rows):
+            eta = b0 + x1 * b1 + cov[0] * b2 + cov[1] * b3
+            assert math.isclose(got[j], R.rmst_closed_form(Family.WEIBULL, eta, k, 100.0),
+                                rel_tol=1e-13)
+        # omitted covariates are zeros
+        assert np.array_equal(R.rmst_distribution(draws, 100.0, x1).values,
+                              R.rmst_distribution(draws, 100.0, x1, covariates=(0.0, 0.0)).values)
+
+
+@pytest.mark.parametrize("q, cov", [(4, (0.7,)), (4, (0.7, -1.3, 2.0)), (2, (1.0,))])
+def test_wrong_covariate_count_rejected(q, cov):
+    draws = _fake_draws(Family.EXPONENTIAL, [[-4.5, 0.5, 0.2, -0.1][:q]], q=q)
+    with pytest.raises(ValueError, match=f"expected {q - 2} extra covariate values"):
+        R.rmst_distribution(draws, 100.0, 0, covariates=cov)
+    with pytest.raises(ValueError, match="covariate"):
+        R.rmst_difference(draws, 100.0, covariates=cov)
 
 
 def test_cluster_query_rejected_without_effects():

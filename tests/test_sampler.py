@@ -75,11 +75,13 @@ def test_posterior_mean_recovers_truth():
         assert abs(mean - truth) < 3 * sd + 3 / math.sqrt(n)
 
 
-def test_sampled_rate_matches_conjugate_gamma_posterior():
+def test_sampled_rate_matches_conjugate_gamma_posterior(monkeypatch):
     # intercept-only exponential with a near-flat prior on beta0: the implied
     # posterior of lam = exp(beta0) is Gamma(sum delta, sum t)
+    import rmstbayes.inference as inference
+    monkeypatch.setattr(inference, "_COEF_PRIOR_VARIANCE", 1e10)
     data = _exp_data(n=150, seed=12)
-    spec = ModelSpec(Family.EXPONENTIAL, coef_prior_variance=1e10)
+    spec = ModelSpec(Family.EXPONENTIAL)
     draws = run_chains(data, spec,
                        SamplerConfig(chains=4, iterations=4000, burnin=1000, seed=5))
     lam = np.exp(draws.flat()[:, 0])
@@ -161,12 +163,13 @@ def test_sweep_cost_does_not_grow_with_clusters(monkeypatch, n_clusters):
     assert all(len(rates) == 2 for rates in draws.acceptance.values())
 
 
-def test_initialization_failure_is_explicit():
+def test_initialization_failure_is_explicit(monkeypatch):
+    import rmstbayes.sampler as sampler
     data = _exp_data(n=30)
-    # phi prior upper bound far below the phi = xi/2 init is fine; instead make
-    # initialization impossible via an absurd uniform bound on sigma^2
-    spec = ModelSpec(Family.LOG_NORMAL, sigma2_upper=1e-12)
-    with pytest.raises(RuntimeError):
+    # a posterior that is -inf everywhere leaves no finite initial point
+    monkeypatch.setattr(sampler, "log_posterior", lambda model, theta: -math.inf)
+    spec = ModelSpec(Family.LOG_NORMAL)
+    with pytest.raises(RuntimeError, match="initial point"):
         run_chains(data, spec, SamplerConfig(chains=1, iterations=50, burnin=10, seed=0))
 
 
@@ -246,3 +249,9 @@ def test_column_lookup_by_name_and_index(exp_fit_small):
     assert split_rhat(draws, "intercept") == split_rhat(draws, 0)
     with pytest.raises(KeyError):
         draws.column_index("nope")
+    # an index must lie in 0..dim-1: -1 would silently mean the last column
+    dim = draws.values.shape[-1]
+    assert draws.column_index(dim - 1) == dim - 1
+    for index in (-1, dim):
+        with pytest.raises(KeyError, match="outside"):
+            split_rhat(draws, index)

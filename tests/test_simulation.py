@@ -41,8 +41,8 @@ def test_generated_structure_is_balanced():
         sel = d.cluster == i
         assert sel.sum() == 16
         assert d.x[sel, 1].sum() == 8  # half treated per cluster
-    assert np.all(d.time <= cfg.cap)
-    assert np.all(d.event[d.time == cfg.cap] == 0)
+    assert np.all(d.time <= 100.0)  # the administrative cap
+    assert np.all(d.event[d.time == 100.0] == 0)
 
 
 def test_truths_match_reference_triples():
@@ -90,7 +90,7 @@ def test_inverse_cdf_survival_fractions(sc):
     cfg0 = ScenarioConfig(sc)
     beta = (cfg0.beta[0], cfg0.beta[1], 0.0)
     cfg = ScenarioConfig(sc, n=100000, beta=beta, random_effect_variance=0.0,
-                         censor_prob=0.0, cap=1e12)
+                         censor_prob=0.0)
     d = generate_scenario(cfg, 1)
     for x1 in (0.0, 1.0):
         lin = cfg.beta[0] + cfg.beta[1] * x1
@@ -112,7 +112,7 @@ def test_inverse_cdf_survival_fractions(sc):
 def test_censoring_fractions_reported_separately():
     cfg = ScenarioConfig("C", n=100000)
     d = generate_scenario(cfg, 0)
-    capped = d.time == cfg.cap
+    capped = d.time == 100.0  # the administrative cap
     informative = (d.event == 0) & ~capped
     # Bernoulli(0.1) censoring applies before the administrative cap, so the
     # non-capped censor fraction is slightly below 0.1

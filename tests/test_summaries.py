@@ -155,8 +155,8 @@ def _summary(c):
 
 
 def test_forest_single_cluster():
-    rows = forest_rows({"cluster-1": _summary(3)})
-    assert len(rows) == 1 and rows[0][0] == "cluster-1"
+    rows = forest_rows({"cluster-1": _summary(3)}, _summary(3))
+    assert [row[0] for row in rows] == ["cluster-1", "marginal"]
 
 
 def test_forest_appends_marginal_row():
@@ -171,22 +171,23 @@ def test_forest_appends_marginal_row():
 # ------------------------------------------------------------- histogram ---
 
 def test_histogram_constant_vector_single_bin():
-    edges, counts = histogram_bins(np.full(30, 2.0), bins=10)
+    edges, counts = histogram_bins(np.full(30, 2.0))
     assert len(counts) == 1 and counts[0] == 30
     assert edges[0] < 2.0 < edges[1]
 
 
 def test_histogram_uniform_grid_equal_counts():
-    v = np.repeat(np.arange(10), 7) + 0.5
-    edges, counts = histogram_bins(v, bins=10)
-    assert counts.sum() == len(v)
+    # 50 values, one in each of the 50 bins
+    v = np.repeat(np.arange(50), 7) + 0.5
+    edges, counts = histogram_bins(v)
+    assert len(counts) == 50 and counts.sum() == len(v)
     assert np.all(counts == 7)
 
 
 def test_histogram_bell_shape():
     rng = np.random.default_rng(4)
     v = rng.normal(0, 1, 20000)
-    edges, counts = histogram_bins(v, bins=50)
+    edges, counts = histogram_bins(v)
     mode_bin = int(np.argmax(counts))
     center = 0.5 * (edges[mode_bin] + edges[mode_bin + 1])
     assert abs(center) < 0.5
