@@ -192,30 +192,23 @@ def cmd_waic(args) -> int:
 
 def cmd_rmst(args, parser) -> int:
     family = Family(args.family)
-    if args.u is not None and args.v is not None:
-        parser.error("--u and --v are mutually exclusive")
     try:
         if args.scale is not None:
             if family not in (Family.WEIBULL, Family.LOG_LOGISTIC) or args.k is None:
                 parser.error("--scale requires --k and family weibull or loglogistic")
             scale, k = args.scale, args.k
-            # A negative scale ** -k would be complex.
-            if not (scale > 0 and k > 0):
-                parser.error("--scale and --k must be positive")
-            # S(t) = exp{-(t/scale)^k} or 1/(1 + (t/scale)^k)
-            params = (FamilyParams.weibull(scale ** -k, k) if family is Family.WEIBULL
-                      else FamilyParams.loglogistic(-k * math.log(scale), k))
-        elif family is Family.EXPONENTIAL:
-            params = FamilyParams.exponential(_require(parser, args.lam, "--lambda"))
-        elif family is Family.WEIBULL:
-            params = FamilyParams.weibull(_require(parser, args.lam, "--lambda"),
-                                          _require(parser, args.k, "--k"))
-        elif family is Family.LOG_LOGISTIC:
-            params = FamilyParams.loglogistic(_require(parser, args.mu, "--mu"),
-                                              _require(parser, args.k, "--k"))
+            # A negative scale ** -k would be complex, and log(scale) undefined.
+            if not scale > 0:
+                parser.error("--scale must be positive")
+            try:
+                # S(t) = exp{-(t/scale)^k} or 1/(1 + (t/scale)^k)
+                params = (FamilyParams.weibull(scale ** -k, k) if family is Family.WEIBULL
+                          else FamilyParams.loglogistic(-k * math.log(scale), k))
+            except OverflowError:
+                parser.error(f"--scale {scale:g} with --k {k:g}: scale ** -k overflows")
         else:
-            params = FamilyParams.lognormal(_require(parser, args.mu, "--mu"),
-                                            _require(parser, args.sigma2, "--sigma2"))
+            params = FamilyParams(family, lam=args.lam, k=args.k, mu=args.mu,
+                                  sigma2=args.sigma2)
         effect = NO_EFFECT
         if args.u is not None:
             effect = random_offset(args.u)
@@ -235,12 +228,6 @@ def cmd_rmst(args, parser) -> int:
     _write_output(doc, args.output)
     print(f"RMST(tau={args.tau:g}) = {value:.6f}")
     return 0
-
-
-def _require(parser, value, flag):
-    if value is None:
-        parser.error(f"{flag} is required for this family")
-    return value
 
 
 def cmd_simulate(args) -> int:
@@ -303,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rmst.add_argument("--sigma2", type=float)
     p_rmst.add_argument("--scale", type=float,
                         help="time-scale parameterization (with --k)")
-    p_rmst.add_argument("--u", type=float, help="random-effect offset")
-    p_rmst.add_argument("--v", type=float, help="frailty multiplier")
+    effect = p_rmst.add_mutually_exclusive_group()
+    effect.add_argument("--u", type=float, help="random-effect offset")
+    effect.add_argument("--v", type=float, help="frailty multiplier")
     p_rmst.add_argument("--tau", type=_open_interval(0.0, math.inf), required=True)
     p_rmst.add_argument("--output")
 

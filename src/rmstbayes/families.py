@@ -25,6 +25,7 @@ EffectValue) to them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,6 +47,10 @@ def _positive(x) -> bool:
 
 def _finite(x) -> bool:
     return x is not None and bool(np.all(np.isfinite(x)))
+
+
+def _is_index(x) -> bool:  # numpy integers count, bools do not
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,7 @@ def log_hazard_survival(family: Family, eta, shape, t, logt,
     return log_h, log_s
 
 
-def kernel_args(p: FamilyParams, e: EffectValue = NO_EFFECT) -> tuple:
+def kernel_args(p: FamilyParams, e: EffectValue) -> tuple:
     """(eta, shape, effect) arguments of ``log_hazard_survival`` for p and e."""
     if p.family in (Family.EXPONENTIAL, Family.WEIBULL):
         eta, shape = np.log(p.lam), p.k

@@ -26,8 +26,8 @@ from .families import (
     EffectValue,
     Family,
     FamilyParams,
-    NO_EFFECT,
     _finite,
+    _is_index,
     _positive,
     kernel_args,
     log_hazard_survival,
@@ -131,7 +131,7 @@ def rmst_closed_form(family: Family, eta, shape, tau: float,
     return _float_if_scalar(value)
 
 
-def rmst_value(p: FamilyParams, e: EffectValue = NO_EFFECT, tau: float = None):
+def rmst_value(p: FamilyParams, e: EffectValue, tau: float):
     """Closed-form RMST for any family x effect combination; the parameters
     of p and the effect value may be numpy arrays."""
     eta, shape, effect = kernel_args(p, e)
@@ -191,7 +191,7 @@ def integrate(f, a: float, b: float, tol: float = 1e-10, max_depth: int = _MAX_D
                              a, b, tol, max_depth)
 
 
-def rmst_numeric(p: FamilyParams, e: EffectValue = NO_EFFECT, tau: float = None) -> float:
+def rmst_numeric(p: FamilyParams, e: EffectValue, tau: float) -> float:
     """RMST by quadrature of the survival function in log time:
 
         int_0^tau S(t) dt = int_{-60}^0 S(tau e^s) tau e^s ds + tau e^-60,
@@ -229,7 +229,7 @@ def rmst_distribution(draws, tau: float, x1: int, cluster: int | None = None,
     ``draws`` is a PosteriorDraws object (see the sampler module): its model
     spec gives the family and its layout the columns of beta, the shape and
     the effects.  ``x1`` is the arm, 0 (control) or 1 (treatment).
-    ``cluster`` is a 1-based cluster index in 1..M, or None for the marginal
+    ``cluster`` is an integer (not a bool) in 1..M, or None for the marginal
     RMST (u = 0 / v = 1).  ``covariates`` supplies values for the design
     columns after the intercept and group indicator (defaults to zeros).
     The linear predictor is the kernel's eta, and the cluster's column is
@@ -250,7 +250,7 @@ def rmst_distribution(draws, tau: float, x1: int, cluster: int | None = None,
     if cluster is not None:
         if layout.effect is EffectKind.NONE:
             raise ValueError("cluster queries require a random-effect or frailty model")
-        if cluster not in range(1, layout.n_clusters + 1):
+        if not (_is_index(cluster) and cluster in range(1, layout.n_clusters + 1)):
             raise ValueError(f"cluster must lie in 1..{layout.n_clusters}, got {cluster}")
         kind, effect = layout.effect, flat[:, layout.effect_indices.start + int(cluster) - 1]
         if kind is EffectKind.FRAILTY:

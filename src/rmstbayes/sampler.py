@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .families import _is_index
 from .inference import (_PHI_UPPER, Model, ModelSpec, ParamLayout, SurvivalDataset,
                         cluster_log_density, log_posterior, log_prior)
 
@@ -83,12 +84,15 @@ class PosteriorDraws:
         return self.values.reshape(-1, self.values.shape[-1])
 
     def column_index(self, column) -> int:
+        """Index of a column given by name or by a (non-bool) integer."""
         if isinstance(column, str):
             try:
                 return self.columns.index(column)
             except ValueError:
                 raise KeyError(f"unknown column {column!r}; have {self.columns}") from None
-        if not 0 <= int(column) < len(self.columns):
+        if not _is_index(column):
+            raise KeyError(f"a column is a name or an integer index, got {column!r}")
+        if not 0 <= column < len(self.columns):
             raise KeyError(f"column index {column} outside 0..{len(self.columns) - 1}")
         return int(column)
 

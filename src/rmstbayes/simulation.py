@@ -36,21 +36,22 @@ class _Scenario:
     family: Family
     beta: tuple   # default (b0, b1, b2)
     shape: float | None   # log-logistic k (A) or log-normal sigma^2 (B)
-    clusters: int
 
 
 _CAP = 100.0   # administrative censoring time
+_CLUSTERS = 4  # clusters in every scenario
 _SCENARIOS = {
-    "A": _Scenario(Family.LOG_LOGISTIC, (5.0, -0.24, 1.0), shape=2.0, clusters=4),
-    "B": _Scenario(Family.LOG_NORMAL, (3.0, -0.5, 1.0), shape=1.0, clusters=4),
-    "C": _Scenario(Family.EXPONENTIAL, (-4.5, 0.5, 1.0), shape=None, clusters=4),
+    "A": _Scenario(Family.LOG_LOGISTIC, (5.0, -0.24, 1.0), shape=2.0),
+    "B": _Scenario(Family.LOG_NORMAL, (3.0, -0.5, 1.0), shape=1.0),
+    "C": _Scenario(Family.EXPONENTIAL, (-4.5, 0.5, 1.0), shape=None),
 }
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One scenario's run settings; its family, shape and cluster count are
-    fixed by the scenario (see _SCENARIOS), and ``beta`` defaults to it."""
+    """One scenario's run settings; its family and shape are fixed by the
+    scenario (see _SCENARIOS), and ``beta`` defaults to it.  ``n`` is a
+    positive multiple of 2 * _CLUSTERS, and ``replications`` at least 1."""
 
     scenario: str
     n: int = 512
@@ -66,8 +67,12 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose A, B, or C")
         if not self.beta:
             object.__setattr__(self, "beta", _SCENARIOS[self.scenario].beta)
-        if self.n % (2 * self.clusters) != 0:
+        if self.n < 2 * _CLUSTERS:
+            raise ValueError(f"n must be at least {2 * _CLUSTERS} (2 * clusters), got {self.n}")
+        if self.n % (2 * _CLUSTERS) != 0:
             raise ValueError("n must be divisible by 2 * clusters for balance")
+        if self.replications < 1:
+            raise ValueError(f"replications must be at least 1, got {self.replications}")
         if not 0.0 <= self.censor_prob <= 1.0:
             raise ValueError("censor_prob must lie in [0, 1]")
 
@@ -79,19 +84,15 @@ class ScenarioConfig:
     def shape(self) -> float | None:
         return _SCENARIOS[self.scenario].shape
 
-    @property
-    def clusters(self) -> int:
-        return _SCENARIOS[self.scenario].clusters
-
 
 def generate_scenario(cfg: ScenarioConfig, replicate: int = 0) -> SurvivalDataset:
     """One seeded replicate dataset; deterministic in (cfg, replicate)."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([cfg.seed, replicate])))
-    per_cell = cfg.n // (2 * cfg.clusters)
-    cluster = np.repeat(np.arange(1, cfg.clusters + 1), 2 * per_cell)
-    x1 = np.tile(np.repeat([0, 1], per_cell), cfg.clusters).astype(float)
+    per_cell = cfg.n // (2 * _CLUSTERS)
+    cluster = np.repeat(np.arange(1, _CLUSTERS + 1), 2 * per_cell)
+    x1 = np.tile(np.repeat([0, 1], per_cell), _CLUSTERS).astype(float)
     x2 = rng.standard_normal(cfg.n)
-    u_cluster = rng.normal(0.0, math.sqrt(cfg.random_effect_variance), size=cfg.clusters)
+    u_cluster = rng.normal(0.0, math.sqrt(cfg.random_effect_variance), size=_CLUSTERS)
     b0, b1, b2 = cfg.beta
     lin = b0 + b1 * x1 + b2 * x2 + u_cluster[cluster - 1]
 

@@ -4,11 +4,13 @@ atomic output, and determinism."""
 import json
 import math
 import os
+import re
+import shlex
 
 import numpy as np
 import pytest
 
-from rmstbayes.cli import main
+from rmstbayes.cli import build_parser, main
 from rmstbayes.dataio import write_csv
 from rmstbayes.rmst import integrate
 from rmstbayes.simulation import ScenarioConfig, generate_scenario
@@ -20,6 +22,9 @@ def csv_path(tmp_path_factory):
     write_csv(generate_scenario(ScenarioConfig("C", n=96), 0), path)
     return str(path)
 
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
 
 FIT_ARGS = ["--family", "exponential", "--chains", "2",
             "--iter", "300", "--burnin", "150", "--seed", "3", "--tau", "100"]
@@ -81,7 +86,7 @@ def test_rmst_with_effects(capsys):
     assert math.isclose(a, b, rel_tol=1e-9)
 
 
-def test_usage_errors_exit_two(csv_path, monkeypatch):
+def test_usage_errors_exit_two(csv_path, monkeypatch, capsys):
     # invalid values are rejected before any sampling
     monkeypatch.setattr("rmstbayes.cli.run_chains", None)
     rmst = ["rmst", "--family"]
@@ -99,10 +104,19 @@ def test_usage_errors_exit_two(csv_path, monkeypatch):
         ["fit", "--input", csv_path, "--family", "exponential", "--tau", "0"],
         ["fit", "--input", csv_path, "--family", "exponential", "--ci-level", "1.5"],
         ["simulate", "--scenario", "C", "--tau", "nan"],
+        # each family without one parameter it requires
+        rmst + ["exponential", "--tau", "10"],
+        rmst + ["weibull", "--lambda", "0.01", "--tau", "10"],
+        rmst + ["loglogistic", "--k", "2", "--tau", "10"],
+        rmst + ["lognormal", "--mu", "3", "--tau", "10"],
+        # scale ** -k overflows; k = 0 is not a shape
+        rmst + ["weibull", "--scale", "1e-300", "--k", "2", "--tau", "10"],
+        rmst + ["weibull", "--scale", "80", "--k", "0", "--tau", "10"],
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
 
 
 def test_missing_input_exits_one(tmp_path, capsys):
@@ -170,6 +184,37 @@ def test_simulate_document(tmp_path):
     doc = json.loads(out.read_text())
     assert abs(doc["truth"]["difference"] + 14.52) <= 0.01
     assert doc["metrics"]["replications"] == 2
+
+
+@pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "-8"], ["--reps", "0"]],
+                         ids=["n=0", "n=-8", "reps=0"])
+def test_simulate_without_data_exits_one(argv, monkeypatch, capsys):
+    monkeypatch.setattr("rmstbayes.simulation.run_chains", None)
+    assert main(["simulate", "--scenario", "C", *argv]) == 1
+    assert "must be at least" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """Each ``rmstbayes`` command in README's shell blocks, with continuation
+    lines joined and the program name dropped."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["rmstbayes"]:
+                yield words[1:]
+
+
+def test_readme_commands_parse():
+    commands = list(_readme_commands())
+    assert {c[0] for c in commands} == {"fit", "waic", "rmst", "simulate"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: rmstbayes {shlex.join(argv)}")
 
 
 def test_no_partial_output_on_failure(tmp_path):

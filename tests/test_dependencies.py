@@ -80,8 +80,8 @@ OPTIONS = [
     "random_offset(u)",
     "rmst_difference(draws, tau, cluster=None, covariates=())",
     "rmst_distribution(draws, tau, x1, cluster=None, covariates=())",
-    "rmst_numeric(p, e=EffectValue(kind=<EffectKind.NONE: 'none'>, value=0.0), tau=None)",
-    "rmst_value(p, e=EffectValue(kind=<EffectKind.NONE: 'none'>, value=0.0), tau=None)",
+    "rmst_numeric(p, e, tau)",
+    "rmst_value(p, e, tau)",
     "run_chains(data, spec, cfg)",
     "scenario_truth(cfg)",
     "split_rhat(draws, column)",

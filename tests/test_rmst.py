@@ -427,6 +427,14 @@ def test_query_validation():
         R.rmst_distribution(draws, 0.0, 0)
     with pytest.raises(ValueError):
         R.rmst_distribution(draws, 100.0, 2)
+    # a cluster is a non-bool integer: True and 1.5 would mean cluster 1
+    rows = [[-4.5, 0.5, 0.3, -0.3, 0.1, 2.0]]  # beta0, beta1, u1, u2, u3, phi
+    draws = _fake_draws(Family.EXPONENTIAL, rows, EffectKind.RANDOM, n_clusters=3)
+    one = R.rmst_distribution(draws, 100.0, 0, cluster=1).values
+    assert np.array_equal(R.rmst_distribution(draws, 100.0, 0, cluster=np.int64(1)).values, one)
+    for cluster in (True, 1.5, 1.0):
+        with pytest.raises(ValueError, match="1..3"):
+            R.rmst_distribution(draws, 100.0, 0, cluster=cluster)
 
 
 @pytest.mark.parametrize("cluster", [0, -1, 4])

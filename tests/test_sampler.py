@@ -255,3 +255,8 @@ def test_column_lookup_by_name_and_index(exp_fit_small):
     for index in (-1, dim):
         with pytest.raises(KeyError, match="outside"):
             split_rhat(draws, index)
+    # a numpy integer is an index; a bool or a float is not one
+    assert draws.column_index(np.int64(1)) == 1
+    for column in (True, 1.5, 1.0):
+        with pytest.raises(KeyError, match="name or an integer"):
+            draws.column_index(column)

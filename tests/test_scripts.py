@@ -1,7 +1,6 @@
-"""The example scripts under ``scripts/`` run end to end on scenario B at tiny
-sizes, each in its own interpreter."""
+"""The example script under ``scripts/`` runs end to end on scenario B at tiny
+sizes, in its own interpreter."""
 
-import json
 import os
 import subprocess
 import sys
@@ -23,9 +22,3 @@ def test_cluster_fit_demo_takes_the_cli_family_spelling():
     assert out.returncode == 0, out.stderr
     assert "[frailty] RMST difference" in out.stdout
 
-
-def test_simulation_study_json():
-    out = _run("run_simulation_study.py", "--scenarios", "B", "--n", "64", "--reps", "1",
-               "--iter", "200", "--burnin", "100", "--json")
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout)["B"]["replications"] == 1

@@ -22,6 +22,12 @@ def test_config_validation():
         ScenarioConfig("A", n=100)  # not divisible by 2 * clusters
     with pytest.raises(ValueError):
         ScenarioConfig("A", censor_prob=1.5)
+    # a run without data would sample only the prior
+    for n in (0, -8):
+        with pytest.raises(ValueError, match="n must be at least 8"):
+            ScenarioConfig("C", n=n)
+    with pytest.raises(ValueError, match="replications must be at least 1"):
+        ScenarioConfig("C", replications=0)
 
 
 def test_generator_is_deterministic():
