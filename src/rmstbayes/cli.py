@@ -11,6 +11,7 @@ runtime failure, 2 on usage errors, invalid parameter values included.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -274,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--ci-level", type=_open_interval(0.0, 1.0), default=0.95)
     p_fit.add_argument("--threshold", type=float, action="append")
     p_fit.add_argument("--output")
+    p_fit.set_defaults(run=cmd_fit)
 
     p_waic = sub.add_parser("waic", help="fit a model and report WAIC")
     p_waic.add_argument("--input", required=True)
@@ -281,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_column_flags(p_waic)
     _add_sampler_flags(p_waic)
     p_waic.add_argument("--output")
+    p_waic.set_defaults(run=cmd_waic)
 
     p_rmst = sub.add_parser("rmst", help="closed-form RMST for given parameters")
     p_rmst.add_argument("--family", required=True, choices=[f.value for f in Family])
@@ -295,6 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     effect.add_argument("--v", type=float, help="frailty multiplier")
     p_rmst.add_argument("--tau", type=_open_interval(0.0, math.inf), required=True)
     p_rmst.add_argument("--output")
+    # its usage errors name "rmstbayes rmst", as argparse's own do
+    p_rmst.set_defaults(run=functools.partial(cmd_rmst, parser=p_rmst))
 
     p_sim = sub.add_parser("simulate", help="run the replication harness")
     p_sim.add_argument("--scenario", required=True, choices=["A", "B", "C"])
@@ -307,20 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--tau", type=_open_interval(0.0, math.inf), default=100.0)
     _add_sampler_flags(p_sim)
     p_sim.add_argument("--output")
+    p_sim.set_defaults(run=cmd_simulate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.subcommand == "fit":
-            return cmd_fit(args)
-        if args.subcommand == "waic":
-            return cmd_waic(args)
-        if args.subcommand == "rmst":
-            return cmd_rmst(args, parser)
-        return cmd_simulate(args)
+        return args.run(args)
     except (DataError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

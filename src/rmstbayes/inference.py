@@ -14,20 +14,21 @@ where the shape coordinate is log k (weibull, log-logistic) or log sigma^2
 (log-normal), effects are u_i (random) or log v_i (frailty), and phi is the
 effect-scale hyperparameter.  All positive parameters are carried on log
 scale so random-walk proposals are unconstrained; the log-priors include the
-corresponding Jacobian terms.  Only ``ParamLayout`` computes offsets; readers
-slice theta with its ``q``, ``shape_index``, ``effect_indices`` and ``phi_index``.
+corresponding Jacobian terms.  Only ``ParamLayout`` computes offsets, once,
+when it is built; readers slice theta with its ``q``, ``shape_index``,
+``effect_indices`` and ``phi_index``.
 
-A ``Model`` compiles a dataset and a spec once per fit; ``log_prior``,
-``log_likelihood``, ``pointwise_log_likelihood`` and ``log_posterior`` take
+A ``Model`` compiles a dataset and a spec once per fit, the layout included;
+``log_prior``, ``pointwise_log_likelihood`` and ``log_posterior`` take
 ``(model, theta)``, and so do the per-cluster pieces that the sampler's
-batched effect update needs: ``cluster_log_likelihood``,
-``effect_log_prior`` and their sum ``cluster_log_density``.
+batched effect update needs: ``effect_log_prior`` and ``cluster_log_density``
+(a cluster's log-likelihood plus the log prior of its effect).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,25 +123,20 @@ class ParamLayout:
     n_clusters: int
     shape_name: str = "k"  # "sigma2" when the shape slot holds sigma^2
 
-    @property
-    def shape_index(self) -> int | None:
-        return self.q if self.has_shape else None
+    # Offsets into theta, fixed at construction from the fields above.
+    shape_index: int | None = field(init=False, repr=False, compare=False)
+    effect_indices: slice = field(init=False, repr=False, compare=False)
+    phi_index: int | None = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def effect_indices(self) -> slice:
-        start = self.q + (1 if self.has_shape else 0)
-        m = self.n_clusters if self.effect is not EffectKind.NONE else 0
-        return slice(start, start + m)
-
-    @property
-    def phi_index(self) -> int | None:
-        if self.effect is EffectKind.NONE:
-            return None
-        return self.effect_indices.stop
-
-    @property
-    def dim(self) -> int:
-        return self.effect_indices.stop if self.phi_index is None else self.phi_index + 1
+    def __post_init__(self):
+        has_effect = self.effect is not EffectKind.NONE
+        start = self.q + int(self.has_shape)
+        stop = start + (self.n_clusters if has_effect else 0)
+        object.__setattr__(self, "shape_index", self.q if self.has_shape else None)
+        object.__setattr__(self, "effect_indices", slice(start, stop))
+        object.__setattr__(self, "phi_index", stop if has_effect else None)
+        object.__setattr__(self, "dim", stop + int(has_effect))
 
     def column_names(self, design_names: tuple = ()) -> tuple:
         names = list(design_names) if design_names else [f"beta{j}" for j in range(self.q)]
@@ -198,7 +194,7 @@ def _check_theta(layout: ParamLayout, theta: np.ndarray) -> np.ndarray:
 
 
 def pointwise_log_likelihood(model: Model, theta: np.ndarray) -> np.ndarray:
-    """Per-row delta*log f + (1-delta)*log S; sums to log_likelihood."""
+    """Per-row delta*log f + (1-delta)*log S: the log-likelihood's terms."""
     layout, spec = model.layout, model.spec
     theta = _check_theta(layout, theta)
     eta = model.x @ theta[: layout.q]
@@ -208,10 +204,6 @@ def pointwise_log_likelihood(model: Model, theta: np.ndarray) -> np.ndarray:
     log_h, log_s = log_hazard_survival(spec.family, eta, shape,
                                        model.time, model.logt, spec.effect, effect)
     return model.event * log_h + log_s
-
-
-def log_likelihood(model: Model, theta: np.ndarray) -> float:
-    return float(np.sum(pointwise_log_likelihood(model, theta)))
 
 
 def log_prior(model: Model, theta: np.ndarray) -> float:
@@ -261,22 +253,18 @@ def effect_log_prior(model: Model, theta: np.ndarray) -> np.ndarray:
     return r * math.log(r) - math.lgamma(r) + (r - 1.0) * eff - r * np.exp(eff) + eff
 
 
-def cluster_log_likelihood(model: Model, theta: np.ndarray) -> np.ndarray:
-    """Per-cluster log-likelihood, one likelihood pass; sums to log_likelihood."""
-    return np.bincount(model.cluster, pointwise_log_likelihood(model, theta),
-                       minlength=model.layout.n_clusters)
-
-
 def cluster_log_density(model: Model, theta: np.ndarray) -> np.ndarray:
     """Per-cluster conditional log density of the effects given beta, the
     shape and phi: entry i is cluster i's log-likelihood plus the log prior
     of effect i.  Changing effect i alone moves entry i alone, by the change
     in ``log_posterior``."""
-    return cluster_log_likelihood(model, theta) + effect_log_prior(model, theta)
+    return (np.bincount(model.cluster, pointwise_log_likelihood(model, theta),
+                        minlength=model.layout.n_clusters)
+            + effect_log_prior(model, theta))
 
 
 def log_posterior(model: Model, theta: np.ndarray) -> float:
     lp = log_prior(model, theta)
     if lp == -math.inf:
         return -math.inf
-    return lp + log_likelihood(model, theta)
+    return lp + float(np.sum(pointwise_log_likelihood(model, theta)))

@@ -105,7 +105,8 @@ def rmst_closed_form(family: Family, eta, shape, tau: float,
     log lam (exponential, weibull) or mu (log-logistic, log-normal),
     ``shape`` is k, or sigma^2 for log-normal (unused for exponential), and
     ``effect`` is a random offset u added to eta or, for a frailty, log v.
-    The log-normal frailty form is an approximation.
+    The log-normal frailty form is an approximation.  A value outside the
+    floating-point range raises ValueError rather than giving nan or inf.
     """
     _check_tau(tau)
     if not (_finite(eta) and _finite(effect)):
@@ -117,17 +118,24 @@ def rmst_closed_form(family: Family, eta, shape, tau: float,
     if kind is EffectKind.RANDOM or (kind is EffectKind.FRAILTY and proportional):
         eta = eta + effect
     v = np.exp(effect) if kind is EffectKind.FRAILTY and not proportional else None
-    if proportional:
-        lam = np.exp(eta)
-        if not _positive(lam):
-            raise ValueError("the rate exp(eta) underflows to 0")
-        # exponential: (1 - e^(-lam tau)) / lam
-        value = (-np.expm1(-lam * tau) / lam if family is Family.EXPONENTIAL
-                 else _weibull_rmst(eta, shape, tau))
-    elif family is Family.LOG_LOGISTIC:
-        value = _loglogistic_rmst(eta, shape, 1.0 if v is None else v, tau)
-    else:
-        value = _lognormal_rmst(eta, shape, v, tau)
+    # Overflow is not warned of here: a value it spoils is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if proportional:
+            lam = np.exp(eta)
+            if not _positive(lam):
+                raise ValueError("the rate exp(eta) underflows to 0")
+            # exponential: (1 - e^(-lam tau)) / lam
+            value = (-np.expm1(-lam * tau) / lam if family is Family.EXPONENTIAL
+                     else _weibull_rmst(eta, shape, tau))
+        elif family is Family.LOG_LOGISTIC:
+            value = _loglogistic_rmst(eta, shape, 1.0 if v is None else v, tau)
+        else:
+            value = _lognormal_rmst(eta, shape, v, tau)
+    bad = ~np.isfinite(value)
+    if bad.any():  # e^(-eta/k) overflows beside an incomplete gamma or beta that underflows
+        eta_at, shape_at = (np.broadcast_to(x, bad.shape).flat[bad.argmax()] for x in (eta, shape))
+        raise ValueError(f"the {family.value} RMST leaves the floating-point range "
+                         f"at eta={eta_at}, shape={shape_at}")
     return _float_if_scalar(value)
 
 

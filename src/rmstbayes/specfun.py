@@ -160,22 +160,25 @@ def _beta_head(z: float, a: float, b: float) -> float:
 
 
 def _beta_tail(s0: float, a: float, b: float) -> float:
-    # int_{s0}^{1/2} s^(b-1)(1-s)^(a-1) ds, i.e. the t in (1/2, 1-s0] part of
-    # the beta integral after the substitution s = 1-t.  s0 = 0 requires b > 0.
+    # int_{s0}^{1/2} s^(b-1)(1-s)^(a-1) ds for 0 < s0 < 1/2, i.e. the
+    # t in (1/2, 1-s0] part of the beta integral after the substitution s = 1-t.
     log_c = math.log(0.5)
-    log_s0 = math.log(s0) if s0 > 0.0 else None
+    log_s0 = math.log(s0)
     coef = 1.0
     total = 0.0
     for n in range(_MAX_ITER):
         if n > 0:
             coef *= (n - a) / n
         eps = b + n
-        if log_s0 is None:
-            piece = math.exp(eps * log_c) / eps
-        elif eps == 0.0:
+        if abs(eps * log_s0) < _EPS:
+            # the limit as eps -> 0; eps * log would lose all its digits in
+            # the subnormal range
             piece = log_c - log_s0
         else:
-            piece = (math.expm1(eps * log_c) - math.expm1(eps * log_s0)) / eps
+            try:
+                piece = (math.expm1(eps * log_c) - math.expm1(eps * log_s0)) / eps
+            except OverflowError:  # where numpy's expm1 gives inf; only eps < 0
+                return math.inf    # overflows, first at n = 0, where the piece is +inf
         term = coef * piece
         total += term
         if n > 4 and abs(term) < abs(total) * _EPS:

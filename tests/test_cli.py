@@ -112,11 +112,20 @@ def test_usage_errors_exit_two(csv_path, monkeypatch, capsys):
         # scale ** -k overflows; k = 0 is not a shape
         rmst + ["weibull", "--scale", "1e-300", "--k", "2", "--tau", "10"],
         rmst + ["weibull", "--scale", "80", "--k", "0", "--tau", "10"],
+        # closed forms outside the floating-point range: e^(-eta/k) overflows
+        # beside an incomplete gamma or beta that underflows, or the beta overflows
+        rmst + ["weibull", "--lambda", "1e-300", "--k", "1e-3", "--tau", "100"],
+        rmst + ["loglogistic", "--mu", "-300", "--k", "0.01", "--tau", "100"],
+        rmst + ["loglogistic", "--mu", "300", "--k", "1e-3", "--tau", "100"],
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2, argv
-        assert "error:" in capsys.readouterr().err, argv
+        err = capsys.readouterr().err
+        assert "error:" in err, argv
+        if argv[0] == "rmst":  # the rmst subparser's usage line and error prefix
+            assert err.startswith("usage: rmstbayes rmst "), argv
+            assert "\nrmstbayes rmst: error:" in err, argv
 
 
 def test_missing_input_exits_one(tmp_path, capsys):

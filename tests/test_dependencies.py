@@ -1,8 +1,8 @@
 """The runtime depends on numpy only: importing the package, running short
 Weibull and log-normal fits and the posterior RMST must not load scipy or
-mpmath (both are test-only dependencies).  The package root exports a pinned
-list of names, and the options its dataclasses and functions take are pinned
-too."""
+mpmath (both are test-only dependencies).  The package root and
+``rmstbayes.inference`` export pinned lists of names, and the options the
+root's dataclasses and functions take are pinned too."""
 
 import dataclasses
 import inspect
@@ -12,6 +12,7 @@ import sys
 import types
 
 import rmstbayes
+import rmstbayes.inference
 
 SCRIPT = """
 import sys
@@ -52,6 +53,20 @@ def test_package_root_names_are_pinned():
     names = [name for name, value in vars(rmstbayes).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
     assert sorted(names) == sorted(ROOT_NAMES)
+
+
+# The public names that rmstbayes.inference defines (not those it imports).
+INFERENCE_NAMES = [
+    "Model", "ModelSpec", "ParamLayout", "SurvivalDataset", "cluster_log_density",
+    "effect_log_prior", "log_posterior", "log_prior", "pointwise_log_likelihood",
+]
+
+
+def test_inference_names_are_pinned():
+    module = rmstbayes.inference
+    names = [name for name, value in vars(module).items()
+             if not name.startswith("_") and getattr(value, "__module__", None) == module.__name__]
+    assert sorted(names) == sorted(INFERENCE_NAMES)
 
 
 # Field names of each root-exported dataclass, and parameter names with their

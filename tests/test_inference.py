@@ -1,5 +1,6 @@
 """Log-likelihood, log-prior, and log-posterior for the 12 model variants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,9 +11,8 @@ import rmstbayes.families as F
 import rmstbayes.inference as I
 from rmstbayes.families import (EffectKind, Family, FamilyParams, NO_EFFECT,
                                 frailty, random_offset)
-from rmstbayes.inference import (Model, ModelSpec, SurvivalDataset,
-                                 cluster_log_density, cluster_log_likelihood,
-                                 effect_log_prior, log_likelihood, log_posterior,
+from rmstbayes.inference import (Model, ModelSpec, ParamLayout, SurvivalDataset,
+                                 cluster_log_density, effect_log_prior, log_posterior,
                                  log_prior, pointwise_log_likelihood)
 from tests.conftest import log_h_s
 
@@ -45,13 +45,15 @@ def _toy(n=12, seed=5, q=3, clusters=3):
 def test_single_event_exponential_loglik_is_log_density():
     spec = ModelSpec(Family.EXPONENTIAL)
     # beta = 0 -> lam = 1: log f(t) = -t
-    assert math.isclose(log_likelihood(Model(_one_row(2.0, 1), spec), np.array([0.0])), -2.0,
+    model = Model(_one_row(2.0, 1), spec)
+    assert math.isclose(pointwise_log_likelihood(model, np.array([0.0])).sum(), -2.0,
                         rel_tol=1e-15)
 
 
 def test_single_censored_exponential_loglik_is_log_survival():
     spec = ModelSpec(Family.EXPONENTIAL)
-    assert math.isclose(log_likelihood(Model(_one_row(2.0, 0), spec), np.array([0.0])), -2.0,
+    model = Model(_one_row(2.0, 0), spec)
+    assert math.isclose(pointwise_log_likelihood(model, np.array([0.0])).sum(), -2.0,
                         rel_tol=1e-15)
 
 
@@ -74,7 +76,8 @@ def test_weibull_frailty_likelihood_matches_scalar_reference():
         e = frailty(v[data.cluster[i] - 1])
         t = float(data.time[i])
         expected += sum(log_h_s(p, e, t)) if data.event[i] else log_h_s(p, e, t)[1]
-    assert math.isclose(log_likelihood(Model(data, spec), theta), expected, rel_tol=1e-12)
+    total = pointwise_log_likelihood(Model(data, spec), theta).sum()
+    assert math.isclose(total, expected, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -82,12 +85,13 @@ def test_identity_effects_leave_likelihood_unchanged(family):
     data = _toy()
     base_spec = ModelSpec(family)
     theta = np.array([-4.0, 0.3, -0.1] + ([0.2] if base_spec.has_shape else []))
-    base = log_likelihood(Model(data, base_spec), theta)
+    base = pointwise_log_likelihood(Model(data, base_spec), theta).sum()
     m = data.n_clusters
     for effect, eff_val in ((EffectKind.RANDOM, 0.0), (EffectKind.FRAILTY, 0.0)):
         spec = ModelSpec(family, effect)
         theta_e = np.concatenate([theta, np.full(m, eff_val), [math.log(2.0)]])
-        assert math.isclose(log_likelihood(Model(data, spec), theta_e), base, rel_tol=1e-13)
+        total = pointwise_log_likelihood(Model(data, spec), theta_e).sum()
+        assert math.isclose(total, base, rel_tol=1e-13)
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -99,7 +103,9 @@ def test_pointwise_sums_to_total(family, effect):
     theta = rng.normal(-1.0, 0.5, model.layout.dim)
     pw = pointwise_log_likelihood(model, theta)
     assert len(pw) == data.n
-    assert math.isclose(float(pw.sum()), log_likelihood(model, theta), rel_tol=1e-12)
+    # the log-likelihood term of the posterior is the sum of the rows
+    assert math.isclose(float(pw.sum()), log_posterior(model, theta) - log_prior(model, theta),
+                        rel_tol=1e-12)
 
 
 def test_pointwise_matches_row_by_row_scalar_evaluation():
@@ -141,14 +147,47 @@ def test_tiny_censored_observation_contributes_nothing():
     theta = np.array([-5.0, math.log(1.5)])
     base = SurvivalDataset([20.0], [1], [[1.0]], [1])
     extra = SurvivalDataset([20.0, 1e-12], [1, 0], [[1.0], [1.0]], [1, 1])
-    a = log_likelihood(Model(base, spec), theta)
-    b = log_likelihood(Model(extra, spec), theta)
+    a = pointwise_log_likelihood(Model(base, spec), theta).sum()
+    b = pointwise_log_likelihood(Model(extra, spec), theta).sum()
     assert abs(a - b) < 1e-10
 
 
 def test_layout_mismatch_raises():
     with pytest.raises(ValueError):
-        log_likelihood(Model(_toy(), ModelSpec(Family.WEIBULL)), np.zeros(3))
+        pointwise_log_likelihood(Model(_toy(), ModelSpec(Family.WEIBULL)), np.zeros(3))
+
+
+# ---------------------------------------------------------------- layout ---
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("effect", list(EffectKind))
+def test_layout_offsets_point_at_the_columns_they_name(family, effect):
+    spec = ModelSpec(family, effect)
+    shape_name = "sigma2" if family is Family.LOG_NORMAL else "k"
+    for q in (1, 3):
+        for m in (1, 5):
+            layout = ParamLayout(q=q, has_shape=spec.has_shape, effect=effect, n_clusters=m,
+                                 shape_name=shape_name)
+            assert layout == Model(_toy(n=10, q=q, clusters=m), spec).layout
+            names = layout.column_names()
+            assert layout.dim == len(names)
+            assert names[:q] == tuple(f"beta{j}" for j in range(q))
+            if spec.has_shape:
+                assert names[layout.shape_index] == shape_name
+            else:
+                assert layout.shape_index is None
+            if effect is EffectKind.NONE:
+                assert names[layout.effect_indices] == () and layout.phi_index is None
+            else:
+                prefix = "u" if effect is EffectKind.RANDOM else "v"
+                assert names[layout.effect_indices] == tuple(
+                    f"{prefix}[{i}]" for i in range(1, m + 1))
+                assert names[layout.phi_index] == "phi"
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                layout.dim = 0
+            theta = np.random.default_rng(q + m).normal(0.0, 1.0, (2, layout.dim))
+            np.testing.assert_allclose(layout.to_sampling(layout.to_natural(theta)), theta,
+                                       rtol=1e-14, atol=1e-15)
 
 
 # ----------------------------------------------------------------- prior ---
@@ -203,15 +242,15 @@ def test_per_cluster_pieces_factorise_the_posterior(family, effect):
     data = _toy(n=40, clusters=5)
     model = Model(data, ModelSpec(family, effect))
     theta = np.random.default_rng(6).normal(-0.5, 0.3, model.layout.dim)
-    ll = cluster_log_likelihood(model, theta)
     prior = effect_log_prior(model, theta)
+    ll = cluster_log_density(model, theta) - prior
     assert ll.shape == prior.shape == (5,)
-    assert abs(ll.sum() - log_likelihood(model, theta)) < 1e-10
+    assert abs(ll.sum() - pointwise_log_likelihood(model, theta).sum()) < 1e-10
     for i, col in enumerate(range(model.layout.dim)[model.layout.effect_indices]):
         moved = theta.copy()
         moved[col] += 0.37
-        d_ll = cluster_log_likelihood(model, moved) - ll
         d_prior = effect_log_prior(model, moved) - prior
+        d_ll = cluster_log_density(model, moved) - effect_log_prior(model, moved) - ll
         others = np.arange(5) != i
         assert np.all(d_ll[others] == 0.0) and np.all(d_prior[others] == 0.0)
         d_post = log_posterior(model, moved) - log_posterior(model, theta)
@@ -226,7 +265,7 @@ def test_posterior_is_likelihood_plus_prior():
     theta = np.random.default_rng(0).normal(-0.5, 0.3, model.layout.dim)
     assert math.isclose(
         log_posterior(model, theta),
-        log_likelihood(model, theta) + log_prior(model, theta),
+        pointwise_log_likelihood(model, theta).sum() + log_prior(model, theta),
         rel_tol=1e-13)
 
 

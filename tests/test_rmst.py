@@ -634,6 +634,18 @@ def test_underflowing_rate_rejected_without_warning(fam):
         R.rmst_closed_form(fam, -700.0, 1.5, 100.0, EffectKind.FRAILTY, -100.0)
 
 
+@pytest.mark.parametrize("fam, eta, shape", [
+    (Family.WEIBULL, -690.0, 1e-3),       # e^(-eta/k) = inf beside a gamma of 0
+    (Family.LOG_LOGISTIC, -300.0, 0.01),  # e^(-mu/k) = inf beside a beta of 0
+    (Family.LOG_LOGISTIC, 300.0, 1e-3),   # e^(-mu/k) = 0 beside a beta tail of inf
+])
+def test_value_outside_float_range_refused_without_warning(fam, eta, shape):
+    # the message names the first draw whose value is not finite
+    with pytest.raises(ValueError, match=f"range at eta={eta}, shape={shape}$"):
+        R.rmst_closed_form(fam, np.array([-4.0, eta, eta - 1.0]),
+                           np.array([1.5, shape, shape]), 100.0)
+
+
 def test_frailty_draw_of_zero_refused():
     rows = [[-4.5, 0.5, v, 1.0, 0.5] for v in (1.0, 0.0, 2.0)]  # beta0, beta1, v1, v2, phi
     draws = _fake_draws(Family.EXPONENTIAL, rows, EffectKind.FRAILTY, n_clusters=2)

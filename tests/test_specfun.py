@@ -152,6 +152,8 @@ def test_incomplete_beta_compl_accurate_near_one():
 
 @given(st.floats(0.1, 20.0), st.floats(-4.0, 6.0),
        st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+@example(a=1.0, b=5e-324, z1=0.5, z2=0.75)  # a subnormal b
+@example(a=2.0, b=5e-324, z1=0.5, z2=0.75)
 @settings(max_examples=60, deadline=None)
 def test_incomplete_beta_monotone_in_z(a, b, z1, z2):
     lo, hi = sorted((z1, z2))
