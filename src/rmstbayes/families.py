@@ -24,7 +24,6 @@ EffectValue) to them.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -132,7 +131,9 @@ def log_hazard_survival(family: Family, eta, shape, t, logt,
     numpy arrays or scalars.
 
     ``eta`` is log lam (exponential, weibull) or mu (log-logistic,
-    log-normal); ``shape`` is k, or sigma^2 for log-normal.  ``effect`` is the
+    log-normal); ``shape`` is k, or sigma^2 for log-normal, a scalar or an
+    array that broadcasts against ``eta`` (WAIC passes a (B, 1) column of
+    shapes with (B, n) ``eta`` and effects, one row per draw).  ``effect`` is the
     cluster effect on the sampling scale: a random offset u shifts eta, and a
     frailty given as log v scales log S by v and adds log v to log h.
     """
@@ -142,15 +143,15 @@ def log_hazard_survival(family: Family, eta, shape, t, logt,
         log_h = eta
         log_s = -np.exp(eta) * t
     elif family is Family.WEIBULL:
-        log_h = eta + math.log(shape) + (shape - 1.0) * logt
+        log_h = eta + np.log(shape) + (shape - 1.0) * logt
         log_s = -np.exp(eta + shape * logt)
     elif family is Family.LOG_LOGISTIC:
         log_s = -np.logaddexp(0.0, eta + shape * logt)  # S = 1/(1 + e^eta t^k)
-        log_h = eta + math.log(shape) + (shape - 1.0) * logt + log_s
+        log_h = eta + np.log(shape) + (shape - 1.0) * logt + log_s
     else:
-        z = (logt - eta) / math.sqrt(shape)
+        z = (logt - eta) / np.sqrt(shape)
         log_s = log_std_normal_sf(z)
-        log_pdf = -logt - 0.5 * math.log(shape) - _LOG_SQRT_2PI - 0.5 * z * z
+        log_pdf = -logt - 0.5 * np.log(shape) - _LOG_SQRT_2PI - 0.5 * z * z
         log_h = log_pdf - log_s
     if kind is EffectKind.FRAILTY:
         return effect + log_h, np.exp(effect) * log_s

@@ -3,6 +3,14 @@
 Deviance scale: waic = -2 * (lppd - p_waic), lower is better, where
 lppd = sum_i log mean_s exp(l_is) (computed via log-sum-exp) and
 p_waic = sum_i var_s(l_is) over the per-draw pointwise log-likelihoods l_is.
+
+``waic`` streams the draws in blocks of B = max(1, _BLOCK_ELEMENTS // n):
+``pointwise_matrix`` (the name the benchmark's tracer times) evaluates one
+block's (B, n) log-likelihoods in one call of the family kernel, and each
+observation keeps a running maximum and rescaled sum of exp for lppd and a
+running mean and sum of squared deviations (Chan et al.'s merge) for p_waic,
+so the (S, n) matrix is never built.  ``waic_from_matrix`` computes the
+same quantities from a whole matrix.
 """
 
 from __future__ import annotations
@@ -12,10 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import Model, ModelSpec, SurvivalDataset, pointwise_log_likelihood
+from .families import EffectKind, log_hazard_survival
+from .inference import Model, ModelSpec, SurvivalDataset
 from .sampler import PosteriorDraws
 
 _MIN_DRAWS = 100
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -30,25 +40,62 @@ class WaicResult:
         return -2.0 * (self.lppd - self.p_waic)
 
 
-def pointwise_matrix(data: SurvivalDataset, spec: ModelSpec,
-                     draws: PosteriorDraws) -> np.ndarray:
-    """(draws, observations) matrix of pointwise log-likelihoods; ValueError
-    unless ``draws`` were sampled from ``spec`` on data of this layout."""
-    model = Model(data, spec)
-    if spec != draws.spec or model.layout != draws.layout:
-        raise ValueError("the draws were sampled from another model or dataset layout")
-    thetas = draws.layout.to_sampling(draws.flat())
-    out = np.empty((len(thetas), len(data.time)))
-    for s, theta in enumerate(thetas):
-        out[s] = pointwise_log_likelihood(model, theta)
-    return out
+def _warn_degenerate():
+    warnings.warn("degenerate draws: zero variance in every pointwise "
+                  "log-likelihood; p_waic set to 0", RuntimeWarning, stacklevel=3)
+
+
+def pointwise_matrix(model: Model, thetas: np.ndarray) -> np.ndarray:
+    """(B, n) pointwise log-likelihoods of a (B, dim) block of sampling-scale
+    draws, in one kernel call: eta = thetas[:, :q] @ x.T, the shapes as a
+    (B, 1) column and the effects gathered by cluster into (B, n)."""
+    layout, spec = model.layout, model.spec
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != layout.dim:
+        raise ValueError(f"draws have shape {thetas.shape}, expected (B, {layout.dim})")
+    eta = thetas[:, : layout.q] @ model.x.T
+    shape = np.exp(thetas[:, [layout.shape_index]]) if layout.has_shape else None
+    effect = (thetas[:, layout.effect_indices][:, model.cluster]
+              if spec.effect is not EffectKind.NONE else 0.0)
+    log_h, log_s = log_hazard_survival(spec.family, eta, shape,
+                                       model.time, model.logt, spec.effect, effect)
+    return model.event * log_h + log_s
 
 
 def waic(data: SurvivalDataset, spec: ModelSpec, draws: PosteriorDraws) -> WaicResult:
-    flat_len = draws.flat().shape[0]
-    if flat_len < _MIN_DRAWS:
-        raise ValueError(f"need >= {_MIN_DRAWS} kept draws for WAIC, have {flat_len}")
-    return waic_from_matrix(pointwise_matrix(data, spec, draws))
+    """WAIC of ``draws``; ValueError unless there are at least _MIN_DRAWS of
+    them and they were sampled from ``spec`` on data of this layout."""
+    flat = draws.flat()
+    if flat.shape[0] < _MIN_DRAWS:
+        raise ValueError(f"need >= {_MIN_DRAWS} kept draws for WAIC, have {flat.shape[0]}")
+    model = Model(data, spec)
+    if spec != draws.spec or model.layout != draws.layout:
+        raise ValueError("the draws were sampled from another model or dataset layout")
+    thetas = draws.layout.to_sampling(flat)
+    n = len(data.time)
+    block = max(1, _BLOCK_ELEMENTS // n)
+    top, scaled = np.full(n, -np.inf), np.zeros(n)  # max and sum of exp(l - max)
+    count, mean, m2 = 0, np.zeros(n), np.zeros(n)
+    for start in range(0, len(thetas), block):
+        ll = pointwise_matrix(model, thetas[start:start + block])
+        new_top = np.maximum(top, ll.max(axis=0))
+        scaled = scaled * np.exp(top - new_top) + np.exp(ll - new_top).sum(axis=0)
+        top = new_top
+        # Deviations from the block's first draw are exactly 0 where every
+        # draw is equal, so m2 stays exactly 0 there.
+        dev = ll - ll[0]
+        dev_mean = dev.mean(axis=0)
+        dev -= dev_mean
+        b, delta = len(ll), ll[0] + dev_mean - mean
+        count += b
+        mean += delta * (b / count)
+        m2 += (dev * dev).sum(axis=0) + delta * delta * ((count - b) * b / count)
+    pointwise_lppd = top + np.log(scaled / count)
+    if not m2.any():
+        _warn_degenerate()
+    pointwise_p = m2 / (count - 1)
+    return WaicResult(lppd=float(pointwise_lppd.sum()), p_waic=float(pointwise_p.sum()),
+                      pointwise_lppd=pointwise_lppd, pointwise_p=pointwise_p)
 
 
 def waic_from_matrix(ll: np.ndarray) -> WaicResult:
@@ -61,8 +108,7 @@ def waic_from_matrix(ll: np.ndarray) -> WaicResult:
     pointwise_lppd = mx + np.log(np.mean(ratio, axis=0))
     del ratio
     if np.all(np.ptp(ll, axis=0) == 0.0):
-        warnings.warn("degenerate draws: zero variance in every pointwise "
-                      "log-likelihood; p_waic set to 0", RuntimeWarning, stacklevel=2)
+        _warn_degenerate()
         pointwise_p = np.zeros(ll.shape[1])
     else:
         pointwise_p = ll.var(axis=0, ddof=1)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from rmstbayes import cli
 from rmstbayes.families import (EffectKind, EffectValue, Family, FamilyParams,
-                                NO_EFFECT, frailty, random_offset)
+                                NO_EFFECT, frailty, log_hazard_survival, random_offset)
 from tests.conftest import log_h_s
 
 mp.mp.dps = 30
@@ -110,6 +110,27 @@ def test_param_validation():
         with pytest.raises(ValueError):
             random_offset(u)
     assert np.array_equal(random_offset(np.array([0.1, -0.2])).value, [0.1, -0.2])
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("kind", list(EffectKind))
+def test_block_of_shapes_equals_scalar_calls_bitwise(family, kind):
+    """A (B, 1) column of shapes with (B, n) eta and effects, as WAIC's
+    blocks pass them, gives row b of the scalar-shape call for draw b."""
+    rng = np.random.default_rng(17)
+    b, n = 7, 40
+    t = rng.exponential(30.0, n) + 0.1
+    logt = np.log(t)
+    eta = rng.normal(-4.0, 1.0, (b, n))
+    shape = None if family is Family.EXPONENTIAL else np.exp(rng.normal(0.2, 0.4, (b, 1)))
+    effect = 0.0 if kind is EffectKind.NONE else rng.normal(0.0, 0.5, (b, n))
+    log_h, log_s = log_hazard_survival(family, eta, shape, t, logt, kind, effect)
+    assert log_h.shape == log_s.shape == (b, n)
+    for row in range(b):
+        row_shape = None if shape is None else float(shape[row, 0])
+        row_effect = effect if kind is EffectKind.NONE else effect[row]
+        h, s = log_hazard_survival(family, eta[row], row_shape, t, logt, kind, row_effect)
+        assert np.array_equal(log_h[row], h) and np.array_equal(log_s[row], s)
 
 
 def _scale_params(monkeypatch, argv):

@@ -1,14 +1,19 @@
-"""WAIC arithmetic and its invariances."""
+"""WAIC arithmetic and its invariances, and the streamed WAIC against the
+whole-matrix arithmetic."""
 
 import math
+import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rmstbayes.families import Family
-from rmstbayes.inference import ModelSpec, SurvivalDataset
-from rmstbayes.model_selection import waic, waic_from_matrix
-from rmstbayes.sampler import SamplerConfig, run_chains
+import rmstbayes.model_selection as MS
+from rmstbayes.families import EffectKind, Family
+from rmstbayes.inference import Model, ModelSpec, SurvivalDataset, pointwise_log_likelihood
+from rmstbayes.model_selection import pointwise_matrix, waic, waic_from_matrix
+from rmstbayes.sampler import PosteriorDraws, SamplerConfig, run_chains
 
 
 def test_single_draw_has_zero_penalty():
@@ -61,7 +66,6 @@ def test_identity_waic_deviance_scale():
 
 
 def test_waic_needs_enough_draws(exp_fit_small):
-    from dataclasses import replace
     data, spec, draws = exp_fit_small
     few = replace(draws, values=draws.values[:, :49])  # 98 kept draws
     with pytest.raises(ValueError, match="need >= 100"):
@@ -73,7 +77,6 @@ def test_degenerate_draws_warn(exp_fit_small):
     data, spec, draws = exp_fit_small
     frozen = draws.values.copy()
     frozen[:, :, :] = frozen[:1, :1, :]
-    from dataclasses import replace
     deg = replace(draws, values=frozen)
     with pytest.warns(RuntimeWarning):
         res = waic(data, spec, deg)
@@ -95,9 +98,9 @@ def test_waic_prefers_true_weibull_over_exponential():
 
 def test_waic_matches_pipeline_computation(exp_fit_small):
     data, spec, draws = exp_fit_small
-    from rmstbayes.model_selection import pointwise_matrix
     res = waic(data, spec, draws)
-    ref = waic_from_matrix(pointwise_matrix(data, spec, draws))
+    thetas = draws.layout.to_sampling(draws.flat())
+    ref = waic_from_matrix(pointwise_matrix(Model(data, spec), thetas))
     assert math.isclose(res.waic, ref.waic, rel_tol=1e-14)
 
 
@@ -115,3 +118,101 @@ def test_waic_refuses_draws_from_another_model(scenario_c_small):
                                    (wider, spec)):
         with pytest.raises(ValueError, match="another model"):
             waic(other_data, other_spec, draws)
+
+
+# ------------------------------------------------------- streamed WAIC ---
+
+def _per_draw_reference(data, spec, draws):
+    """WAIC of the (S, n) matrix stacked from per-draw likelihood rows."""
+    model = Model(data, spec)
+    thetas = draws.layout.to_sampling(draws.flat())
+    return waic_from_matrix(np.vstack([pointwise_log_likelihood(model, th) for th in thetas]))
+
+
+def _assert_same_waic(res, ref, rel=1e-12):
+    for name in ("waic", "lppd", "p_waic"):
+        assert math.isclose(getattr(res, name), getattr(ref, name), rel_tol=rel), name
+    for name in ("pointwise_lppd", "pointwise_p"):
+        np.testing.assert_allclose(getattr(res, name), getattr(ref, name), rtol=rel, atol=0.0,
+                                   err_msg=name)
+
+
+def _synthetic_draws(data, spec, thetas):
+    """PosteriorDraws holding the sampling-scale rows ``thetas`` as one chain."""
+    layout = Model(data, spec).layout
+    s = len(thetas)
+    return PosteriorDraws(values=layout.to_natural(thetas)[None], columns=layout.column_names(),
+                          layout=layout, spec=spec, acceptance={},
+                          config=SamplerConfig(chains=1, iterations=2 * s, burnin=s))
+
+
+def _weibull_posterior(n, s, clusters=8, seed=0):
+    """Weibull random-effects data of n rows and s draws near its truth."""
+    rng = np.random.default_rng(seed)
+    group = np.arange(n) % 2
+    time = np.minimum(rng.weibull(1.5, n) * 60.0 * np.exp(-0.3 * group) + 0.1, 100.0)
+    data = SurvivalDataset(time, (time < 100.0).astype(int),
+                           np.column_stack([np.ones(n), group]),
+                           np.arange(n) % clusters + 1)
+    spec = ModelSpec(Family.WEIBULL, EffectKind.RANDOM)
+    centre = np.concatenate([[-6.1, 0.45, np.log(1.5)], np.zeros(clusters), [np.log(0.3)]])
+    thetas = centre + rng.normal(0.0, 0.05, (s, len(centre)))
+    return data, spec, _synthetic_draws(data, spec, thetas)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("effect", list(EffectKind))
+def test_streamed_waic_matches_per_draw_matrix(scenario_c_small, family, effect):
+    data, spec = scenario_c_small, ModelSpec(family, effect)
+    draws = run_chains(data, spec, SamplerConfig(chains=2, iterations=400, burnin=100, seed=5))
+    block = MS._BLOCK_ELEMENTS // len(data.time)
+    few = replace(draws, values=draws.values[:, :100])
+    assert draws.flat().shape[0] % block != 0 and few.flat().shape[0] < block
+    for d in (draws, few):
+        _assert_same_waic(waic(data, spec, d), _per_draw_reference(data, spec, d))
+
+
+def test_streamed_waic_one_draw_per_block_when_rows_exceed_the_block():
+    data, spec, draws = _weibull_posterior(n=MS._BLOCK_ELEMENTS + 1, s=MS._MIN_DRAWS)
+    assert MS._BLOCK_ELEMENTS // len(data.time) == 0  # so B = 1
+    _assert_same_waic(waic(data, spec, draws), _per_draw_reference(data, spec, draws))
+
+
+def test_waic_makes_one_kernel_call_per_block(monkeypatch):
+    data, spec, draws = _weibull_posterior(n=512, s=1000)
+    block = MS._BLOCK_ELEMENTS // 512
+    kernel, rows = MS.log_hazard_survival, []
+
+    def counting(family, eta, *args):
+        rows.append(eta.shape)
+        return kernel(family, eta, *args)
+
+    monkeypatch.setattr(MS, "log_hazard_survival", counting)
+    waic(data, spec, draws)
+    assert len(rows) == math.ceil(1000 / block)
+    assert rows == [(block, 512)] * (1000 // block) + [(1000 % block, 512)]
+
+
+def test_waic_memory_does_not_grow_with_the_draws():
+    data, spec, draws = _weibull_posterior(n=512, s=12_000)
+    waic(data, spec, draws)
+    tracemalloc.start()
+    try:
+        waic(data, spec, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The (S, n) matrix alone would be 49 MB.
+    assert peak < 16e6
+
+
+def test_partly_constant_draws_do_not_warn():
+    data, spec, draws = _weibull_posterior(n=200, s=500)
+    thetas = np.repeat(draws.layout.to_sampling(draws.flat())[:1], 500, axis=0)
+    u1 = draws.layout.effect_indices.start
+    thetas[:, u1] = np.linspace(-0.5, 0.5, 500)  # only cluster 1 varies
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = waic(data, spec, _synthetic_draws(data, spec, thetas))
+    in_one = data.cluster == 1
+    assert np.all(res.pointwise_p[in_one] > 0.0) and np.all(res.pointwise_p[~in_one] == 0.0)
