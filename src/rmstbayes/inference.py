@@ -19,10 +19,11 @@ when it is built; readers slice theta with its ``q``, ``shape_index``,
 ``effect_indices`` and ``phi_index``.
 
 A ``Model`` compiles a dataset and a spec once per fit, the layout included;
-``log_prior``, ``pointwise_log_likelihood`` and ``log_posterior`` take
-``(model, theta)``, and so do the per-cluster pieces that the sampler's
-batched effect update needs: ``effect_log_prior`` and ``cluster_log_density``
-(a cluster's log-likelihood plus the log prior of its effect).
+``log_prior``, ``pointwise_log_likelihood``, ``log_posterior`` and the
+per-cluster ``effect_log_prior`` take ``(model, theta)``.  ``log_posterior``
+also returns the per-row terms it summed, so the sampler can carry them in
+its state; a cluster's log-likelihood is the bincount of those rows by
+``model.cluster``.
 """
 
 from __future__ import annotations
@@ -172,8 +173,8 @@ class ParamLayout:
 
 class Model:
     """A dataset and a model spec compiled once per fit: the parameter
-    layout and the per-row arrays (log t, events, 0-based cluster index)
-    that every posterior evaluation reuses."""
+    layout and the per-row arrays (log t, events as floats, 0-based cluster
+    index) that every posterior evaluation reuses."""
 
     def __init__(self, data: SurvivalDataset, spec: ModelSpec):
         self.spec = spec
@@ -181,7 +182,8 @@ class Model:
             q=data.q, has_shape=spec.has_shape, effect=spec.effect,
             n_clusters=data.n_clusters,
             shape_name="sigma2" if spec.family is Family.LOG_NORMAL else "k")
-        self.x, self.time, self.event = data.x, data.time, data.event
+        self.x, self.time = data.x, data.time
+        self.event = data.event.astype(float)
         self.logt = np.log(data.time)
         self.cluster = data.cluster - 1
 
@@ -215,12 +217,16 @@ def log_prior(model: Model, theta: np.ndarray) -> float:
     """
     spec, layout = model.spec, model.layout
     theta = _check_theta(layout, theta)
-
-    beta = theta[: layout.q]
-    total = float(np.sum(_COEF_LOG_NORM - 0.5 * beta * beta / _COEF_PRIOR_VARIANCE))
+    # Python floats: on a handful of values numpy's per-call cost dominates.
+    # The beta terms are summed left to right from 0.0, numpy's order for
+    # fewer than 8 terms.
+    values = theta.tolist()
+    total = 0.0
+    for b in values[: layout.q]:
+        total += _COEF_LOG_NORM - 0.5 * b * b / _COEF_PRIOR_VARIANCE
 
     if layout.has_shape:
-        log_shape = theta[layout.shape_index]
+        log_shape = values[layout.shape_index]
         if spec.family is Family.LOG_NORMAL:
             sigma2 = math.exp(log_shape)
             if sigma2 >= _SIGMA2_UPPER:
@@ -232,12 +238,12 @@ def log_prior(model: Model, theta: np.ndarray) -> float:
             total += _SHAPE_LOG_NORM + (a - 1.0) * math.log(k) - b * k + log_shape
 
     if spec.effect is not EffectKind.NONE:
-        log_phi = theta[layout.phi_index]
+        log_phi = values[layout.phi_index]
         phi = math.exp(log_phi)
         if phi >= _PHI_UPPER:
             return -math.inf
         total += -math.log(_PHI_UPPER) + log_phi  # U(0,xi) + Jacobian
-        total += float(np.sum(effect_log_prior(model, theta)))
+        total += float(effect_log_prior(model, theta).sum())
     return total
 
 
@@ -253,18 +259,11 @@ def effect_log_prior(model: Model, theta: np.ndarray) -> np.ndarray:
     return r * math.log(r) - math.lgamma(r) + (r - 1.0) * eff - r * np.exp(eff) + eff
 
 
-def cluster_log_density(model: Model, theta: np.ndarray) -> np.ndarray:
-    """Per-cluster conditional log density of the effects given beta, the
-    shape and phi: entry i is cluster i's log-likelihood plus the log prior
-    of effect i.  Changing effect i alone moves entry i alone, by the change
-    in ``log_posterior``."""
-    return (np.bincount(model.cluster, pointwise_log_likelihood(model, theta),
-                        minlength=model.layout.n_clusters)
-            + effect_log_prior(model, theta))
-
-
-def log_posterior(model: Model, theta: np.ndarray) -> float:
+def log_posterior(model: Model, theta: np.ndarray) -> tuple:
+    """(log posterior, per-row log-likelihood terms it summed); the rows are
+    None when the prior is -inf and no likelihood pass is made."""
     lp = log_prior(model, theta)
     if lp == -math.inf:
-        return -math.inf
-    return lp + float(np.sum(pointwise_log_likelihood(model, theta)))
+        return -math.inf, None
+    rows = pointwise_log_likelihood(model, theta)
+    return lp + float(rows.sum()), rows

@@ -209,6 +209,12 @@ def rmst_numeric(p: FamilyParams, e: EffectValue, tau: float) -> float:
     the integrand is smooth.  The absolute tolerance is 1e-10.  Independent
     of the closed forms; for log-normal frailty this is the exact value (the
     closed form there is approximate).
+
+    The result is never below the floor tau e^-60 (about 8.8e-27 tau), so it
+    is an absolute oracle only: where S is already tiny near t = 0 and the
+    RMST lies below that floor (log-logistic mu = 300, k = 1e-3 at tau = 100
+    has RMST about 5e-129 but returns 8.8e-25), a relative comparison with
+    it means nothing.
     """
     _check_tau(tau)
     eta, shape, effect = kernel_args(p, e)

@@ -3,16 +3,20 @@
 Each sweep updates, in order: the full coefficient vector beta (joint
 Gaussian proposal with an adapted full covariance, target acceptance 0.234),
 the shape parameter, the cluster effects and log phi (target 0.44 each).
-The cluster effects are conditionally independent given beta, the shape and
-phi, so all M are proposed at once, each with its own step scale, and each
-is accepted or rejected on its own cluster's log-ratio: two likelihood
-passes for all M effects.  phi enters only the effects' prior, so its update
-takes no likelihood pass.  A sweep thus costs _BETA_UPDATES + 3 likelihood
-passes whatever M is.  Every step scale follows a Robbins-Monro recursion
-during burn-in and is frozen afterwards, so the kept portion of each chain
-is a fixed Markov kernel.  The targets, the initial step scale, the number
-of beta proposals per sweep and the initial-point retries are module
-constants; ``SamplerConfig`` holds only the chain count, lengths and seed.
+The chain's state is theta, its log posterior and the per-row
+log-likelihood terms at theta.  The cluster effects are conditionally
+independent given beta, the shape and phi, so all M are proposed at once,
+each with its own step scale, and each is accepted or rejected on its own
+cluster's log-ratio: one likelihood pass, at the proposal, for all M
+effects, since the current clusters' log-likelihoods are sums of the
+carried rows.  phi enters only the effects' prior, so its update takes no
+likelihood pass.  A sweep thus costs _BETA_UPDATES + 2 likelihood passes
+(_BETA_UPDATES + 1 without a shape) whatever M is.  Every step scale
+follows a Robbins-Monro recursion during burn-in and is frozen afterwards,
+so the kept portion of each chain is a fixed Markov kernel.  The targets,
+the initial step scale, the number of beta proposals per sweep and the
+initial-point retries are module constants; ``SamplerConfig`` holds only
+the chain count, lengths and seed.
 
 Randomness comes from numpy's counter-based Philox generator with per-chain
 substreams seeded by SeedSequence([seed, chain_index]); runs are bit-for-bit
@@ -29,7 +33,8 @@ import numpy as np
 
 from .families import _is_index
 from .inference import (_PHI_UPPER, Model, ModelSpec, ParamLayout, SurvivalDataset,
-                        cluster_log_density, log_posterior, log_prior)
+                        effect_log_prior, log_posterior, log_prior,
+                        pointwise_log_likelihood)
 
 _ADAPT_START = 50           # beta moments gathered before the adapted covariance
 _TARGET_ACCEPT_BLOCK = 0.234
@@ -101,7 +106,8 @@ class PosteriorDraws:
         return self.values[:, :, self.column_index(column)]
 
 
-def _initial_point(model: Model, rng: np.random.Generator) -> np.ndarray:
+def _initial_point(model: Model, rng: np.random.Generator) -> tuple:
+    """The chain's starting state: theta, its log posterior and its rows."""
     layout = model.layout
     center = np.zeros(layout.dim)
     # beta = 0, log k = 0 (k=1), log sigma^2 = 0, effects at identity
@@ -110,8 +116,9 @@ def _initial_point(model: Model, rng: np.random.Generator) -> np.ndarray:
         center[layout.phi_index] = math.log(_PHI_UPPER / 2.0)
     for attempt in range(_MAX_INIT_RETRIES):
         theta = center + rng.normal(0.0, _INIT_JITTER_SD, size=layout.dim)
-        if math.isfinite(log_posterior(model, theta)):
-            return theta
+        lp, rows = log_posterior(model, theta)
+        if math.isfinite(lp):
+            return theta, lp, rows
     raise RuntimeError(
         f"failed to find a finite-posterior initial point in {_MAX_INIT_RETRIES} tries"
     )
@@ -127,8 +134,7 @@ def _block_names(layout: ParamLayout) -> list:
 def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([cfg.seed, chain_index])))
     layout = model.layout
-    theta = _initial_point(model, rng)
-    lp = log_posterior(model, theta)
+    theta, lp, rows = _initial_point(model, rng)
 
     # Adaptation slots, in the order of _block_names: 0 for the beta block,
     # i - q + 1 for the coordinate at index i >= q (shape, effects, phi).
@@ -145,6 +151,12 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
     effects = layout.effect_indices
     effect_slots = slice(slot_of(effects.start), slot_of(effects.stop))
 
+    def cluster_log_density(point, point_rows):
+        """Entry i: cluster i's log-likelihood at ``point``, summed from its
+        rows, plus the log prior of effect i."""
+        return (np.bincount(model.cluster, point_rows, minlength=layout.n_clusters)
+                + effect_log_prior(model, point))
+
     def record(slot, accepted, target):
         """Robbins-Monro step-scale update during burn-in, acceptance counts
         after it; ``slot`` and ``accepted`` may be a slice and a vector."""
@@ -156,17 +168,19 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
             accept_post[slot] += accepted
             trials_post[slot] += 1.0
 
-    def metropolis(proposal, lp_prop, slot, target):
-        nonlocal theta, lp
+    def metropolis(proposal, evaluated, slot, target):
+        """Accept or reject ``proposal`` given its (log posterior, rows)."""
+        nonlocal theta, lp, rows
+        lp_prop, rows_prop = evaluated
         accept = (lp_prop - lp > math.log(rng.random())
                   if math.isfinite(lp_prop) else False)
         if accept:
-            theta, lp = proposal, lp_prop
+            theta, lp, rows = proposal, lp_prop, rows_prop
         record(slot, 1.0 if accept else 0.0, target)
 
     def scalar_step(index, log_target):
         """Random-walk Metropolis on theta[index]; ``log_target`` maps the
-        proposal to its log posterior."""
+        proposal to its (log posterior, rows)."""
         proposal = theta.copy()
         proposal[index] += math.exp(log_scales[slot_of(index)]) * rng.normal()
         metropolis(proposal, log_target(proposal), slot_of(index), _TARGET_ACCEPT_SCALAR)
@@ -210,19 +224,24 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
             # Given beta, the shape and phi the effects are conditionally
             # independent, so one proposal per cluster, each accepted on its
             # own log-ratio, is the kernel of M scalar Metropolis updates at
-            # the cost of two likelihood passes.
+            # the cost of one likelihood pass.  A row's term depends on its
+            # own cluster's effect alone, so the accepted clusters' rows
+            # are the proposal's.
             proposal = theta.copy()
             proposal[effects] += (np.exp(log_scales[effect_slots])
                                   * rng.normal(size=layout.n_clusters))
-            log_ratio = (cluster_log_density(model, proposal)
-                         - cluster_log_density(model, theta))
+            rows_prop = pointwise_log_likelihood(model, proposal)
+            log_ratio = (cluster_log_density(proposal, rows_prop)
+                         - cluster_log_density(theta, rows))
             accepted = np.isfinite(log_ratio) & (log_ratio > np.log(rng.random(layout.n_clusters)))
             theta[effects] = np.where(accepted, proposal[effects], theta[effects])
-            lp += float(np.sum(log_ratio[accepted]))
+            rows = np.where(accepted[model.cluster], rows_prop, rows)
+            lp += float(log_ratio[accepted].sum())
             record(effect_slots, accepted.astype(float), _TARGET_ACCEPT_SCALAR)
             # phi enters only the effects' prior: no likelihood pass.
             scalar_step(layout.phi_index,
-                        lambda prop: lp + log_prior(model, prop) - log_prior(model, theta))
+                        lambda prop: (lp + log_prior(model, prop) - log_prior(model, theta),
+                                      rows))
         if adapting:
             if it >= moments_start:
                 # Welford update of the beta moments for the proposal

@@ -57,8 +57,8 @@ def test_package_root_names_are_pinned():
 
 # The public names that rmstbayes.inference defines (not those it imports).
 INFERENCE_NAMES = [
-    "Model", "ModelSpec", "ParamLayout", "SurvivalDataset", "cluster_log_density",
-    "effect_log_prior", "log_posterior", "log_prior", "pointwise_log_likelihood",
+    "Model", "ModelSpec", "ParamLayout", "SurvivalDataset", "effect_log_prior",
+    "log_posterior", "log_prior", "pointwise_log_likelihood",
 ]
 
 

@@ -12,8 +12,8 @@ import rmstbayes.inference as I
 from rmstbayes.families import (EffectKind, Family, FamilyParams, NO_EFFECT,
                                 frailty, random_offset)
 from rmstbayes.inference import (Model, ModelSpec, ParamLayout, SurvivalDataset,
-                                 cluster_log_density, effect_log_prior, log_posterior,
-                                 log_prior, pointwise_log_likelihood)
+                                 effect_log_prior, log_posterior, log_prior,
+                                 pointwise_log_likelihood)
 from tests.conftest import log_h_s
 
 
@@ -103,9 +103,11 @@ def test_pointwise_sums_to_total(family, effect):
     theta = rng.normal(-1.0, 0.5, model.layout.dim)
     pw = pointwise_log_likelihood(model, theta)
     assert len(pw) == data.n
-    # the log-likelihood term of the posterior is the sum of the rows
-    assert math.isclose(float(pw.sum()), log_posterior(model, theta) - log_prior(model, theta),
-                        rel_tol=1e-12)
+    # the log-likelihood term of the posterior is the sum of the rows, and
+    # log_posterior hands back the rows it summed
+    lp, rows = log_posterior(model, theta)
+    assert np.array_equal(rows, pw)
+    assert math.isclose(float(pw.sum()), lp - log_prior(model, theta), rel_tol=1e-12)
 
 
 def test_pointwise_matches_row_by_row_scalar_evaluation():
@@ -234,6 +236,18 @@ def test_random_effect_prior_matches_normal_density():
     assert math.isclose(got, normal + beta_term + phi_term, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("q", range(1, 8))
+def test_coefficient_prior_sums_like_numpy(q):
+    # log_prior sums the beta terms in Python floats; for q < 8 the result
+    # equals numpy's reduction bit for bit, which keeps the chains unchanged
+    rng = np.random.default_rng(q)
+    data = SurvivalDataset(np.ones(2), np.ones(2, dtype=int), rng.normal(size=(2, q)),
+                           np.ones(2, dtype=int))
+    beta = rng.normal(size=q) * 10.0 ** rng.uniform(-2.0, 3.0, q)  # mixed magnitudes
+    numpy_sum = float(np.sum(I._COEF_LOG_NORM - 0.5 * beta * beta / I._COEF_PRIOR_VARIANCE))
+    assert log_prior(Model(data, ModelSpec(Family.EXPONENTIAL)), beta) == numpy_sum
+
+
 # ------------------------------------------------------------- posterior ---
 
 @pytest.mark.parametrize("family", list(Family))
@@ -242,20 +256,29 @@ def test_per_cluster_pieces_factorise_the_posterior(family, effect):
     data = _toy(n=40, clusters=5)
     model = Model(data, ModelSpec(family, effect))
     theta = np.random.default_rng(6).normal(-0.5, 0.3, model.layout.dim)
+
+    def cluster_log_likelihood(theta):
+        # the sampler's per-cluster log-likelihood: the rows summed by cluster
+        return np.bincount(model.cluster, log_posterior(model, theta)[1], minlength=5)
+
     prior = effect_log_prior(model, theta)
-    ll = cluster_log_density(model, theta) - prior
+    ll = cluster_log_likelihood(theta)
     assert ll.shape == prior.shape == (5,)
     assert abs(ll.sum() - pointwise_log_likelihood(model, theta).sum()) < 1e-10
     for i, col in enumerate(range(model.layout.dim)[model.layout.effect_indices]):
         moved = theta.copy()
         moved[col] += 0.37
         d_prior = effect_log_prior(model, moved) - prior
-        d_ll = cluster_log_density(model, moved) - effect_log_prior(model, moved) - ll
+        d_ll = cluster_log_likelihood(moved) - ll
         others = np.arange(5) != i
         assert np.all(d_ll[others] == 0.0) and np.all(d_prior[others] == 0.0)
-        d_post = log_posterior(model, moved) - log_posterior(model, theta)
+        d_post = log_posterior(model, moved)[0] - log_posterior(model, theta)[0]
         assert abs(d_ll[i] + d_prior[i] - d_post) < 1e-9
-        d_density = cluster_log_density(model, moved) - cluster_log_density(model, theta)
+        # the effect step's per-cluster density: moving effect i moves entry
+        # i alone, by the change in the log posterior
+        d_density = ((cluster_log_likelihood(moved) + effect_log_prior(model, moved))
+                     - (ll + prior))
+        assert np.all(d_density[others] == 0.0)
         assert abs(d_density[i] - d_post) < 1e-9
 
 
@@ -264,7 +287,7 @@ def test_posterior_is_likelihood_plus_prior():
     model = Model(data, ModelSpec(Family.WEIBULL, EffectKind.RANDOM))
     theta = np.random.default_rng(0).normal(-0.5, 0.3, model.layout.dim)
     assert math.isclose(
-        log_posterior(model, theta),
+        log_posterior(model, theta)[0],
         pointwise_log_likelihood(model, theta).sum() + log_prior(model, theta),
         rel_tol=1e-13)
 
@@ -273,7 +296,7 @@ def test_minus_inf_prior_propagates():
     data = _toy()
     spec = ModelSpec(Family.EXPONENTIAL, EffectKind.RANDOM)
     theta = np.concatenate([np.zeros(3), np.zeros(3), [math.log(10.5)]])  # phi > 10
-    assert log_posterior(Model(data, spec), theta) == -math.inf
+    assert log_posterior(Model(data, spec), theta) == (-math.inf, None)
 
 
 def test_exponential_posterior_mode_matches_closed_form_mle(monkeypatch):
@@ -286,7 +309,7 @@ def test_exponential_posterior_mode_matches_closed_form_mle(monkeypatch):
     data = SurvivalDataset(t, np.ones(n, dtype=int), np.ones((n, 1)), np.ones(n, dtype=int))
     model = Model(data, ModelSpec(Family.EXPONENTIAL))
     grid = np.linspace(-5.0, -2.0, 1201)
-    vals = [log_posterior(model, np.array([b])) for b in grid]
+    vals = [log_posterior(model, np.array([b]))[0] for b in grid]
     best = grid[int(np.argmax(vals))]
     mle = math.log(n / t.sum())
     assert abs(best - mle) < (grid[1] - grid[0]) * 1.5
@@ -304,7 +327,7 @@ def test_time_rescaling_shifts_exponential_argmax(monkeypatch):
         data = SurvivalDataset(times, np.ones(n, dtype=int), np.ones((n, 1)),
                                np.ones(n, dtype=int))
         model = Model(data, spec)
-        vals = [log_posterior(model, np.array([b])) for b in grid]
+        vals = [log_posterior(model, np.array([b]))[0] for b in grid]
         return grid[int(np.argmax(vals))]
 
     shift = argmax(2 * t) - argmax(t)
@@ -318,7 +341,7 @@ def test_posterior_finite_and_continuous_on_segments(a, b):
     model = Model(data, ModelSpec(Family.LOG_NORMAL, EffectKind.FRAILTY))
     t0 = np.full(model.layout.dim, a)
     t1 = np.full(model.layout.dim, b)
-    vals = [log_posterior(model, t0 + s * (t1 - t0)) for s in np.linspace(0, 1, 9)]
+    vals = [log_posterior(model, t0 + s * (t1 - t0))[0] for s in np.linspace(0, 1, 9)]
     assert all(math.isfinite(v) for v in vals)
     # continuity: neighboring grid values stay within a modest factor
     diffs = np.abs(np.diff(vals))

@@ -1,6 +1,7 @@
 """MCMC sampler determinism, correctness on conjugate targets, and the
 split-Rhat / effective-sample-size diagnostics."""
 
+import hashlib
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from rmstbayes.families import EffectKind, Family
 from rmstbayes.inference import ModelSpec, ParamLayout, SurvivalDataset
 from rmstbayes.sampler import (PosteriorDraws, SamplerConfig,
                                effective_sample_size, run_chains, split_rhat)
+from rmstbayes.simulation import ScenarioConfig, generate_scenario
 
 
 def _exp_data(n=200, seed=4, lam=math.exp(-4.5)):
@@ -111,30 +113,32 @@ def test_natural_scale_positivity():
         assert np.all(draws.column(col) > 0)
 
 
-def _sweep_calls(monkeypatch, n_clusters, iterations):
+def _sweep_calls(monkeypatch, family, n_clusters, iterations):
     """Calls of the sampler's log-density entry points in a two-chain
-    Weibull random-effects fit, with the event order of every call."""
+    random-effects fit, in order, with a "pass" event for every likelihood
+    pass (a call of the likelihood kernel) whoever makes it."""
     import rmstbayes.inference as inference
     import rmstbayes.sampler as sampler
 
     events = []
 
-    def counted(module, name):
+    def counted(module, name, event):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            events.append(name)
+            events.append(event)
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("log_posterior", "cluster_log_density", "log_prior"):
-        counted(sampler, name)
-    counted(inference, "pointwise_log_likelihood")  # one likelihood pass each
+    for name in ("log_posterior", "log_prior"):
+        counted(sampler, name, name)
+    counted(sampler, "pointwise_log_likelihood", "effect_pass")
+    counted(inference, "log_hazard_survival", "pass")
     n = 96
     data = SurvivalDataset(np.random.default_rng(3).weibull(1.5, n) * 40.0,
                            np.ones(n, dtype=int), np.ones((n, 1)),
                            np.arange(n) % n_clusters + 1, ("intercept",))
-    draws = run_chains(data, ModelSpec(Family.WEIBULL, EffectKind.RANDOM),
+    draws = run_chains(data, ModelSpec(family, EffectKind.RANDOM),
                        SamplerConfig(chains=2, iterations=iterations, burnin=10, seed=4))
     monkeypatch.undo()
     return events, draws
@@ -142,35 +146,71 @@ def _sweep_calls(monkeypatch, n_clusters, iterations):
 
 @pytest.mark.parametrize("n_clusters", [4, 16])
 def test_sweep_cost_does_not_grow_with_clusters(monkeypatch, n_clusters):
-    short, _ = _sweep_calls(monkeypatch, n_clusters, 20)
-    events, draws = _sweep_calls(monkeypatch, n_clusters, 40)
-    # Same seed, so the longer run repeats the shorter one and adds 2 x 20
-    # sweeps.
-    per_sweep = {name: (events.count(name) - short.count(name)) / 40
-                 for name in set(events)}
     from rmstbayes.sampler import _BETA_UPDATES as beta_updates
-    assert per_sweep == {"log_posterior": beta_updates + 1,   # beta, shape
-                         "cluster_log_density": 2,             # all M effects
-                         "log_prior": 2,                       # phi
-                         "pointwise_log_likelihood": beta_updates + 3}
-    # Every likelihood pass comes straight from a log_posterior or
-    # cluster_log_density call: the phi step's log_prior calls make none.
-    for before, event in zip(events, events[1:]):
-        if event == "pointwise_log_likelihood":
-            assert before in ("log_posterior", "cluster_log_density")
-    names = ["beta", "shape", *(f"effect[{i}]" for i in range(1, n_clusters + 1)), "phi"]
-    assert list(draws.acceptance) == names
-    assert all(len(rates) == 2 for rates in draws.acceptance.values())
+    for family in (Family.WEIBULL, Family.EXPONENTIAL):
+        short, _ = _sweep_calls(monkeypatch, family, n_clusters, 20)
+        events, draws = _sweep_calls(monkeypatch, family, n_clusters, 40)
+        # Same seed, so the longer run repeats the shorter one and adds
+        # 2 x 20 sweeps.
+        per_sweep = {name: (events.count(name) - short.count(name)) / 40
+                     for name in set(events)}
+        has_shape = family is not Family.EXPONENTIAL
+        assert per_sweep == {"log_posterior": beta_updates + has_shape,  # beta, shape
+                             "effect_pass": 1,                          # all M effects
+                             "log_prior": 2,                            # phi
+                             "pass": beta_updates + has_shape + 1}, family
+        # Every likelihood pass comes straight from a log_posterior call or
+        # from the effect step's one pass at its proposal: the phi step's
+        # log_prior calls make none.
+        for before, event in zip(events, events[1:]):
+            if event == "pass":
+                assert before in ("log_posterior", "effect_pass")
+        names = ["beta", *(["shape"] if has_shape else []),
+                 *(f"effect[{i}]" for i in range(1, n_clusters + 1)), "phi"]
+        assert list(draws.acceptance) == names
+        assert all(len(rates) == 2 for rates in draws.acceptance.values())
 
 
 def test_initialization_failure_is_explicit(monkeypatch):
     import rmstbayes.sampler as sampler
     data = _exp_data(n=30)
     # a posterior that is -inf everywhere leaves no finite initial point
-    monkeypatch.setattr(sampler, "log_posterior", lambda model, theta: -math.inf)
+    monkeypatch.setattr(sampler, "log_posterior", lambda model, theta: (-math.inf, None))
     spec = ModelSpec(Family.LOG_NORMAL)
     with pytest.raises(RuntimeError, match="initial point"):
         run_chains(data, spec, SamplerConfig(chains=1, iterations=50, burnin=10, seed=0))
+
+
+# SHA-256 of run_chains(...).values for every family x effect on a small
+# scenario-A dataset: a change to the sampler that moves any kept draw by
+# one bit fails here, so a change that keeps the Markov kernel can show it
+# does, and one that changes the kernel must update these on purpose.  The
+# digests depend on IEEE-754 double arithmetic and on numpy's exp/log
+# rounding; they were taken with numpy 2.4 on x86-64.
+KERNEL_DIGESTS = {
+    ("exponential", "none"): "28a6094220ddd69b61fffd06ccbcfa1386a9058268f59787ad8c57aef403450b",
+    ("exponential", "random"): "2a09d896666df5fee9f4e0e4282757d73999cb66d8b01c4d2bc8459f8d529af7",
+    ("exponential", "frailty"): "8e2431409f556f685e25ea30e71133d3d55299a991e116b4ea010fd8e4d4595d",
+    ("weibull", "none"): "86eaf3495fd002c72ed32ad302fac8dd3d3b46f1fa1c3ac0815209c4cdf65f1e",
+    ("weibull", "random"): "89fe9c5791fd64d7b86fb78822acf8d8fb2309c030d9f92c63e3e97be7a5500f",
+    ("weibull", "frailty"): "42ae1fd083d9452d2e60679db62bdb06606732de44c9b43158f537ec51feb3fa",
+    ("loglogistic", "none"): "4461e0023cfd3f7994541935d62a8b7c452d4b4342ed7729c64f92d0cca563b8",
+    ("loglogistic", "random"): "7611a4e67493bedb265f0c68cf3a7c6d216cdc17719eaafdceb8eaa373e0b221",
+    ("loglogistic", "frailty"): "f2f639f3a24f88a4515667ed4a8f5fcc1031c69155be1cbc87df40a1cb9689dd",
+    ("lognormal", "none"): "d4f62a2cc20e54c84d65d34d6209036cdc0063f11c91ec8fa0bdf4df63a51cee",
+    ("lognormal", "random"): "8da7bd3c6da9a23a4739a3b83fb2bb2cf5f864eb04bb3486f0bbd1670d1ddb46",
+    ("lognormal", "frailty"): "7c10f1fa639acbe37f98358284b8d2b8485466ab185002e7dbab97e571b9ec9d",
+}
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("effect", list(EffectKind))
+def test_kept_draws_are_pinned(family, effect):
+    data = generate_scenario(ScenarioConfig("A", n=64), 0)
+    draws = run_chains(data, ModelSpec(family, effect),
+                       SamplerConfig(chains=2, iterations=120, burnin=80, seed=7))
+    digest = hashlib.sha256(draws.values.tobytes()).hexdigest()
+    assert digest == KERNEL_DIGESTS[family.value, effect.value]
 
 
 # ----------------------------------------------------------------- rhat ---
