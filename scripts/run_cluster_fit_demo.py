@@ -8,6 +8,7 @@ Example:
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -37,6 +38,8 @@ def main(argv=None) -> int:
     parser.add_argument("--burnin", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if not 0.0 < args.tau < math.inf:  # refused before any fit, as `rmstbayes fit` does
+        parser.error(f"--tau must be positive and finite, got {args.tau:g}")
 
     scen_cfg = ScenarioConfig(args.scenario, n=args.n, seed=args.seed)
     data = generate_scenario(scen_cfg, 0)

@@ -132,10 +132,11 @@ def log_hazard_survival(family: Family, eta, shape, t, logt,
 
     ``eta`` is log lam (exponential, weibull) or mu (log-logistic,
     log-normal); ``shape`` is k, or sigma^2 for log-normal, a scalar or an
-    array that broadcasts against ``eta`` (WAIC passes a (B, 1) column of
-    shapes with (B, n) ``eta`` and effects, one row per draw).  ``effect`` is the
-    cluster effect on the sampling scale: a random offset u shifts eta, and a
-    frailty given as log v scales log S by v and adds log v to log h.
+    array that broadcasts against ``eta`` (the likelihood passes a scalar
+    with (n,) ``eta`` and effects, or a (B, 1) column of shapes with (B, n)
+    ones, one row per draw).  ``effect`` is the cluster effect on the
+    sampling scale: a random offset u shifts eta, and a frailty given as
+    log v scales log S by v and adds log v to log h.
     """
     if kind is EffectKind.RANDOM:
         eta = eta + effect

@@ -23,7 +23,8 @@ A ``Model`` compiles a dataset and a spec once per fit, the layout included;
 per-cluster ``effect_log_prior`` take ``(model, theta)``.  ``log_posterior``
 also returns the per-row terms it summed, so the sampler can carry them in
 its state; a cluster's log-likelihood is the bincount of those rows by
-``model.cluster``.
+``model.cluster``.  ``pointwise_log_likelihood`` takes one draw (the
+sampler) or a block of draws (WAIC).
 """
 
 from __future__ import annotations
@@ -62,13 +63,9 @@ class SurvivalDataset:
 
     def __post_init__(self):
         time = np.asarray(self.time, dtype=float)
-        event = np.asarray(self.event, dtype=int)
+        event = np.asarray(self.event, dtype=float)  # cast to int once checked
         x = np.asarray(self.x, dtype=float)
-        cluster = np.asarray(self.cluster, dtype=int)
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "event", event)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "cluster", cluster)
+        cluster = np.asarray(self.cluster, dtype=float)
         n = len(time)
         if x.ndim != 2 or x.shape[0] != n or len(event) != n or len(cluster) != n:
             raise ValueError("time, event, x, cluster must have matching lengths")
@@ -76,6 +73,8 @@ class SurvivalDataset:
             raise ValueError("all times must be positive and finite")
         if not np.all((event == 0) | (event == 1)):
             raise ValueError("event indicators must be 0 or 1")
+        if not np.all(np.isfinite(cluster) & (cluster == np.floor(cluster))):
+            raise ValueError("cluster labels must be integers")
         if not np.all(np.isfinite(x)):
             raise ValueError("covariates must be finite")
         labels = np.unique(cluster)
@@ -83,6 +82,10 @@ class SurvivalDataset:
             raise ValueError("cluster indices must be contiguous from 1")
         if self.column_names and len(self.column_names) != x.shape[1]:
             raise ValueError("column_names length must match design width")
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "event", event.astype(int))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "cluster", cluster.astype(int))
 
     @property
     def n(self) -> int:
@@ -174,7 +177,7 @@ class ParamLayout:
 class Model:
     """A dataset and a model spec compiled once per fit: the parameter
     layout and the per-row arrays (log t, events as floats, 0-based cluster
-    index) that every posterior evaluation reuses."""
+    index, theta column of the effect) that every evaluation reuses."""
 
     def __init__(self, data: SurvivalDataset, spec: ModelSpec):
         self.spec = spec
@@ -186,22 +189,29 @@ class Model:
         self.event = data.event.astype(float)
         self.logt = np.log(data.time)
         self.cluster = data.cluster - 1
+        self.effect_column = self.cluster + self.layout.effect_indices.start
 
 
-def _check_theta(layout: ParamLayout, theta: np.ndarray) -> np.ndarray:
+def _check_theta(layout: ParamLayout, theta: np.ndarray, blocks: bool = False) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (layout.dim,):
-        raise ValueError(f"parameter vector has shape {theta.shape}, expected ({layout.dim},)")
+    if theta.shape[-1:] != (layout.dim,) or theta.ndim > 1 + blocks:
+        expected = f"({layout.dim},)" + (f" or (B, {layout.dim})" if blocks else "")
+        raise ValueError(f"parameter vector has shape {theta.shape}, expected {expected}")
     return theta
 
 
 def pointwise_log_likelihood(model: Model, theta: np.ndarray) -> np.ndarray:
-    """Per-row delta*log f + (1-delta)*log S: the log-likelihood's terms."""
+    """Per-row delta*log f + (1-delta)*log S: the log-likelihood's terms, (n,)
+    for one draw theta (dim,), or (B, n) for a block (B, dim) of draws, each
+    row bit for bit its draw's single-draw terms, in one kernel call."""
     layout, spec = model.layout, model.spec
-    theta = _check_theta(layout, theta)
-    eta = model.x @ theta[: layout.q]
-    shape = math.exp(theta[layout.shape_index]) if layout.has_shape else None
-    effect = (theta[layout.effect_indices][model.cluster]
+    theta = _check_theta(layout, theta, blocks=True)
+    eta = theta[..., : layout.q] @ model.x.T
+    k = layout.shape_index
+    # one draw's shape as a scalar: a (1,) column slows the kernel by ~10%
+    shape = None if k is None else np.exp(theta[k] if theta.ndim == 1 else theta[:, k, None])
+    # take by precomputed column: theta[..., effects][..., cluster] is slower
+    effect = (theta.take(model.effect_column, axis=-1)
               if spec.effect is not EffectKind.NONE else 0.0)
     log_h, log_s = log_hazard_survival(spec.family, eta, shape,
                                        model.time, model.logt, spec.effect, effect)

@@ -5,7 +5,7 @@ lppd = sum_i log mean_s exp(l_is) (computed via log-sum-exp) and
 p_waic = sum_i var_s(l_is) over the per-draw pointwise log-likelihoods l_is.
 
 ``waic`` streams the draws in blocks of B = max(1, _BLOCK_ELEMENTS // n):
-``pointwise_matrix`` (the name the benchmark's tracer times) evaluates one
+``inference.pointwise_log_likelihood``, the sampler's evaluator, gives one
 block's (B, n) log-likelihoods in one call of the family kernel, and each
 observation keeps a running maximum and rescaled sum of exp for lppd and a
 running mean and sum of squared deviations (Chan et al.'s merge) for p_waic,
@@ -20,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import EffectKind, log_hazard_survival
 from .inference import Model, ModelSpec, SurvivalDataset
+# Imported under this name because the benchmark's tracer times WAIC's
+# likelihood passes as rmstbayes.model_selection.pointwise_matrix.
+from .inference import pointwise_log_likelihood as pointwise_matrix
 from .sampler import PosteriorDraws
 
 _MIN_DRAWS = 100
@@ -43,23 +45,6 @@ class WaicResult:
 def _warn_degenerate():
     warnings.warn("degenerate draws: zero variance in every pointwise "
                   "log-likelihood; p_waic set to 0", RuntimeWarning, stacklevel=3)
-
-
-def pointwise_matrix(model: Model, thetas: np.ndarray) -> np.ndarray:
-    """(B, n) pointwise log-likelihoods of a (B, dim) block of sampling-scale
-    draws, in one kernel call: eta = thetas[:, :q] @ x.T, the shapes as a
-    (B, 1) column and the effects gathered by cluster into (B, n)."""
-    layout, spec = model.layout, model.spec
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != layout.dim:
-        raise ValueError(f"draws have shape {thetas.shape}, expected (B, {layout.dim})")
-    eta = thetas[:, : layout.q] @ model.x.T
-    shape = np.exp(thetas[:, [layout.shape_index]]) if layout.has_shape else None
-    effect = (thetas[:, layout.effect_indices][:, model.cluster]
-              if spec.effect is not EffectKind.NONE else 0.0)
-    log_h, log_s = log_hazard_survival(spec.family, eta, shape,
-                                       model.time, model.logt, spec.effect, effect)
-    return model.event * log_h + log_s
 
 
 def waic(data: SurvivalDataset, spec: ModelSpec, draws: PosteriorDraws) -> WaicResult:

@@ -250,6 +250,8 @@ def rmst_distribution(draws, tau: float, x1: int, cluster: int | None = None,
     handed over as u, or as log v for a frailty.
     """
     layout, family = draws.layout, draws.spec.family
+    if layout.q < 2:
+        raise ValueError("the design needs an intercept and a group indicator column")
     if x1 not in (0, 1):
         raise ValueError("x1 must be 0 (control) or 1 (treatment)")
     if covariates and len(covariates) != layout.q - 2:

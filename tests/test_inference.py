@@ -155,8 +155,27 @@ def test_tiny_censored_observation_contributes_nothing():
 
 
 def test_layout_mismatch_raises():
-    with pytest.raises(ValueError):
-        pointwise_log_likelihood(Model(_toy(), ModelSpec(Family.WEIBULL)), np.zeros(3))
+    model = Model(_toy(), ModelSpec(Family.WEIBULL))
+    dim = model.layout.dim
+    for shape in ((dim - 1,), (dim + 1,), (2, dim + 1), (2, 3, dim), ()):
+        with pytest.raises(ValueError, match="parameter vector has shape"):
+            pointwise_log_likelihood(model, np.zeros(shape))
+    # the prior is evaluated one draw at a time
+    with pytest.raises(ValueError, match="parameter vector has shape"):
+        log_prior(model, np.zeros((2, dim)))
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("effect", list(EffectKind))
+def test_block_rows_equal_single_draw_rows(scenario_c_small, family, effect):
+    model = Model(scenario_c_small, ModelSpec(family, effect))
+    thetas = np.random.default_rng(11).normal(0.0, 0.5, (37, model.layout.dim))
+    thetas[:, 0] -= 3.0  # the intercept near the data's scale
+    block = pointwise_log_likelihood(model, thetas)
+    assert block.shape == (37, len(scenario_c_small.time))
+    single = np.vstack([pointwise_log_likelihood(model, th) for th in thetas])
+    assert np.all(np.isfinite(block))
+    assert np.array_equal(block, single)
 
 
 # ---------------------------------------------------------------- layout ---
@@ -360,3 +379,13 @@ def test_dataset_validation():
     for t in (math.inf, math.nan):
         with pytest.raises(ValueError):
             SurvivalDataset([t], [1], [[1.0]], [1])
+    # checked before the cast to int, which would make them 0, 1 and 1
+    ones = np.ones((3, 1))
+    for event in ([0.5, 1, 1], [1.7, 1, 1]):
+        with pytest.raises(ValueError, match="event indicators"):
+            SurvivalDataset([1.0, 2.0, 3.0], event, ones, [1, 1, 2])
+    for cluster in ([1.5, 1, 2], [math.inf, 1, 2], [math.nan, 1, 2]):
+        with pytest.raises(ValueError, match="cluster labels must be integers"):
+            SurvivalDataset([1.0, 2.0, 3.0], [1, 0, 1], ones, cluster)
+    data = SurvivalDataset([1.0, 2.0], [1.0, False], np.ones((2, 1)), [1.0, 1])
+    assert data.event.tolist() == [1, 0] and data.cluster.tolist() == [1, 1]

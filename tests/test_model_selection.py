@@ -9,10 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import rmstbayes.inference as I
 import rmstbayes.model_selection as MS
 from rmstbayes.families import EffectKind, Family
 from rmstbayes.inference import Model, ModelSpec, SurvivalDataset, pointwise_log_likelihood
-from rmstbayes.model_selection import pointwise_matrix, waic, waic_from_matrix
+from rmstbayes.model_selection import waic, waic_from_matrix
 from rmstbayes.sampler import PosteriorDraws, SamplerConfig, run_chains
 
 
@@ -100,7 +101,7 @@ def test_waic_matches_pipeline_computation(exp_fit_small):
     data, spec, draws = exp_fit_small
     res = waic(data, spec, draws)
     thetas = draws.layout.to_sampling(draws.flat())
-    ref = waic_from_matrix(pointwise_matrix(Model(data, spec), thetas))
+    ref = waic_from_matrix(pointwise_log_likelihood(Model(data, spec), thetas))
     assert math.isclose(res.waic, ref.waic, rel_tol=1e-14)
 
 
@@ -181,13 +182,13 @@ def test_streamed_waic_one_draw_per_block_when_rows_exceed_the_block():
 def test_waic_makes_one_kernel_call_per_block(monkeypatch):
     data, spec, draws = _weibull_posterior(n=512, s=1000)
     block = MS._BLOCK_ELEMENTS // 512
-    kernel, rows = MS.log_hazard_survival, []
+    kernel, rows = I.log_hazard_survival, []
 
     def counting(family, eta, *args):
         rows.append(eta.shape)
         return kernel(family, eta, *args)
 
-    monkeypatch.setattr(MS, "log_hazard_survival", counting)
+    monkeypatch.setattr(I, "log_hazard_survival", counting)
     waic(data, spec, draws)
     assert len(rows) == math.ceil(1000 / block)
     assert rows == [(block, 512)] * (1000 // block) + [(1000 % block, 512)]

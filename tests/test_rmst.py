@@ -415,6 +415,15 @@ def test_wrong_covariate_count_rejected(q, cov):
         R.rmst_difference(draws, 100.0, covariates=cov)
 
 
+def test_design_without_a_group_column_rejected():
+    # an intercept-only fit has no group to compare
+    draws = _fake_draws(Family.WEIBULL, [[-4.5, 1.2]], q=1)
+    with pytest.raises(ValueError, match="an intercept and a group indicator column"):
+        R.rmst_distribution(draws, 100.0, 0)
+    with pytest.raises(ValueError, match="an intercept and a group indicator column"):
+        R.rmst_difference(draws, 100.0)
+
+
 def test_cluster_query_rejected_without_effects():
     draws = _fake_draws(Family.EXPONENTIAL, [[-4.5, 0.5]])
     with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
 """The example script under ``scripts/`` runs end to end on scenario B at tiny
-sizes, in its own interpreter."""
+sizes, in its own interpreter, and refuses a bad ``--tau`` before fitting."""
 
 import os
 import subprocess
@@ -22,3 +22,10 @@ def test_cluster_fit_demo_takes_the_cli_family_spelling():
     assert out.returncode == 0, out.stderr
     assert "[frailty] RMST difference" in out.stdout
 
+
+def test_cluster_fit_demo_refuses_a_bad_tau_before_fitting():
+    for tau in ("0", "-5", "inf", "nan"):
+        out = _run("run_cluster_fit_demo.py", "--tau", tau)
+        assert out.returncode == 2, (tau, out.stderr)
+        assert "--tau must be positive and finite" in out.stderr
+        assert "Traceback" not in out.stderr and out.stdout == ""
