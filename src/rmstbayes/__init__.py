@@ -14,6 +14,6 @@ from .sampler import (PosteriorDraws, SamplerConfig, effective_sample_size,
                       run_chains, split_rhat)
 from .simulation import (ScenarioConfig, SimMetrics, evaluate_replications,
                          generate_scenario, scenario_truth)
-from .summaries import RmstSummary, forest_rows, histogram_bins, summarize
+from .summaries import RmstSummary, histogram_bins, summarize
 
 __version__ = "0.1.0"

@@ -4,8 +4,9 @@ Every subcommand is deterministic given --seed, prints a human-readable
 table to stdout, and (with --output) writes a single JSON document that
 carries the fully resolved configuration alongside the results.  Output
 files are written to a temporary file and renamed into place so a failed
-run never leaves a partial document.  Exit status: 0 on success, 1 on
-runtime failure, 2 on usage errors, invalid parameter values included.
+run never leaves a partial document; a non-finite value, which JSON cannot
+hold, fails the run instead of being written.  Exit status: 0 on success,
+1 on runtime failure, 2 on usage errors, invalid parameter values included.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .model_selection import waic as compute_waic
 from .rmst import rmst_difference, rmst_value
 from .sampler import SamplerConfig, effective_sample_size, run_chains, split_rhat
 from .simulation import ScenarioConfig, evaluate_replications, scenario_truth
-from .summaries import RmstSummary, forest_rows, histogram_bins, summarize
+from .summaries import RmstSummary, histogram_bins, summarize
 
 
 def _write_output(doc: dict, path: str | None) -> None:
@@ -38,7 +39,7 @@ def _write_output(doc: dict, path: str | None) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(doc, fh, indent=2, allow_nan=False)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -140,11 +141,13 @@ def cmd_fit(args) -> int:
     edges, counts = histogram_bins(diff.values)
     forest = None
     if spec.effect is not EffectKind.NONE:
-        per_cluster = {}
+        # forest-plot rows (label, mean, ci_low, ci_high), the marginal last
+        forest = []
         for i in range(1, data.n_clusters + 1):
             _, _, cdiff = rmst_difference(draws, args.tau, cluster=i)
-            per_cluster[f"cluster-{i}"] = summarize(cdiff.values, args.ci_level)
-        forest = forest_rows(per_cluster, diff_summary)
+            s = summarize(cdiff.values, args.ci_level)
+            forest.append([f"cluster-{i}", s.mean, s.ci_low, s.ci_high])
+        forest.append(["marginal", diff_summary.mean, diff_summary.ci_low, diff_summary.ci_high])
 
     doc = {
         "config": {
@@ -156,7 +159,7 @@ def cmd_fit(args) -> int:
         "parameters": param_rows,
         "rmst": rmst_doc,
         "histogram": {"edges": list(edges), "counts": [int(c) for c in counts]},
-        "forest": [list(r) for r in forest] if forest is not None else None,
+        "forest": forest,
         "acceptance": draws.acceptance,
     }
     _write_output(doc, args.output)
@@ -273,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sampler_flags(p_fit)
     p_fit.add_argument("--tau", type=_open_interval(0.0, math.inf), default=100.0)
     p_fit.add_argument("--ci-level", type=_open_interval(0.0, 1.0), default=0.95)
-    p_fit.add_argument("--threshold", type=float, action="append")
+    p_fit.add_argument("--threshold", type=_open_interval(-math.inf, math.inf), action="append")
     p_fit.add_argument("--output")
     p_fit.set_defaults(run=cmd_fit)
 

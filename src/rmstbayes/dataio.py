@@ -48,6 +48,12 @@ def ingest_csv(path, time_col: str = "time", event_col: str = "event",
     for col in (time_col, event_col, cluster_col, group_col):
         if col not in header:
             problems.append(f"missing required column {col!r}")
+    for i, r in enumerate(rows, start=2):  # 1-based file lines; header is 1
+        # csv.DictReader files surplus fields under the key None, missing ones as None
+        if None in r:
+            problems.append(f"row {i}: more fields than the header's {len(header)}")
+        elif None in r.values():
+            problems.append(f"row {i}: fewer fields than the header's {len(header)}")
     if problems:
         raise DataError(problems)
 
@@ -73,10 +79,9 @@ def ingest_csv(path, time_col: str = "time", event_col: str = "event",
                 levels[col].append(r[col])
 
     time, event, cluster_raw, design_rows = [], [], [], []
-    for i, r in enumerate(rows, start=2):  # 1-based file lines; header is 1
+    for i, r in enumerate(rows, start=2):
         row_problems = []
-        if any(r[c] == "" or r[c] is None for c in
-               (time_col, event_col, cluster_col, group_col)):
+        if any(r[c] == "" for c in (time_col, event_col, cluster_col, group_col)):
             problems.append(f"row {i}: missing value in a required column")
             continue
         t = _try_float(r[time_col])

@@ -143,13 +143,8 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
     log_scales = np.full(n_blocks, math.log(_INITIAL_STEP))
     rm_iter = np.zeros(n_blocks, dtype=int)  # per-slot adaptation clocks
     accept_post = np.zeros(n_blocks)
-    trials_post = np.zeros(n_blocks)
-
-    def slot_of(index):
-        return index - q + 1
-
     effects = layout.effect_indices
-    effect_slots = slice(slot_of(effects.start), slot_of(effects.stop))
+    effect_slots = slice(effects.start - q + 1, effects.stop - q + 1)
 
     def cluster_log_density(point, point_rows):
         """Entry i: cluster i's log-likelihood at ``point``, summed from its
@@ -166,24 +161,19 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
             log_scales[slot] += gamma * (accepted - target)
         else:
             accept_post[slot] += accepted
-            trials_post[slot] += 1.0
 
-    def metropolis(proposal, evaluated, slot, target):
-        """Accept or reject ``proposal`` given its (log posterior, rows)."""
-        nonlocal theta, lp, rows
-        lp_prop, rows_prop = evaluated
-        accept = (lp_prop - lp > math.log(rng.random())
-                  if math.isfinite(lp_prop) else False)
-        if accept:
-            theta, lp, rows = proposal, lp_prop, rows_prop
+    def accepts(lp_prop, slot, target) -> bool:
+        """The Metropolis test of a proposal whose log posterior is
+        ``lp_prop`` against the current state's, recorded on ``slot``."""
+        accept = lp_prop - lp > math.log(rng.random()) if math.isfinite(lp_prop) else False
         record(slot, 1.0 if accept else 0.0, target)
+        return accept
 
-    def scalar_step(index, log_target):
-        """Random-walk Metropolis on theta[index]; ``log_target`` maps the
-        proposal to its (log posterior, rows)."""
+    def propose(index):
+        """theta with coordinate ``index`` moved by a random-walk step."""
         proposal = theta.copy()
-        proposal[index] += math.exp(log_scales[slot_of(index)]) * rng.normal()
-        metropolis(proposal, log_target(proposal), slot_of(index), _TARGET_ACCEPT_SCALAR)
+        proposal[index] += math.exp(log_scales[index - q + 1]) * rng.normal()
+        return proposal
 
     # Running moments of beta for the adapted full proposal covariance; the
     # coefficients are mutually correlated (intercept vs. slopes), so a
@@ -217,9 +207,14 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
             step = rng.normal(size=q) if beta_chol is None else beta_chol @ rng.normal(size=q)
             proposal = theta.copy()
             proposal[:q] += math.exp(log_scales[0]) * step
-            metropolis(proposal, log_posterior(model, proposal), 0, _TARGET_ACCEPT_BLOCK)
+            lp_prop, rows_prop = log_posterior(model, proposal)
+            if accepts(lp_prop, 0, _TARGET_ACCEPT_BLOCK):
+                theta, lp, rows = proposal, lp_prop, rows_prop
         if layout.has_shape:
-            scalar_step(layout.shape_index, lambda prop: log_posterior(model, prop))
+            proposal = propose(layout.shape_index)
+            lp_prop, rows_prop = log_posterior(model, proposal)
+            if accepts(lp_prop, layout.shape_index - q + 1, _TARGET_ACCEPT_SCALAR):
+                theta, lp, rows = proposal, lp_prop, rows_prop
         if layout.phi_index is not None:
             # Given beta, the shape and phi the effects are conditionally
             # independent, so one proposal per cluster, each accepted on its
@@ -239,9 +234,10 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
             lp += float(log_ratio[accepted].sum())
             record(effect_slots, accepted.astype(float), _TARGET_ACCEPT_SCALAR)
             # phi enters only the effects' prior: no likelihood pass.
-            scalar_step(layout.phi_index,
-                        lambda prop: (lp + log_prior(model, prop) - log_prior(model, theta),
-                                      rows))
+            proposal = propose(layout.phi_index)
+            lp_prop = lp + log_prior(model, proposal) - log_prior(model, theta)
+            if accepts(lp_prop, layout.phi_index - q + 1, _TARGET_ACCEPT_SCALAR):
+                theta, lp = proposal, lp_prop
         if adapting:
             if it >= moments_start:
                 # Welford update of the beta moments for the proposal
@@ -253,8 +249,9 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
         else:
             kept[it - cfg.burnin] = theta
 
-    rates = accept_post / np.maximum(trials_post, 1.0)
-    return kept, rates
+    # each slot is tried once per kept sweep, the beta block _BETA_UPDATES times
+    accept_post[0] /= _BETA_UPDATES
+    return kept, accept_post / len(kept)
 
 
 def run_chains(data: SurvivalDataset, spec: ModelSpec, cfg: SamplerConfig) -> PosteriorDraws:

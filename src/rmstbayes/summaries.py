@@ -1,7 +1,7 @@
 """Posterior summaries: mean, median, KDE mode, SD, equal-tailed credible
 intervals (type-7 / linear-interpolation quantiles), and exceedance
-probabilities P(value < threshold); plus forest-plot rows and histogram bins
-as plain data (no plotting)."""
+probabilities P(value < threshold); plus histogram bins as plain data (no
+plotting)."""
 
 from __future__ import annotations
 
@@ -94,15 +94,6 @@ def summarize(v, level: float = 0.95, thresholds=()) -> RmstSummary:
         ci_high=float(hi),
         exceedance=tuple((float(th), float(np.mean(v < th))) for th in thresholds),
     )
-
-
-def forest_rows(cluster_summaries, marginal: RmstSummary) -> list:
-    """Rows of (label, mean, ci_low, ci_high), one per cluster, with the
-    marginal summary appended last."""
-    rows = [(str(label), s.mean, s.ci_low, s.ci_high)
-            for label, s in cluster_summaries.items()]
-    rows.append(("marginal", marginal.mean, marginal.ci_low, marginal.ci_high))
-    return rows
 
 
 def histogram_bins(v) -> tuple:

@@ -23,8 +23,8 @@ def csv_path(tmp_path_factory):
     return str(path)
 
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 FIT_ARGS = ["--family", "exponential", "--chains", "2",
             "--iter", "300", "--burnin", "150", "--seed", "3", "--tau", "100"]
@@ -103,6 +103,9 @@ def test_usage_errors_exit_two(csv_path, monkeypatch, capsys):
         rmst + ["loglogistic", "--mu", "-9.6", "--k", "2", "--u", "nan", "--tau", "100"],
         ["fit", "--input", csv_path, "--family", "exponential", "--tau", "0"],
         ["fit", "--input", csv_path, "--family", "exponential", "--ci-level", "1.5"],
+        # a non-finite threshold would reach the document as a bare NaN or Infinity
+        ["fit", "--input", csv_path, "--family", "exponential", "--threshold", "nan"],
+        ["fit", "--input", csv_path, "--family", "exponential", "--threshold", "inf"],
         ["simulate", "--scenario", "C", "--tau", "nan"],
         # each family without one parameter it requires
         rmst + ["exponential", "--tau", "10"],
@@ -165,6 +168,30 @@ def test_fit_with_random_effects_emits_forest(csv_path, tmp_path):
     doc = json.loads(out.read_text())
     labels = [r[0] for r in doc["forest"]]
     assert labels == [f"cluster-{i}" for i in range(1, 5)] + ["marginal"]
+    for label, mean, lo, hi in doc["forest"]:
+        assert lo <= mean <= hi, label
+    # the marginal row is the RMST difference's own summary
+    diff = doc["rmst"]["difference"]
+    assert doc["forest"][-1][1:] == [diff["mean"], diff["ci_low"], diff["ci_high"]]
+
+
+def test_readme_cluster_recipe_at_tiny_sizes(tmp_path):
+    # README's comparison of cluster structures, with one effect kind and
+    # short chains: write scenario B, fit at tau = 50, and score by WAIC
+    data = tmp_path / "scenario_b.csv"
+    write_csv(generate_scenario(ScenarioConfig("B", n=64)), data)
+    model = ["--input", str(data), "--family", "lognormal", "--effect", "frailty",
+             "--iter", "200", "--burnin", "100"]
+    fit_out, waic_out = tmp_path / "fit_frailty.json", tmp_path / "waic_frailty.json"
+    assert main(["fit", *model, "--tau", "50", "--output", str(fit_out)]) == 0
+    assert main(["waic", *model, "--output", str(waic_out)]) == 0
+    text = fit_out.read_text()
+    assert '"tau": 50.0' in text
+    doc = json.loads(text)
+    assert [r["name"] for r in doc["parameters"]] == [
+        "intercept", "group", "x2", "sigma2", *(f"v[{i}]" for i in range(1, 5)), "phi"]
+    assert [r[0] for r in doc["forest"]] == [f"cluster-{i}" for i in range(1, 5)] + ["marginal"]
+    assert math.isfinite(json.loads(waic_out.read_text())["waic"])
 
 
 def test_fit_output_is_deterministic_bytes(csv_path, tmp_path):
@@ -203,20 +230,19 @@ def test_simulate_without_data_exits_one(argv, monkeypatch, capsys):
     assert "must be at least" in capsys.readouterr().err
 
 
-def _readme_commands():
-    """Each ``rmstbayes`` command in README's shell blocks, with continuation
-    lines joined and the program name dropped."""
+def _readme_shell_lines():
+    """The words of each line in README's shell blocks, with continuation
+    lines joined."""
     with open(README, encoding="utf-8") as fh:
         blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
     for block in blocks:
         for line in block.replace("\\\n", " ").splitlines():
-            words = shlex.split(line, comments=True)
-            if words[:1] == ["rmstbayes"]:
-                yield words[1:]
+            yield shlex.split(line, comments=True)
 
 
 def test_readme_commands_parse():
-    commands = list(_readme_commands())
+    lines = list(_readme_shell_lines())
+    commands = [words[1:] for words in lines if words[:1] == ["rmstbayes"]]
     assert {c[0] for c in commands} == {"fit", "waic", "rmst", "simulate"}
     parser = build_parser()
     for argv in commands:
@@ -224,12 +250,25 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: rmstbayes {shlex.join(argv)}")
+    # every Python file a command names exists, and inline code compiles
+    for words in lines:
+        if words[:2] == ["python3", "-c"]:
+            compile(words[2], "README", "exec")
+        for path in (w for w in words if w.endswith(".py")):
+            assert os.path.isfile(os.path.join(ROOT, path)), shlex.join(words)
 
 
-def test_no_partial_output_on_failure(tmp_path):
+def test_no_partial_output_on_failure(tmp_path, monkeypatch):
     out = tmp_path / "never.json"
     code = main(["fit", "--input", str(tmp_path / "absent.csv"),
                  "--family", "exponential", "--output", str(out)])
     assert code == 1
     assert not out.exists()
     assert not list(tmp_path.glob("*.tmp"))
+    # JSON has no NaN: a non-finite result fails the run, mid-write, rather
+    # than leave a document that strict parsers reject
+    monkeypatch.setattr("rmstbayes.cli.rmst_value", lambda p, e, tau: math.nan)
+    code = main(["rmst", "--family", "exponential", "--lambda", "0.02", "--tau", "10",
+                 "--output", str(out)])
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []

@@ -77,6 +77,16 @@ def test_missing_values_rejected_with_row_numbers(tmp_path):
         ingest_csv(p)
 
 
+def test_ragged_rows_rejected_with_row_numbers(tmp_path):
+    # row 3 lacks its covariate, row 4 has a field the header does not name
+    p = _write(tmp_path, "time,event,cluster,group,age\n"
+                         "1,1,1,0,40\n2,1,1,1\n3,0,2,0,35,9\n4,1,2,1,38\n")
+    with pytest.raises(DataError) as err:
+        ingest_csv(p)
+    assert err.value.problems == ["row 3: fewer fields than the header's 5",
+                                  "row 4: more fields than the header's 5"]
+
+
 def test_empty_file_rejected(tmp_path):
     p = _write(tmp_path, "")
     with pytest.raises(DataError):

@@ -41,7 +41,7 @@ ROOT_NAMES = [
     "DataError", "EffectKind", "EffectValue", "Family", "FamilyParams", "ModelSpec",
     "NO_EFFECT", "PosteriorDraws", "RmstSampleVector", "RmstSummary",
     "SamplerConfig", "ScenarioConfig", "SimMetrics", "SurvivalDataset", "WaicResult",
-    "effective_sample_size", "evaluate_replications", "forest_rows", "frailty",
+    "effective_sample_size", "evaluate_replications", "frailty",
     "generate_scenario", "histogram_bins", "ingest_csv", "random_offset",
     "rmst_difference", "rmst_distribution", "rmst_numeric", "rmst_value", "run_chains",
     "scenario_truth", "split_rhat", "summarize", "waic", "write_csv",
@@ -86,7 +86,6 @@ OPTIONS = [
     "WaicResult(lppd, p_waic, pointwise_lppd, pointwise_p)",
     "effective_sample_size(draws, column)",
     "evaluate_replications(cfg, spec, sampler_cfg)",
-    "forest_rows(cluster_summaries, marginal)",
     "frailty(v)",
     "generate_scenario(cfg, replicate=0)",
     "histogram_bins(v)",

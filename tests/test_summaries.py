@@ -1,4 +1,4 @@
-"""Posterior summary statistics, forest rows, and histogram bins."""
+"""Posterior summary statistics and histogram bins."""
 
 import math
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmstbayes.summaries import (RmstSummary, forest_rows, histogram_bins,
-                                 kde_mode, silverman_bandwidth, summarize)
+from rmstbayes.summaries import (RmstSummary, histogram_bins, kde_mode,
+                                 silverman_bandwidth, summarize)
 
 
 def test_constant_vector_degenerates_cleanly():
@@ -146,26 +146,6 @@ def test_ci_brackets_are_ordered_and_probabilities_valid(values):
     s = summarize(np.array(values), thresholds=[-5.0, 5.0])
     assert s.ci_low <= s.ci_high
     assert all(0.0 <= p <= 1.0 for _, p in s.exceedance)
-
-
-# ---------------------------------------------------------------- forest ---
-
-def _summary(c):
-    return summarize(np.full(20, float(c)) + np.linspace(-1, 1, 20))
-
-
-def test_forest_single_cluster():
-    rows = forest_rows({"cluster-1": _summary(3)}, _summary(3))
-    assert [row[0] for row in rows] == ["cluster-1", "marginal"]
-
-
-def test_forest_appends_marginal_row():
-    rows = forest_rows({f"cluster-{i}": _summary(i) for i in range(1, 9)},
-                       marginal=_summary(4.5))
-    assert len(rows) == 9
-    assert rows[-1][0] == "marginal"
-    for label, mean, lo, hi in rows:
-        assert lo <= mean <= hi
 
 
 # ------------------------------------------------------------- histogram ---
