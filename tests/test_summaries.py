@@ -1,11 +1,16 @@
-"""Posterior summary statistics and histogram bins."""
+"""Posterior summary statistics, forest rows, and histogram bins."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rmstbayes.cli import main
+from rmstbayes.dataio import write_csv
+from rmstbayes.simulation import ScenarioConfig, generate_scenario
 from rmstbayes.summaries import (RmstSummary, histogram_bins, kde_mode,
                                  silverman_bandwidth, summarize)
 
@@ -146,6 +151,34 @@ def test_ci_brackets_are_ordered_and_probabilities_valid(values):
     s = summarize(np.array(values), thresholds=[-5.0, 5.0])
     assert s.ci_low <= s.ci_high
     assert all(0.0 <= p <= 1.0 for _, p in s.exceedance)
+
+
+# ---------------------------------------------------------------- forest ---
+
+def _forest(tmp_path, n_clusters):
+    """The forest rows of a short random-effects `fit` of scenario C (n = 96)
+    with its rows spread over `n_clusters` clusters."""
+    data = generate_scenario(ScenarioConfig("C", n=96), 0)
+    data = dataclasses.replace(data, cluster=np.arange(data.n) % n_clusters + 1)
+    path, out = tmp_path / "data.csv", tmp_path / "fit.json"
+    write_csv(data, path)
+    assert main(["fit", "--input", str(path), "--family", "exponential",
+                 "--effect", "random", "--chains", "1", "--iter", "200",
+                 "--burnin", "100", "--seed", "5", "--output", str(out)]) == 0
+    return json.loads(out.read_text())["forest"]
+
+
+def test_forest_single_cluster(tmp_path):
+    rows = _forest(tmp_path, 1)
+    assert [row[0] for row in rows] == ["cluster-1", "marginal"]
+
+
+def test_forest_appends_marginal_row(tmp_path):
+    rows = _forest(tmp_path, 8)
+    assert len(rows) == 9
+    assert rows[-1][0] == "marginal"
+    for label, mean, lo, hi in rows:
+        assert lo <= mean <= hi
 
 
 # ------------------------------------------------------------- histogram ---
