@@ -103,14 +103,10 @@ def _add_column_flags(p: argparse.ArgumentParser) -> None:
                    help="design covariate column (repeatable; default: all extra columns)")
 
 
-def _ingest(args) -> "SurvivalDataset":
-    return ingest_csv(args.input, time_col=args.time_col, event_col=args.event_col,
+def _fit(args):
+    data = ingest_csv(args.input, time_col=args.time_col, event_col=args.event_col,
                       cluster_col=args.cluster_col, group_col=args.group_col,
                       covariate_cols=args.covariate)
-
-
-def _fit(args):
-    data = _ingest(args)
     spec = ModelSpec(family=Family(args.family), effect=EffectKind(args.effect))
     cfg = SamplerConfig(chains=args.chains, iterations=args.iterations,
                         burnin=args.burnin, seed=args.seed)

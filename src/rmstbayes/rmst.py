@@ -40,7 +40,6 @@ from .specfun import (
     std_normal_sf,
 )
 
-_LOG_HUGE = 700.0
 _LOG_TIME_SPAN = 60.0  # rmst_numeric integrates log(t / tau) over [-60, 0]
 _NUMERIC_TOL = 1e-10   # rmst_numeric's absolute tolerance
 _MAX_DEPTH = 60
@@ -60,12 +59,10 @@ def _check_tau(tau: float) -> None:
 
 def _weibull_rmst(eta, k, tau: float):
     # e^(-eta/k) gamma_inc(z; 1/k + 1) + tau e^(-z) with z = e^eta tau^k,
-    # from eta = log lam directly.  Where log z > 700, z is taken as
-    # infinite, which leaves e^(-eta/k) Gamma(1/k + 1).
-    a = 1.0 / k + 1.0
-    log_z = eta + k * math.log(tau)
-    z = np.where(log_z > _LOG_HUGE, np.inf, np.exp(np.minimum(log_z, _LOG_HUGE)))
-    return np.exp(-eta / k) * lower_incomplete_gamma(z, a) + tau * np.exp(-z)
+    # from eta = log lam directly; a z that overflows is infinite, which
+    # leaves e^(-eta/k) Gamma(1/k + 1).
+    z = np.exp(eta + k * math.log(tau))
+    return np.exp(-eta / k) * lower_incomplete_gamma(z, 1.0 / k + 1.0) + tau * np.exp(-z)
 
 
 def _loglogistic_rmst(mu, k, v, tau: float):

@@ -66,7 +66,7 @@ def log_std_normal_sf(x):
     return _float_if_scalar(out)
 
 
-def _reg_gamma_series(z: np.ndarray, a: np.ndarray, log_gamma_a: np.ndarray) -> np.ndarray:
+def _reg_gamma_series(z: np.ndarray, a: np.ndarray, log_front: np.ndarray) -> np.ndarray:
     # P(a, z) by power series, reliable for z < a + 1.  Elementwise over 1-D
     # arrays; each entry stops at its own convergence, as a scalar loop would.
     total_at = np.empty_like(z)
@@ -83,11 +83,11 @@ def _reg_gamma_series(z: np.ndarray, a: np.ndarray, log_gamma_a: np.ndarray) -> 
         keep = ~done
         left, x, ap, term, total = left[keep], x[keep], ap[keep], term[keep], total[keep]
         if not len(left):
-            return total_at * np.exp(-z + a * np.log(z) - log_gamma_a)
+            return total_at * np.exp(log_front)
     raise RuntimeError("incomplete gamma series failed to converge")
 
 
-def _reg_gamma_cf(z: np.ndarray, a: np.ndarray, log_gamma_a: np.ndarray) -> np.ndarray:
+def _reg_gamma_cf(z: np.ndarray, a: np.ndarray, log_front: np.ndarray) -> np.ndarray:
     # Q(a, z) by modified-Lentz continued fraction, reliable for z >= a + 1.
     # Elementwise over 1-D arrays, like the series.
     tiny = 1e-300
@@ -113,7 +113,7 @@ def _reg_gamma_cf(z: np.ndarray, a: np.ndarray, log_gamma_a: np.ndarray) -> np.n
         keep = ~done
         left, ap, b, c, d, h = left[keep], ap[keep], b[keep], c[keep], d[keep], h[keep]
         if not len(left):
-            return h_at * np.exp(-z + a * np.log(z) - log_gamma_a)
+            return h_at * np.exp(log_front)
     raise RuntimeError("incomplete gamma continued fraction failed to converge")
 
 
@@ -122,7 +122,9 @@ def lower_incomplete_gamma(z, a):
     elementwise over numpy arrays or scalars (a float for scalar input).
 
     The power series serves z < a + 1 and the continued fraction the rest,
-    each on its own part of the array.
+    each on its own part of the array.  Both scale their sum by the prefactor
+    e^(-z) z^a / Gamma(a); past a + 1, where it underflows (exponent < -746),
+    the upper tail is below one ulp of 1, and the value is Gamma(a), as at z = inf.
     """
     z, a = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(a, dtype=float))
     shape = z.shape
@@ -134,10 +136,12 @@ def lower_incomplete_gamma(z, a):
     log_gamma_a = _elementwise(math.lgamma, a)
     out = np.exp(log_gamma_a)  # the value at z = inf
     out[z == 0.0] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # -inf at z = 0, nan at z = inf
+        log_front = -z + a * np.log(z) - log_gamma_a
     lower = (z > 0.0) & (z < a + 1.0)
-    upper = (z >= a + 1.0) & (z < np.inf)
-    out[lower] *= _reg_gamma_series(z[lower], a[lower], log_gamma_a[lower])
-    out[upper] *= 1.0 - _reg_gamma_cf(z[upper], a[upper], log_gamma_a[upper])
+    upper = (z >= a + 1.0) & (log_front >= -746.0)
+    out[lower] *= _reg_gamma_series(z[lower], a[lower], log_front[lower])
+    out[upper] *= 1.0 - _reg_gamma_cf(z[upper], a[upper], log_front[upper])
     return out.reshape(shape) if shape else float(out[0])
 
 
@@ -219,10 +223,8 @@ def _betacf(x: float, a: float, b: float) -> float:
 
 
 def _reg_beta_pos(x: float, one_minus_x: float, a: float, b: float) -> float:
-    # Regularized I_x(a, b) for a, b > 0, given both x and 1-x to full
+    # Regularized I_x(a, b) for a, b > 0 and 0 < x, given both x and 1-x to full
     # precision.  Uses the standard symmetry to keep the CF convergent.
-    if x == 0.0:
-        return 0.0
     if one_minus_x == 0.0:
         return 1.0
     front = math.exp(

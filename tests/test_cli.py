@@ -86,6 +86,17 @@ def test_rmst_with_effects(capsys):
     assert math.isclose(a, b, rel_tol=1e-9)
 
 
+def test_rmst_weibull_huge_cumulative_hazard(tmp_path):
+    # Lambda(tau) = 1.3e20, where the incomplete gamma once failed to converge;
+    # S is about 0 on [0, tau], so the RMST is the mean Gamma(1 + 1/k) lam^(-1/k)
+    out = tmp_path / "rmst.json"
+    code = main(["rmst", "--family", "weibull", "--lambda", "1.3e16", "--k", "2",
+                 "--tau", "100", "--output", str(out)])
+    assert code == 0
+    got = json.loads(out.read_text())["rmst"]
+    assert math.isclose(got, math.gamma(1.5) / math.sqrt(1.3e16), rel_tol=1e-14)
+
+
 def test_usage_errors_exit_two(csv_path, monkeypatch, capsys):
     # invalid values are rejected before any sampling
     monkeypatch.setattr("rmstbayes.cli.run_chains", None)
@@ -157,6 +168,24 @@ def test_fit_document_structure(csv_path, tmp_path, capsys):
     assert sum(doc["histogram"]["counts"]) == 2 * 150
     table = capsys.readouterr().out
     assert "RMST difference" in table and "Rhat" in table
+
+
+def test_fit_with_a_categorical_covariate(tmp_path):
+    # a blank line, and a three-level covariate coded against its first level
+    lines = ["time,event,cluster,group,place"]
+    places = ("urban", "rural", "coastal")
+    for i in range(48):
+        lines.append(f"{5 + i % 11}.5,{int(i % 3 != 0)},{1 + i % 4},{i % 2},{places[i % 3]}")
+        if i == 20:
+            lines.append("")
+    data = tmp_path / "places.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "fit.json"
+    code = main(["fit", "--input", str(data), *FIT_ARGS, "--covariate", "place",
+                 "--output", str(out)])
+    assert code == 0
+    names = [r["name"] for r in json.loads(out.read_text())["parameters"]]
+    assert names[:4] == ["intercept", "group", "place=rural", "place=coastal"]
 
 
 def test_fit_with_random_effects_emits_forest(csv_path, tmp_path):

@@ -87,6 +87,25 @@ def test_ragged_rows_rejected_with_row_numbers(tmp_path):
                                   "row 4: more fields than the header's 5"]
 
 
+def test_rows_are_numbered_by_the_file_line_they_start_on(tmp_path):
+    # line 3 is blank and the record on lines 5-6 quotes a newline, so the
+    # bad times sit on lines 4 and 7
+    p = _write(tmp_path, "time,event,cluster,group\n"
+                         "1,1,1,0\n\n-2,1,1,1\n"
+                         '3,0,"two\nlines",0\n0,1,1,1\n')
+    with pytest.raises(DataError) as err:
+        ingest_csv(p)
+    assert err.value.problems == ["row 4: time must be a positive finite number, got '-2'",
+                                  "row 7: time must be a positive finite number, got '0'"]
+
+
+def test_duplicate_header_names_rejected(tmp_path):
+    p = _write(tmp_path, "time,event,cluster,group,time\n1,1,1,0,2\n")
+    with pytest.raises(DataError) as err:
+        ingest_csv(p)
+    assert err.value.problems == ["duplicate column 'time' in the header"]
+
+
 def test_empty_file_rejected(tmp_path):
     p = _write(tmp_path, "")
     with pytest.raises(DataError):

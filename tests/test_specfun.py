@@ -63,6 +63,17 @@ def test_lower_incomplete_gamma_limits():
     assert math.isclose(lower_incomplete_gamma(3.0, 1.0), 1 - math.exp(-3), rel_tol=1e-14)
 
 
+def test_lower_incomplete_gamma_is_gamma_where_the_upper_tail_underflows():
+    # the continued fraction stalled one ulp off 1 at some huge finite z (seen
+    # at z = 1.8e12 and past 1.8e16); there the value is Gamma(a), as at z = inf
+    a = np.array([1.05, 1.5, 2.13741479662698, 3.0, 21.0])
+    z = np.exp(np.linspace(math.log(1e16), 700.0, 60))[:, None]
+    got = lower_incomplete_gamma(z, a)
+    assert np.array_equal(got, np.broadcast_to(lower_incomplete_gamma(math.inf, a), got.shape))
+    assert (lower_incomplete_gamma(1805217133758.7551, 2.13741479662698)
+            == lower_incomplete_gamma(math.inf, 2.13741479662698))
+
+
 def test_lower_incomplete_gamma_rejects_bad_domain():
     with pytest.raises(ValueError):
         lower_incomplete_gamma(1.0, 0.0)
