@@ -48,6 +48,12 @@ def _write_output(doc: dict, path: str | None) -> None:
         raise
 
 
+def _config(args) -> dict:
+    """A document's ``config``: every parsed argument but ``--output``, in
+    parser order, each under its argparse destination."""
+    return {key: value for key, value in vars(args).items() if key not in ("output", "run")}
+
+
 def _summary_dict(s: RmstSummary) -> dict:
     return {
         "mean": s.mean, "median": s.median, "mode": s.mode, "sd": s.sd,
@@ -110,12 +116,11 @@ def _fit(args):
     spec = ModelSpec(family=Family(args.family), effect=EffectKind(args.effect))
     cfg = SamplerConfig(chains=args.chains, iterations=args.iterations,
                         burnin=args.burnin, seed=args.seed)
-    draws = run_chains(data, spec, cfg)
-    return data, spec, cfg, draws
+    return data, spec, run_chains(data, spec, cfg)
 
 
 def cmd_fit(args) -> int:
-    data, spec, cfg, draws = _fit(args)
+    data, spec, draws = _fit(args)
     flat = draws.flat()
     param_rows = []
     for j, name in enumerate(draws.columns):
@@ -126,9 +131,8 @@ def cmd_fit(args) -> int:
             "rhat": split_rhat(draws, j), "ess": effective_sample_size(draws, j),
         })
 
-    thresholds = args.threshold or []
     g0, g1, diff = rmst_difference(draws, args.tau)
-    diff_summary = summarize(diff.values, args.ci_level, thresholds)
+    diff_summary = summarize(diff.values, args.ci_level, args.thresholds)
     rmst_doc = {
         "group0": _summary_dict(summarize(g0.values, args.ci_level)),
         "group1": _summary_dict(summarize(g1.values, args.ci_level)),
@@ -146,12 +150,7 @@ def cmd_fit(args) -> int:
         forest.append(["marginal", diff_summary.mean, diff_summary.ci_low, diff_summary.ci_high])
 
     doc = {
-        "config": {
-            "subcommand": "fit", "input": args.input, "family": spec.family.value,
-            "effect": spec.effect.value, "tau": args.tau, "chains": cfg.chains,
-            "iterations": cfg.iterations, "burnin": cfg.burnin, "seed": cfg.seed,
-            "ci_level": args.ci_level, "thresholds": thresholds,
-        },
+        "config": _config(args),
         "parameters": param_rows,
         "rmst": rmst_doc,
         "histogram": {"edges": list(edges), "counts": [int(c) for c in counts]},
@@ -175,14 +174,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_waic(args) -> int:
-    data, spec, cfg, draws = _fit(args)
+    data, spec, draws = _fit(args)
     result = compute_waic(data, spec, draws)
     doc = {
-        "config": {
-            "subcommand": "waic", "input": args.input, "family": spec.family.value,
-            "effect": spec.effect.value, "chains": cfg.chains,
-            "iterations": cfg.iterations, "burnin": cfg.burnin, "seed": cfg.seed,
-        },
+        "config": _config(args),
         "waic": result.waic, "lppd": result.lppd, "p_waic": result.p_waic,
     }
     _write_output(doc, args.output)
@@ -207,7 +202,7 @@ def cmd_rmst(args, parser) -> int:
             except OverflowError:
                 parser.error(f"--scale {scale:g} with --k {k:g}: scale ** -k overflows")
         else:
-            params = FamilyParams(family, lam=args.lam, k=args.k, mu=args.mu,
+            params = FamilyParams(family, lam=getattr(args, "lambda"), k=args.k, mu=args.mu,
                                   sigma2=args.sigma2)
         effect = NO_EFFECT
         if args.u is not None:
@@ -217,14 +212,7 @@ def cmd_rmst(args, parser) -> int:
         value = rmst_value(params, effect, args.tau)
     except ValueError as exc:
         parser.error(str(exc))
-    doc = {
-        "config": {
-            "subcommand": "rmst", "family": family.value, "tau": args.tau,
-            "lambda": args.lam, "k": args.k, "mu": args.mu, "sigma2": args.sigma2,
-            "scale": args.scale, "u": args.u, "v": args.v,
-        },
-        "rmst": value,
-    }
+    doc = {"config": _config(args), "rmst": value}
     _write_output(doc, args.output)
     print(f"RMST(tau={args.tau:g}) = {value:.6f}")
     return 0
@@ -232,20 +220,16 @@ def cmd_rmst(args, parser) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = ScenarioConfig(scenario=args.scenario, n=args.n,
-                         replications=args.reps, seed=args.seed, tau=args.tau)
+                         replications=args.replications, seed=args.seed, tau=args.tau)
     family = Family(args.family) if args.family else cfg.family
+    args.family = family.value  # the config records the family fitted
     spec = ModelSpec(family=family, effect=EffectKind(args.effect))
     sampler_cfg = SamplerConfig(chains=args.chains, iterations=args.iterations,
                                 burnin=args.burnin, seed=args.seed)
     metrics = evaluate_replications(cfg, spec, sampler_cfg)
     truth = scenario_truth(cfg)
     doc = {
-        "config": {
-            "subcommand": "simulate", "scenario": args.scenario, "n": args.n,
-            "replications": args.reps, "family": family.value,
-            "effect": args.effect, "tau": args.tau, "chains": args.chains,
-            "iterations": args.iterations, "burnin": args.burnin, "seed": args.seed,
-        },
+        "config": _config(args),
         "truth": {"group0": truth[0], "group1": truth[1], "difference": truth[2]},
         "metrics": {"bias": metrics.bias, "mse": metrics.mse,
                     "mode": metrics.mode_diff, "median": metrics.median_diff,
@@ -268,25 +252,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a model to a CSV dataset by MCMC")
     p_fit.add_argument("--input", required=True)
     _add_model_flags(p_fit)
-    _add_column_flags(p_fit)
-    _add_sampler_flags(p_fit)
     p_fit.add_argument("--tau", type=_open_interval(0.0, math.inf), default=100.0)
+    _add_sampler_flags(p_fit)
     p_fit.add_argument("--ci-level", type=_open_interval(0.0, 1.0), default=0.95)
-    p_fit.add_argument("--threshold", type=_open_interval(-math.inf, math.inf), action="append")
+    p_fit.add_argument("--threshold", dest="thresholds", action="append", default=[],
+                       type=_open_interval(-math.inf, math.inf))
     p_fit.add_argument("--output")
+    _add_column_flags(p_fit)
     p_fit.set_defaults(run=cmd_fit)
 
     p_waic = sub.add_parser("waic", help="fit a model and report WAIC")
     p_waic.add_argument("--input", required=True)
     _add_model_flags(p_waic)
-    _add_column_flags(p_waic)
     _add_sampler_flags(p_waic)
     p_waic.add_argument("--output")
+    _add_column_flags(p_waic)
     p_waic.set_defaults(run=cmd_waic)
 
     p_rmst = sub.add_parser("rmst", help="closed-form RMST for given parameters")
     p_rmst.add_argument("--family", required=True, choices=[f.value for f in Family])
-    p_rmst.add_argument("--lambda", dest="lam", type=float)
+    p_rmst.add_argument("--tau", type=_open_interval(0.0, math.inf), required=True)
+    p_rmst.add_argument("--lambda", dest="lambda", type=float)
     p_rmst.add_argument("--k", type=float)
     p_rmst.add_argument("--mu", type=float)
     p_rmst.add_argument("--sigma2", type=float)
@@ -295,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     effect = p_rmst.add_mutually_exclusive_group()
     effect.add_argument("--u", type=float, help="random-effect offset")
     effect.add_argument("--v", type=float, help="frailty multiplier")
-    p_rmst.add_argument("--tau", type=_open_interval(0.0, math.inf), required=True)
     p_rmst.add_argument("--output")
     # its usage errors name "rmstbayes rmst", as argparse's own do
     p_rmst.set_defaults(run=functools.partial(cmd_rmst, parser=p_rmst))
@@ -303,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the replication harness")
     p_sim.add_argument("--scenario", required=True, choices=["A", "B", "C"])
     p_sim.add_argument("--n", type=int, default=512)
-    p_sim.add_argument("--reps", type=int, default=10)
+    p_sim.add_argument("--reps", dest="replications", type=int, default=10)
     p_sim.add_argument("--family", choices=[f.value for f in Family],
                        help="model family to fit (default: the generating family)")
     p_sim.add_argument("--effect", default="none",

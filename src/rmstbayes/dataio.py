@@ -5,9 +5,9 @@ cluster column, a 0/1 group column, and any number of extra covariates.
 Numeric covariates pass through; non-numeric ones are one-hot encoded with
 the first-seen level as the reference.  The design matrix is assembled as
 [intercept, group, covariates...] in declaration order (dummy columns in
-level-appearance order).  Blank lines are skipped, a header that repeats a
-column name is refused, and malformed rows are reported together, each by the
-file line it starts on, in a single DataError.
+level-appearance order).  Blank lines, before the header too, are skipped, a
+header that repeats a column name is refused, and malformed rows are reported
+together, each by the file line it starts on, in a single DataError.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def ingest_csv(path, time_col: str = "time", event_col: str = "event",
                covariate_cols=None) -> SurvivalDataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next((fields for fields in reader if fields), None)  # past blank lines
         if header is None:
             raise DataError(["empty file: header row required"])
         records = []  # (the file line a record starts on, its fields)

@@ -136,15 +136,13 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
     layout = model.layout
     theta, lp, rows = _initial_point(model, rng)
 
-    # Adaptation slots, in the order of _block_names: 0 for the beta block,
-    # i - q + 1 for the coordinate at index i >= q (shape, effects, phi).
+    # Adaptation state by theta coordinate: index 0 stands for the beta
+    # block (1..q-1 go unused), index i >= q for shape, effect or phi i.
     q = layout.q
-    n_blocks = layout.dim - q + 1
-    log_scales = np.full(n_blocks, math.log(_INITIAL_STEP))
-    rm_iter = np.zeros(n_blocks, dtype=int)  # per-slot adaptation clocks
-    accept_post = np.zeros(n_blocks)
+    log_scales = np.full(layout.dim, math.log(_INITIAL_STEP))
+    rm_iter = np.zeros(layout.dim, dtype=int)  # per-coordinate adaptation clocks
+    accept_post = np.zeros(layout.dim)
     effects = layout.effect_indices
-    effect_slots = slice(effects.start - q + 1, effects.stop - q + 1)
 
     def cluster_log_density(point, point_rows):
         """Entry i: cluster i's log-likelihood at ``point``, summed from its
@@ -152,27 +150,27 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
         return (np.bincount(model.cluster, point_rows, minlength=layout.n_clusters)
                 + effect_log_prior(model, point))
 
-    def record(slot, accepted, target):
+    def record(index, accepted, target):
         """Robbins-Monro step-scale update during burn-in, acceptance counts
-        after it; ``slot`` and ``accepted`` may be a slice and a vector."""
+        after it; ``index`` and ``accepted`` may be a slice and a vector."""
         if adapting:
-            rm_iter[slot] += 1
-            gamma = 1.0 / rm_iter[slot] ** 0.6
-            log_scales[slot] += gamma * (accepted - target)
+            rm_iter[index] += 1
+            gamma = 1.0 / rm_iter[index] ** 0.6
+            log_scales[index] += gamma * (accepted - target)
         else:
-            accept_post[slot] += accepted
+            accept_post[index] += accepted
 
-    def accepts(lp_prop, slot, target) -> bool:
+    def accepts(lp_prop, index, target) -> bool:
         """The Metropolis test of a proposal whose log posterior is
-        ``lp_prop`` against the current state's, recorded on ``slot``."""
+        ``lp_prop`` against the current state's, recorded on ``index``."""
         accept = lp_prop - lp > math.log(rng.random()) if math.isfinite(lp_prop) else False
-        record(slot, 1.0 if accept else 0.0, target)
+        record(index, 1.0 if accept else 0.0, target)
         return accept
 
     def propose(index):
         """theta with coordinate ``index`` moved by a random-walk step."""
         proposal = theta.copy()
-        proposal[index] += math.exp(log_scales[index - q + 1]) * rng.normal()
+        proposal[index] += math.exp(log_scales[index]) * rng.normal()
         return proposal
 
     # Running moments of beta for the adapted full proposal covariance; the
@@ -213,7 +211,7 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
         if layout.has_shape:
             proposal = propose(layout.shape_index)
             lp_prop, rows_prop = log_posterior(model, proposal)
-            if accepts(lp_prop, layout.shape_index - q + 1, _TARGET_ACCEPT_SCALAR):
+            if accepts(lp_prop, layout.shape_index, _TARGET_ACCEPT_SCALAR):
                 theta, lp, rows = proposal, lp_prop, rows_prop
         if layout.phi_index is not None:
             # Given beta, the shape and phi the effects are conditionally
@@ -223,7 +221,7 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
             # own cluster's effect alone, so the accepted clusters' rows
             # are the proposal's.
             proposal = theta.copy()
-            proposal[effects] += (np.exp(log_scales[effect_slots])
+            proposal[effects] += (np.exp(log_scales[effects])
                                   * rng.normal(size=layout.n_clusters))
             rows_prop = pointwise_log_likelihood(model, proposal)
             log_ratio = (cluster_log_density(proposal, rows_prop)
@@ -232,11 +230,11 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
             theta[effects] = np.where(accepted, proposal[effects], theta[effects])
             rows = np.where(accepted[model.cluster], rows_prop, rows)
             lp += float(log_ratio[accepted].sum())
-            record(effect_slots, accepted.astype(float), _TARGET_ACCEPT_SCALAR)
+            record(effects, accepted.astype(float), _TARGET_ACCEPT_SCALAR)
             # phi enters only the effects' prior: no likelihood pass.
             proposal = propose(layout.phi_index)
             lp_prop = lp + log_prior(model, proposal) - log_prior(model, theta)
-            if accepts(lp_prop, layout.phi_index - q + 1, _TARGET_ACCEPT_SCALAR):
+            if accepts(lp_prop, layout.phi_index, _TARGET_ACCEPT_SCALAR):
                 theta, lp = proposal, lp_prop
         if adapting:
             if it >= moments_start:
@@ -249,9 +247,9 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
         else:
             kept[it - cfg.burnin] = theta
 
-    # each slot is tried once per kept sweep, the beta block _BETA_UPDATES times
+    # each block is tried once per kept sweep, the beta block _BETA_UPDATES times
     accept_post[0] /= _BETA_UPDATES
-    return kept, accept_post / len(kept)
+    return kept, accept_post[[0, *range(q, layout.dim)]] / len(kept)
 
 
 def run_chains(data: SurvivalDataset, spec: ModelSpec, cfg: SamplerConfig) -> PosteriorDraws:
@@ -277,8 +275,9 @@ def run_chains(data: SurvivalDataset, spec: ModelSpec, cfg: SamplerConfig) -> Po
     )
 
 
-def _split_chains(draws: PosteriorDraws, column) -> np.ndarray:
-    """(2 * chains, N/2) matrix of half-chains for one column."""
+def _split_chains(draws: PosteriorDraws, column) -> tuple:
+    """The (2 * chains, N/2) half-chains of one column, their mean
+    within-chain variance W and the variance of their means, B/N."""
     series = draws.column(column)
     n = series.shape[1]
     if draws.n_chains < 2 and n < 100:
@@ -286,20 +285,17 @@ def _split_chains(draws: PosteriorDraws, column) -> np.ndarray:
     half = n // 2
     if half < 2:
         raise ValueError("too few kept draws to split")
-    return np.concatenate([series[:, :half], series[:, half: 2 * half]], axis=0)
+    chains = np.concatenate([series[:, :half], series[:, half: 2 * half]], axis=0)
+    return chains, chains.var(axis=1, ddof=1).mean(), chains.mean(axis=1).var(ddof=1)
 
 
 def split_rhat(draws: PosteriorDraws, column) -> float:
     """Classic split-Rhat: chains halved, between/within variance ratio."""
-    chains = _split_chains(draws, column)
-    m, n = chains.shape
-    within = chains.var(axis=1, ddof=1)
-    w = within.mean()
+    chains, w, b_over_n = _split_chains(draws, column)
     if w == 0.0:
         return 1.0  # constant chains: degenerate by convention
-    means = chains.mean(axis=1)
-    b = n * means.var(ddof=1)
-    var_hat = (n - 1) / n * w + b / n
+    n = chains.shape[1]
+    var_hat = (n - 1) / n * w + n * b_over_n / n  # B / n, rounded as B = n * b_over_n is
     return float(math.sqrt(var_hat / w))
 
 
@@ -316,35 +312,24 @@ def _autocovariance(x: np.ndarray) -> np.ndarray:
 def effective_sample_size(draws: PosteriorDraws, column) -> float:
     """Autocorrelation-sum ESS pooled across split chains, with Geyer's
     initial-monotone truncation over consecutive lag pairs."""
-    chains = _split_chains(draws, column)
+    chains, w, b_over_n = _split_chains(draws, column)
     m, n = chains.shape
     if m * n < 100:
         raise ValueError("need >= 100 kept draws for ESS")
-    within = chains.var(axis=1, ddof=1)
-    w = within.mean()
     if w == 0.0:
         warnings.warn("constant chain: ESS defined as 0", RuntimeWarning, stacklevel=2)
         return 0.0
-    means = chains.mean(axis=1)
-    b_over_n = means.var(ddof=1)
     var_hat = (n - 1) / n * w + b_over_n
     acov = np.mean([_autocovariance(chains[j]) for j in range(m)], axis=0)
-
     rho = 1.0 - (w - acov) / var_hat
-    rho[0] = 1.0
-    tau = 0.0
-    prev_pair = math.inf
-    t = 1
-    while t + 1 < n:
-        pair = rho[t] + rho[t + 1]
-        if pair < 0.0:
-            break
-        pair = min(pair, prev_pair)  # enforce monotone decrease
-        tau += pair
-        prev_pair = pair
-        t += 2
-    tau = 1.0 + 2.0 * tau
-    # rho[0]=1 contributes the leading 1; lag sums start at t=1 in pairs,
-    # so tau >= 1 always.  tau here is the integrated autocorrelation time.
+    # Lag pairs (1, 2), (3, 4), ... up to the first negative one, made
+    # monotone decreasing and summed in order.
+    pairs = rho[1:n - 1:2] + rho[2:n:2]
+    negative = pairs < 0.0
+    if negative.any():
+        pairs = pairs[:negative.argmax()]
+    pairs = np.minimum.accumulate(pairs)
+    # tau is the integrated autocorrelation time; rho[0] = 1 gives the leading 1
+    tau = 1.0 + 2.0 * np.cumsum([0.0, *pairs])[-1]
     ess = m * n / tau
     return float(min(ess, m * n))

@@ -29,6 +29,19 @@ README = os.path.join(ROOT, "README.md")
 FIT_ARGS = ["--family", "exponential", "--chains", "2",
             "--iter", "300", "--burnin", "150", "--seed", "3", "--tau", "100"]
 
+# A document's config holds every parsed argument but --output, in parser
+# order, each under its argparse destination.
+CONFIG_KEYS = {
+    "fit": ["subcommand", "input", "family", "effect", "tau", "chains", "iterations",
+            "burnin", "seed", "ci_level", "thresholds",
+            "time_col", "event_col", "cluster_col", "group_col", "covariate"],
+    "waic": ["subcommand", "input", "family", "effect", "chains", "iterations", "burnin",
+             "seed", "time_col", "event_col", "cluster_col", "group_col", "covariate"],
+    "rmst": ["subcommand", "family", "tau", "lambda", "k", "mu", "sigma2", "scale", "u", "v"],
+    "simulate": ["subcommand", "scenario", "n", "replications", "family", "effect", "tau",
+                 "chains", "iterations", "burnin", "seed"],
+}
+
 
 def test_rmst_exponential_reference(capsys):
     code = main(["rmst", "--family", "exponential",
@@ -93,8 +106,10 @@ def test_rmst_weibull_huge_cumulative_hazard(tmp_path):
     code = main(["rmst", "--family", "weibull", "--lambda", "1.3e16", "--k", "2",
                  "--tau", "100", "--output", str(out)])
     assert code == 0
-    got = json.loads(out.read_text())["rmst"]
-    assert math.isclose(got, math.gamma(1.5) / math.sqrt(1.3e16), rel_tol=1e-14)
+    doc = json.loads(out.read_text())
+    assert math.isclose(doc["rmst"], math.gamma(1.5) / math.sqrt(1.3e16), rel_tol=1e-14)
+    assert list(doc["config"]) == CONFIG_KEYS["rmst"]
+    assert doc["config"]["lambda"] == 1.3e16
 
 
 def test_usage_errors_exit_two(csv_path, monkeypatch, capsys):
@@ -155,7 +170,9 @@ def test_fit_document_structure(csv_path, tmp_path, capsys):
                  "--threshold", "0", "--threshold", "-3", "--output", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
+    assert list(doc["config"]) == CONFIG_KEYS["fit"]
     assert doc["config"]["family"] == "exponential"
+    assert doc["config"]["thresholds"] == [0.0, -3.0]
     names = [r["name"] for r in doc["parameters"]]
     assert names == ["intercept", "group", "x2"]
     for row in doc["parameters"]:
@@ -171,8 +188,9 @@ def test_fit_document_structure(csv_path, tmp_path, capsys):
 
 
 def test_fit_with_a_categorical_covariate(tmp_path):
-    # a blank line, and a three-level covariate coded against its first level
-    lines = ["time,event,cluster,group,place"]
+    # a blank line, a renamed time column, and a three-level covariate coded
+    # against its first level
+    lines = ["t,event,cluster,group,place"]
     places = ("urban", "rural", "coastal")
     for i in range(48):
         lines.append(f"{5 + i % 11}.5,{int(i % 3 != 0)},{1 + i % 4},{i % 2},{places[i % 3]}")
@@ -181,11 +199,15 @@ def test_fit_with_a_categorical_covariate(tmp_path):
     data = tmp_path / "places.csv"
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "fit.json"
-    code = main(["fit", "--input", str(data), *FIT_ARGS, "--covariate", "place",
-                 "--output", str(out)])
+    code = main(["fit", "--input", str(data), *FIT_ARGS, "--time-col", "t",
+                 "--covariate", "place", "--output", str(out)])
     assert code == 0
-    names = [r["name"] for r in json.loads(out.read_text())["parameters"]]
+    doc = json.loads(out.read_text())
+    names = [r["name"] for r in doc["parameters"]]
     assert names[:4] == ["intercept", "group", "place=rural", "place=coastal"]
+    # the columns read are recorded, so fits of other columns differ in config
+    assert doc["config"]["time_col"] == "t"
+    assert doc["config"]["covariate"] == ["place"]
 
 
 def test_fit_with_random_effects_emits_forest(csv_path, tmp_path):
@@ -237,6 +259,7 @@ def test_waic_document(csv_path, tmp_path):
                  "--seed", "3", "--output", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
+    assert list(doc["config"]) == CONFIG_KEYS["waic"]
     assert math.isclose(doc["waic"], -2 * (doc["lppd"] - doc["p_waic"]), rel_tol=1e-12)
 
 
@@ -247,6 +270,9 @@ def test_simulate_document(tmp_path):
                  "--seed", "0", "--output", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
+    assert list(doc["config"]) == CONFIG_KEYS["simulate"]
+    # with no --family the generating family is fitted, and recorded
+    assert doc["config"]["family"] == ScenarioConfig("C").family.value
     assert abs(doc["truth"]["difference"] + 14.52) <= 0.01
     assert doc["metrics"]["replications"] == 2
 

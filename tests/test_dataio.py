@@ -99,6 +99,18 @@ def test_rows_are_numbered_by_the_file_line_they_start_on(tmp_path):
                                   "row 7: time must be a positive finite number, got '0'"]
 
 
+def test_blank_lines_before_the_header_are_skipped(tmp_path):
+    # lines 1-2 and 5 are blank: the header is line 3 and the bad time line 6
+    p = _write(tmp_path, "\n\ntime,event,cluster,group\n1,1,1,0\n\n-2,1,1,1\n")
+    with pytest.raises(DataError) as err:
+        ingest_csv(p)
+    assert err.value.problems == ["row 6: time must be a positive finite number, got '-2'"]
+    p = _write(tmp_path, "\n\n\n", name="blank.csv")
+    with pytest.raises(DataError) as err:
+        ingest_csv(p)
+    assert err.value.problems == ["empty file: header row required"]
+
+
 def test_duplicate_header_names_rejected(tmp_path):
     p = _write(tmp_path, "time,event,cluster,group,time\n1,1,1,0,2\n")
     with pytest.raises(DataError) as err:

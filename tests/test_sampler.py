@@ -213,6 +213,50 @@ def test_kept_draws_are_pinned(family, effect):
     assert digest == KERNEL_DIGESTS[family.value, effect.value]
 
 
+def _diagnostic_cases():
+    """Seeded synthetic draw sets: AR(1) chains at offset means over 1-4
+    chains and odd and even lengths, too-short sets that raise, a set whose
+    chains are all constant and one with a single constant chain."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for chains in (1, 2, 3, 4):
+        for n in (3, 8, 49, 50, 99, 100, 101, 256, 377):
+            for phi in (-0.9, -0.3, 0.0, 0.5, 0.9, 0.99, 0.999):
+                x = np.empty((chains, n))
+                x[:, 0] = rng.normal(size=chains)
+                eps = rng.normal(size=(chains, n))
+                for t in range(1, n):
+                    x[:, t] = phi * x[:, t - 1] + eps[:, t]
+                cases.append(x + rng.normal(0.0, 0.3, (chains, 1)))
+    cases.append(np.full((2, 200), 1.5))
+    one_flat = rng.normal(size=(3, 150))
+    one_flat[1] = 0.25
+    cases.append(one_flat)
+    return cases
+
+
+# SHA-256 of the repr of split_rhat and effective_sample_size (or of the
+# ValueError each raises) over _diagnostic_cases(): a rewrite of the
+# diagnostics that moves any value by one bit fails here.  Same IEEE-754
+# and numpy caveats as KERNEL_DIGESTS (numpy's FFT rounding enters ESS).
+DIAGNOSTICS_DIGEST = "1409c4d93e90845aea27efb78e0c17be164a1859de3d1ae38ded1a579cf55818"
+
+
+def test_diagnostics_are_pinned():
+    lines = []
+    for values in _diagnostic_cases():
+        draws = _synthetic_draws(values)
+        for diagnostic in (split_rhat, effective_sample_size):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)  # constant chains
+                    lines.append(repr(diagnostic(draws, 0)))
+            except ValueError as exc:
+                lines.append(f"ValueError: {exc}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == DIAGNOSTICS_DIGEST
+
+
 # ----------------------------------------------------------------- rhat ---
 
 def test_rhat_constant_chains_is_one_by_convention():
