@@ -65,7 +65,8 @@ def _summary_dict(s: RmstSummary) -> dict:
 def _table(headers, rows) -> str:
     cells = [[str(h) for h in headers]]
     for row in rows:
-        cells.append([f"{v:.4f}" if isinstance(v, float) else str(v) for v in row])
+        cells.append([f"{v:.4f}" if isinstance(v, float) else "n/a" if v is None else str(v)
+                      for v in row])
     widths = [max(len(r[j]) for r in cells) for j in range(len(headers))]
     lines = ["  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells]
     lines.insert(1, "  ".join("-" * w for w in widths))
@@ -119,6 +120,14 @@ def _fit(args):
     return data, spec, run_chains(data, spec, cfg)
 
 
+def _diagnostic(fn, draws, column):
+    """``fn(draws, column)``, or None where too few draws are kept for it."""
+    try:
+        return fn(draws, column)
+    except ValueError:
+        return None
+
+
 def cmd_fit(args) -> int:
     data, spec, draws = _fit(args)
     flat = draws.flat()
@@ -128,7 +137,8 @@ def cmd_fit(args) -> int:
         param_rows.append({
             "name": name, "mode": s.mode, "median": s.median, "mean": s.mean,
             "sd": s.sd, "ci_low": s.ci_low, "ci_high": s.ci_high,
-            "rhat": split_rhat(draws, j), "ess": effective_sample_size(draws, j),
+            "rhat": _diagnostic(split_rhat, draws, j),
+            "ess": _diagnostic(effective_sample_size, draws, j),
         })
 
     g0, g1, diff = rmst_difference(draws, args.tau)

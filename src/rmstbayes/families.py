@@ -15,7 +15,8 @@ f(t|v) = v h(t) S(t)^v.
 
 ``log_hazard_survival`` holds each family's log-hazard and log-survival
 formula, once, in numpy (the log-normal tail is one ``log_std_normal_sf``
-call over the array); the likelihood evaluates it over all rows and
+call over the array, itself numpy with no Python call per element); the
+likelihood evaluates it over all rows and
 ``rmst_numeric`` over its quadrature points.  Its (eta, shape, kind,
 effect), with eta = log lam or mu and effect = u or log v, are also the
 arguments of ``rmst.rmst_closed_form``; ``kernel_args`` maps (FamilyParams,

@@ -187,6 +187,23 @@ def test_fit_document_structure(csv_path, tmp_path, capsys):
     assert "RMST difference" in table and "Rhat" in table
 
 
+@pytest.mark.parametrize("chains, rhat_known", [(2, True), (1, False)])
+def test_fit_too_short_for_a_diagnostic_still_writes_its_document(csv_path, tmp_path, capsys,
+                                                                   chains, rhat_known):
+    # 40 kept draws a chain: ESS needs 100 in all, split-Rhat 2 chains or 100
+    out = tmp_path / "short.json"
+    code = main(["fit", "--input", csv_path, "--family", "exponential", "--chains", str(chains),
+                 "--iter", "80", "--burnin", "40", "--seed", "3", "--output", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    for row in doc["parameters"]:
+        assert row["ess"] is None
+        assert (row["rhat"] > 0.9) if rhat_known else (row["rhat"] is None)
+    assert sum(doc["histogram"]["counts"]) == chains * 40
+    table = capsys.readouterr().out
+    assert table.count("n/a") == (3 if rhat_known else 6)
+
+
 def test_fit_with_a_categorical_covariate(tmp_path):
     # a blank line, a renamed time column, and a three-level covariate coded
     # against its first level
