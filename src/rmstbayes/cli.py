@@ -128,7 +128,11 @@ def _diagnostic(fn, draws, column):
         return None
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args, parser) -> int:
+    # summaries need 10 draws; refuse before sampling rather than after
+    if args.chains * (args.iterations - args.burnin) < 10:
+        parser.error(f"a fit keeps chains x (iter - burnin) draws, which must be >= 10; "
+                     f"got {args.chains} x ({args.iterations} - {args.burnin})")
     data, spec, draws = _fit(args)
     flat = draws.flat()
     param_rows = []
@@ -269,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                        type=_open_interval(-math.inf, math.inf))
     p_fit.add_argument("--output")
     _add_column_flags(p_fit)
-    p_fit.set_defaults(run=cmd_fit)
+    p_fit.set_defaults(run=functools.partial(cmd_fit, parser=p_fit))
 
     p_waic = sub.add_parser("waic", help="fit a model and report WAIC")
     p_waic.add_argument("--input", required=True)

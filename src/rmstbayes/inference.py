@@ -23,8 +23,10 @@ A ``Model`` compiles a dataset and a spec once per fit, the layout included;
 per-cluster ``effect_log_prior`` take ``(model, theta)``.  ``log_posterior``
 also returns the per-row terms it summed, so the sampler can carry them in
 its state; a cluster's log-likelihood is the bincount of those rows by
-``model.cluster``.  ``pointwise_log_likelihood`` takes one draw (the
-sampler) or a block of draws (WAIC).
+``model.cluster``.  ``pointwise_log_likelihood``, ``log_posterior`` and
+``effect_log_prior`` take one draw (dim,) or a block (B, dim) of draws (the
+sampler's chains, WAIC's draws), and a block's results are its draws' bit
+for bit; ``log_prior`` takes one draw.
 """
 
 from __future__ import annotations
@@ -218,10 +220,12 @@ def pointwise_log_likelihood(model: Model, theta: np.ndarray) -> np.ndarray:
     return model.event * log_h + log_s
 
 
-def log_prior(model: Model, theta: np.ndarray) -> float:
+def log_prior(model: Model, theta: np.ndarray, effect_sum: float | None = None) -> float:
     """Joint log prior density including Jacobians of the log transforms:
     beta_j ~ N(0, 100), k ~ Gamma(0.01, 0.01) (shape, rate), sigma^2 ~
-    U(0, 100), phi ~ U(0, 10), and the effects as in ``effect_log_prior``.
+    U(0, 100), phi ~ U(0, 10), and the effects as in ``effect_log_prior``,
+    whose sum at theta may be handed in as ``effect_sum`` (the sampler
+    carries it) instead of being evaluated.
 
     Returns -inf when phi or sigma^2 fall outside their uniform supports.
     """
@@ -253,27 +257,61 @@ def log_prior(model: Model, theta: np.ndarray) -> float:
         if phi >= _PHI_UPPER:
             return -math.inf
         total += -math.log(_PHI_UPPER) + log_phi  # U(0,xi) + Jacobian
-        total += float(effect_log_prior(model, theta).sum())
+        total += (float(effect_log_prior(model, theta).sum()) if effect_sum is None
+                  else effect_sum)
     return total
 
 
 def effect_log_prior(model: Model, theta: np.ndarray) -> np.ndarray:
     """Per-cluster log prior of the sampling-scale effects given phi:
     u_i ~ N(0, phi^2), or v_i ~ Gamma(1/phi, 1/phi) with the Jacobian of
-    log v.  ``log_prior`` sums it."""
-    eff = theta[model.layout.effect_indices]
-    phi = math.exp(theta[model.layout.phi_index])
+    log v.  (M,) for one draw (dim,), or (B, M) for a block (B, dim), each
+    row bit for bit its draw's.  ``log_prior`` sums it."""
+    layout = model.layout
+    eff = theta[..., layout.effect_indices]
+    # Each draw's coefficients in Python floats, as for one draw, then
+    # broadcast as a column over its effects.
+    phis = [math.exp(log_phi) for log_phi in np.ravel(theta[..., layout.phi_index]).tolist()]
+    shape = theta.shape[:-1] + (1,)
+
+    def column(values):
+        return np.array(values).reshape(shape)
     if model.spec.effect is EffectKind.RANDOM:
-        return -0.5 * (_LOG_2PI + 2.0 * math.log(phi)) - 0.5 * eff * eff / (phi * phi)
-    r = 1.0 / phi
-    return r * math.log(r) - math.lgamma(r) + (r - 1.0) * eff - r * np.exp(eff) + eff
+        return (column([-0.5 * (_LOG_2PI + 2.0 * math.log(phi)) for phi in phis])
+                - 0.5 * eff * eff / column([phi * phi for phi in phis]))
+    rs = [1.0 / phi for phi in phis]
+    return (column([r * math.log(r) - math.lgamma(r) for r in rs])
+            + column([r - 1.0 for r in rs]) * eff - column(rs) * np.exp(eff) + eff)
 
 
-def log_posterior(model: Model, theta: np.ndarray) -> tuple:
-    """(log posterior, per-row log-likelihood terms it summed); the rows are
-    None when the prior is -inf and no likelihood pass is made."""
-    lp = log_prior(model, theta)
-    if lp == -math.inf:
-        return -math.inf, None
-    rows = pointwise_log_likelihood(model, theta)
-    return lp + float(rows.sum()), rows
+def log_posterior(model: Model, theta: np.ndarray, effect_sums=None) -> tuple:
+    """(log posterior, per-row log-likelihood terms it summed).
+
+    For one draw theta (dim,): a float and (n,) rows, the rows None when the
+    prior is -inf and no likelihood pass is made.  For a block (B, dim): (B,)
+    and (B, n), each row bit for bit its draw's, in one likelihood pass over
+    the draws whose prior is finite; the others get -inf and rows of nan.
+    ``effect_sums`` is passed on to ``log_prior`` as ``effect_sum``: a float
+    for one draw, one per draw for a block.
+    """
+    theta = _check_theta(model.layout, theta, blocks=True)
+    if theta.ndim == 1:
+        lp = log_prior(model, theta, effect_sums)
+        if lp == -math.inf:
+            return -math.inf, None
+        rows = pointwise_log_likelihood(model, theta)
+        return lp + float(rows.sum()), rows
+    sums = [None] * len(theta) if effect_sums is None else effect_sums
+    prior = np.array([log_prior(model, t, s) for t, s in zip(theta, sums)])
+    finite = prior > -math.inf
+    if finite.all():
+        rows = pointwise_log_likelihood(model, theta)
+        return prior + rows.sum(axis=1), rows
+    # no pass at a draw outside the prior's support: a sigma^2 past it can
+    # overflow the kernel
+    rows = np.full((len(theta), len(model.time)), np.nan)
+    lp = np.full(len(theta), -math.inf)
+    if finite.any():
+        rows[finite] = pointwise_log_likelihood(model, theta[finite])
+        lp[finite] = prior[finite] + rows[finite].sum(axis=1)
+    return lp, rows

@@ -35,6 +35,7 @@ from .families import (
 from .specfun import (
     _elementwise,
     _float_if_scalar,
+    _reg_gamma_series,
     incomplete_beta_compl,
     lower_incomplete_gamma,
     std_normal_sf,
@@ -58,11 +59,24 @@ def _check_tau(tau: float) -> None:
 
 
 def _weibull_rmst(eta, k, tau: float):
-    # e^(-eta/k) gamma_inc(z; 1/k + 1) + tau e^(-z) with z = e^eta tau^k,
-    # from eta = log lam directly; a z that overflows is infinite, which
-    # leaves e^(-eta/k) Gamma(1/k + 1).
+    # e^(-eta/k) gamma_inc(z; a) + tau e^(-z) with a = 1/k + 1 and
+    # z = e^eta tau^k, from eta = log lam directly; a z that overflows is
+    # infinite, which leaves e^(-eta/k) Gamma(a).
+    a = 1.0 / k + 1.0
     z = np.exp(eta + k * math.log(tau))
-    return np.exp(-eta / k) * lower_incomplete_gamma(z, 1.0 / k + 1.0) + tau * np.exp(-z)
+    value = np.exp(-eta / k) * lower_incomplete_gamma(z, a) + tau * np.exp(-z)
+    bad = ~np.isfinite(value)
+    if bad.any():
+        # e^(-eta/k) or Gamma(a) (k < 0.0059) overflows.  With gamma_inc(z; a)
+        # = z^a e^(-z) sum_n z^n / (a (a+1)...(a+n)) the value is
+        # tau e^(-z) (1 + z sum), whose terms cannot overflow for z < a + 1;
+        # only these elements take it, so the others keep their bits.
+        value = np.array(value, dtype=float)
+        series = bad & (z < a + 1.0)
+        zs, as_ = (np.broadcast_to(x, value.shape)[series] for x in (z, a))
+        total = _reg_gamma_series(zs, as_, np.zeros_like(zs))
+        value[series] = tau * np.exp(-zs) * (1.0 + zs * total)
+    return value
 
 
 def _loglogistic_rmst(mu, k, v, tau: float):

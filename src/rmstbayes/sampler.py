@@ -3,24 +3,36 @@
 Each sweep updates, in order: the full coefficient vector beta (joint
 Gaussian proposal with an adapted full covariance, target acceptance 0.234),
 the shape parameter, the cluster effects and log phi (target 0.44 each).
-The chain's state is theta, its log posterior and the per-row
-log-likelihood terms at theta.  The cluster effects are conditionally
-independent given beta, the shape and phi, so all M are proposed at once,
-each with its own step scale, and each is accepted or rejected on its own
-cluster's log-ratio: one likelihood pass, at the proposal, for all M
-effects, since the current clusters' log-likelihoods are sums of the
-carried rows.  phi enters only the effects' prior, so its update takes no
-likelihood pass.  A sweep thus costs _BETA_UPDATES + 2 likelihood passes
-(_BETA_UPDATES + 1 without a shape) whatever M is.  Every step scale
-follows a Robbins-Monro recursion during burn-in and is frozen afterwards,
-so the kept portion of each chain is a fixed Markov kernel.  The targets,
-the initial step scale, the number of beta proposals per sweep and the
-initial-point retries are module constants; ``SamplerConfig`` holds only
-the chain count, lengths and seed.
+A chain's state is theta, its log posterior, the per-row log-likelihood
+terms at theta and, with cluster effects, the per-cluster log prior of the
+effects at theta.  The cluster effects are conditionally independent given
+beta, the shape and phi, so all M are proposed at once, each with its own
+step scale, and each is accepted or rejected on its own cluster's
+log-ratio: one likelihood pass, at the proposal, for all M effects, since
+the current clusters' log-likelihoods are sums of the carried rows and
+their priors are carried.  phi enters only the effects' prior, so its
+update takes no likelihood pass.  Every step scale follows a Robbins-Monro
+recursion during burn-in and is frozen afterwards, so the kept portion of
+each chain is a fixed Markov kernel.  The targets, the initial step scale,
+the number of beta proposals per sweep and the initial-point retries are
+module constants; ``SamplerConfig`` holds only the chain count, lengths and
+seed.
+
+The chains run in lockstep: the state holds every chain, theta (chains,
+dim), the rows (chains, n) and the effect priors (chains, M), and each step
+evaluates all chains' proposals with one block call of ``log_posterior``,
+``pointwise_log_likelihood`` or ``effect_log_prior``.  A sweep of all
+chains thus costs _BETA_UPDATES + 2 likelihood passes (_BETA_UPDATES + 1
+without a shape) and two ``effect_log_prior`` calls, whatever M and the
+chain count are.  ``log_prior`` stays a per-chain call on Python floats,
+handed the chain's carried effect-prior sum.
 
 Randomness comes from numpy's counter-based Philox generator with per-chain
-substreams seeded by SeedSequence([seed, chain_index]); runs are bit-for-bit
-reproducible for a given (data, spec, config).
+substreams seeded by SeedSequence([seed, chain_index]).  Each chain draws
+from its own stream in the order a lone chain would, and takes its own
+Metropolis decisions on the same floating-point values, so its kept draws
+do not depend on the chains beside it; runs are bit-for-bit reproducible
+for a given (data, spec, config).
 """
 
 from __future__ import annotations
@@ -131,46 +143,78 @@ def _block_names(layout: ParamLayout) -> list:
     return names
 
 
-def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([cfg.seed, chain_index])))
+def _sample(model: Model, cfg: SamplerConfig) -> tuple:
+    """All chains in lockstep: the kept draws (chains, kept, dim) on the
+    sampling scale and the acceptance rates (chains, blocks)."""
     layout = model.layout
-    theta, lp, rows = _initial_point(model, rng)
+    rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence([cfg.seed, chain])))
+            for chain in range(cfg.chains)]
+    thetas, lp, rows = zip(*(_initial_point(model, rng) for rng in rngs))
+    theta, lp, rows = np.array(thetas), list(lp), np.array(rows)
 
     # Adaptation state by theta coordinate: index 0 stands for the beta
     # block (1..q-1 go unused), index i >= q for shape, effect or phi i.
+    # Every step records on every chain, so one clock per coordinate serves all.
     q = layout.q
-    log_scales = np.full(layout.dim, math.log(_INITIAL_STEP))
+    log_scales = np.full((cfg.chains, layout.dim), math.log(_INITIAL_STEP))
     rm_iter = np.zeros(layout.dim, dtype=int)  # per-coordinate adaptation clocks
-    accept_post = np.zeros(layout.dim)
+    accept_post = np.zeros((cfg.chains, layout.dim))
     effects = layout.effect_indices
 
-    def cluster_log_density(point, point_rows):
-        """Entry i: cluster i's log-likelihood at ``point``, summed from its
-        rows, plus the log prior of effect i."""
-        return (np.bincount(model.cluster, point_rows, minlength=layout.n_clusters)
-                + effect_log_prior(model, point))
+    if layout.phi_index is not None:
+        # Each chain's per-cluster effect prior at theta and its sum: only
+        # the effect and phi steps move them.
+        effect_prior = effect_log_prior(model, theta)
+        effect_sums = [float(row.sum()) for row in effect_prior]
+        # cluster i of chain c is bin c * M + i of one bincount over all rows
+        chain_cluster = (model.cluster + layout.n_clusters
+                         * np.arange(cfg.chains)[:, None]).ravel()
+    else:
+        effect_sums = None
+
+    def cluster_log_likelihood(point_rows):
+        """(chains, M): each cluster's log-likelihood, summed from its rows."""
+        return np.bincount(chain_cluster, point_rows.ravel(),
+                           minlength=cfg.chains * layout.n_clusters).reshape(cfg.chains, -1)
 
     def record(index, accepted, target):
         """Robbins-Monro step-scale update during burn-in, acceptance counts
-        after it; ``index`` and ``accepted`` may be a slice and a vector."""
+        after it; ``index`` may be a slice, ``accepted`` has a chains axis."""
         if adapting:
             rm_iter[index] += 1
             gamma = 1.0 / rm_iter[index] ** 0.6
-            log_scales[index] += gamma * (accepted - target)
+            log_scales[:, index] += gamma * (accepted - target)
         else:
-            accept_post[index] += accepted
+            accept_post[:, index] += accepted
 
-    def accepts(lp_prop, index, target) -> bool:
-        """The Metropolis test of a proposal whose log posterior is
-        ``lp_prop`` against the current state's, recorded on ``index``."""
-        accept = lp_prop - lp > math.log(rng.random()) if math.isfinite(lp_prop) else False
-        record(index, 1.0 if accept else 0.0, target)
-        return accept
+    def accepts(lp_prop, index, target) -> list:
+        """The Metropolis test of each chain's proposal, whose log posterior
+        is in ``lp_prop``, against its current state, recorded on ``index``;
+        a chain draws its uniform only for a finite proposal."""
+        accepted = [math.isfinite(new) and new - old > math.log(rng.random())
+                    for rng, old, new in zip(rngs, lp, lp_prop)]
+        record(index, np.array(accepted, dtype=float), target)
+        return accepted
+
+    def adopt(accepted, proposal, lp_prop, rows_prop):
+        """Move the accepting chains to their proposals: rebind the state
+        when every chain accepts, copy chain by chain otherwise."""
+        nonlocal theta, lp, rows
+        if all(accepted):
+            theta, lp, rows = proposal, lp_prop, rows_prop
+            return
+        for c, accept in enumerate(accepted):
+            if accept:
+                theta[c] = proposal[c]
+                lp[c] = lp_prop[c]
+                rows[c] = rows_prop[c]
 
     def propose(index):
-        """theta with coordinate ``index`` moved by a random-walk step."""
+        """theta with coordinate ``index`` of every chain moved by a
+        random-walk step."""
         proposal = theta.copy()
-        proposal[index] += math.exp(log_scales[index]) * rng.normal()
+        for c, rng in enumerate(rngs):
+            proposal[c, index] += math.exp(log_scales[c, index]) * rng.normal()
         return proposal
 
     # Running moments of beta for the adapted full proposal covariance; the
@@ -179,13 +223,14 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
     # Accumulation starts a quarter of the way into burn-in so the transit
     # from the (deliberately generic) initial point does not inflate the
     # estimate.
-    beta_mean = np.zeros(q)
-    beta_m2 = np.zeros((q, q))
+    beta_mean = np.zeros((cfg.chains, q))
+    beta_m2 = np.zeros((cfg.chains, q, q))
     beta_count = 0
     beta_chol = None
     moments_start = cfg.burnin // 4
+    diagonal = np.arange(q)
 
-    kept = np.empty((cfg.iterations - cfg.burnin, layout.dim))
+    kept = np.empty((cfg.chains, cfg.iterations - cfg.burnin, layout.dim))
 
     for it in range(cfg.iterations):
         adapting = it < cfg.burnin
@@ -195,24 +240,27 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
                 # switching from the identity-shaped proposal: restart the
                 # scale at the standard 2.38/sqrt(q) optimum and reset the
                 # adaptation clock so re-tuning is fast
-                log_scales[0] = math.log(2.38 / math.sqrt(q))
+                log_scales[:, 0] = math.log(2.38 / math.sqrt(q))
                 rm_iter[0] = 0
             if adapting or beta_chol is None:
                 cov = beta_m2 / (beta_count - 1)
-                cov[np.diag_indices_from(cov)] += 1e-10
+                cov[:, diagonal, diagonal] += 1e-10
                 beta_chol = np.linalg.cholesky(cov)
         for _ in range(_BETA_UPDATES):
-            step = rng.normal(size=q) if beta_chol is None else beta_chol @ rng.normal(size=q)
             proposal = theta.copy()
-            proposal[:q] += math.exp(log_scales[0]) * step
-            lp_prop, rows_prop = log_posterior(model, proposal)
-            if accepts(lp_prop, 0, _TARGET_ACCEPT_BLOCK):
-                theta, lp, rows = proposal, lp_prop, rows_prop
+            for c, rng in enumerate(rngs):
+                step = (rng.normal(size=q) if beta_chol is None
+                        else beta_chol[c] @ rng.normal(size=q))
+                proposal[c, :q] += math.exp(log_scales[c, 0]) * step
+            lp_prop, rows_prop = log_posterior(model, proposal, effect_sums)
+            lp_prop = lp_prop.tolist()
+            adopt(accepts(lp_prop, 0, _TARGET_ACCEPT_BLOCK), proposal, lp_prop, rows_prop)
         if layout.has_shape:
             proposal = propose(layout.shape_index)
-            lp_prop, rows_prop = log_posterior(model, proposal)
-            if accepts(lp_prop, layout.shape_index, _TARGET_ACCEPT_SCALAR):
-                theta, lp, rows = proposal, lp_prop, rows_prop
+            lp_prop, rows_prop = log_posterior(model, proposal, effect_sums)
+            lp_prop = lp_prop.tolist()
+            adopt(accepts(lp_prop, layout.shape_index, _TARGET_ACCEPT_SCALAR),
+                  proposal, lp_prop, rows_prop)
         if layout.phi_index is not None:
             # Given beta, the shape and phi the effects are conditionally
             # independent, so one proposal per cluster, each accepted on its
@@ -221,56 +269,66 @@ def _run_single_chain(model: Model, cfg: SamplerConfig, chain_index: int):
             # own cluster's effect alone, so the accepted clusters' rows
             # are the proposal's.
             proposal = theta.copy()
-            proposal[effects] += (np.exp(log_scales[effects])
-                                  * rng.normal(size=layout.n_clusters))
+            proposal[:, effects] += (np.exp(log_scales[:, effects])
+                                     * np.array([rng.normal(size=layout.n_clusters)
+                                                 for rng in rngs]))
             rows_prop = pointwise_log_likelihood(model, proposal)
-            log_ratio = (cluster_log_density(proposal, rows_prop)
-                         - cluster_log_density(theta, rows))
-            accepted = np.isfinite(log_ratio) & (log_ratio > np.log(rng.random(layout.n_clusters)))
-            theta[effects] = np.where(accepted, proposal[effects], theta[effects])
-            rows = np.where(accepted[model.cluster], rows_prop, rows)
-            lp += float(log_ratio[accepted].sum())
+            prior_prop = effect_log_prior(model, proposal)
+            log_ratio = ((cluster_log_likelihood(rows_prop) + prior_prop)
+                         - (cluster_log_likelihood(rows) + effect_prior))
+            uniforms = np.array([rng.random(layout.n_clusters) for rng in rngs])
+            accepted = np.isfinite(log_ratio) & (log_ratio > np.log(uniforms))
+            theta[:, effects] = np.where(accepted, proposal[:, effects], theta[:, effects])
+            np.putmask(rows, accepted.take(model.cluster, axis=1), rows_prop)
+            effect_prior = np.where(accepted, prior_prop, effect_prior)
+            for c in range(cfg.chains):
+                # each chain's own masked sum: a zero-filled sum over all
+                # clusters would add in another order
+                lp[c] += float(log_ratio[c][accepted[c]].sum())
+                effect_sums[c] = float(effect_prior[c].sum())
             record(effects, accepted.astype(float), _TARGET_ACCEPT_SCALAR)
             # phi enters only the effects' prior: no likelihood pass.
             proposal = propose(layout.phi_index)
-            lp_prop = lp + log_prior(model, proposal) - log_prior(model, theta)
-            if accepts(lp_prop, layout.phi_index, _TARGET_ACCEPT_SCALAR):
-                theta, lp = proposal, lp_prop
+            prior_prop = effect_log_prior(model, proposal)
+            sums_prop = [float(row.sum()) for row in prior_prop]
+            lp_prop = [old + log_prior(model, new_theta, new_sum)
+                       - log_prior(model, old_theta, old_sum)
+                       for old, new_theta, new_sum, old_theta, old_sum
+                       in zip(lp, proposal, sums_prop, theta, effect_sums)]
+            for c, accept in enumerate(accepts(lp_prop, layout.phi_index,
+                                               _TARGET_ACCEPT_SCALAR)):
+                if accept:
+                    theta[c] = proposal[c]
+                    lp[c] = lp_prop[c]
+                    effect_prior[c] = prior_prop[c]
+                    effect_sums[c] = sums_prop[c]
         if adapting:
             if it >= moments_start:
-                # Welford update of the beta moments for the proposal
-                # covariance.
+                # Welford update of each chain's beta moments for its
+                # proposal covariance.
                 beta_count += 1
-                d = theta[:q] - beta_mean
+                d = theta[:, :q] - beta_mean
                 beta_mean += d / beta_count
-                beta_m2 += np.outer(d, theta[:q] - beta_mean)
+                beta_m2 += d[:, :, None] * (theta[:, :q] - beta_mean)[:, None, :]
         else:
-            kept[it - cfg.burnin] = theta
+            kept[:, it - cfg.burnin] = theta
 
     # each block is tried once per kept sweep, the beta block _BETA_UPDATES times
-    accept_post[0] /= _BETA_UPDATES
-    return kept, accept_post[[0, *range(q, layout.dim)]] / len(kept)
+    accept_post[:, 0] /= _BETA_UPDATES
+    return kept, accept_post[:, [0, *range(q, layout.dim)]] / kept.shape[1]
 
 
 def run_chains(data: SurvivalDataset, spec: ModelSpec, cfg: SamplerConfig) -> PosteriorDraws:
     """Run all chains and return natural-scale kept draws."""
     model = Model(data, spec)
     layout = model.layout
-    names = _block_names(layout)
-    all_kept = []
-    rates = {name: [] for name in names}
-    for chain in range(cfg.chains):
-        kept, chain_rates = _run_single_chain(model, cfg, chain)
-        all_kept.append(layout.to_natural(kept))
-        for name, r in zip(names, chain_rates):
-            rates[name].append(float(r))
-    columns = layout.column_names(tuple(data.column_names))
+    kept, rates = _sample(model, cfg)
     return PosteriorDraws(
-        values=np.stack(all_kept),
-        columns=columns,
+        values=layout.to_natural(kept),
+        columns=layout.column_names(tuple(data.column_names)),
         layout=layout,
         spec=spec,
-        acceptance=rates,
+        acceptance={name: rates[:, j].tolist() for j, name in enumerate(_block_names(layout))},
         config=cfg,
     )
 

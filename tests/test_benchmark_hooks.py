@@ -42,3 +42,27 @@ def test_every_benchmark_hook_resolves():
     missing = [f"{module}.{attribute}" for module, attribute in layers + breaks
                if not callable(getattr(importlib.import_module(module), attribute, None))]
     assert missing == []
+
+
+def test_sampler_steps_go_through_the_hooked_log_posterior(monkeypatch):
+    # The benchmark's breaks and its log-posterior counter wrap the module
+    # attribute, so a sampler that evaluated its beta and shape steps some
+    # other way would silently change what the benchmark measures.
+    import rmstbayes.sampler as sampler
+    from rmstbayes import ModelSpec, SamplerConfig, ScenarioConfig, generate_scenario
+    calls = []
+    original = sampler.log_posterior
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(sampler, "log_posterior", counted)
+    data = generate_scenario(ScenarioConfig("C", n=64), 0)
+    iterations = 30
+    sampler.run_chains(data, ModelSpec("weibull", "random"),
+                       SamplerConfig(chains=2, iterations=iterations, burnin=10, seed=1))
+    # one block call for both chains per beta update and per shape step,
+    # after one single-draw call or more per chain for its initial point
+    blocks = [shape for shape in calls if len(shape) == 2]
+    assert len(blocks) == iterations * (sampler._BETA_UPDATES + 1)
+    assert blocks[0][0] == 2

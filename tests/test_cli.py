@@ -99,6 +99,14 @@ def test_rmst_with_effects(capsys):
     assert math.isclose(a, b, rel_tol=1e-9)
 
 
+def test_rmst_weibull_tiny_shape(capsys):
+    # Gamma(1/k + 1) overflows at k = 0.005; the RMST is the quadrature's 60.1038
+    code = main(["rmst", "--family", "weibull", "--lambda", "0.5", "--k", "0.005",
+                 "--tau", "100"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "RMST(tau=100) = 60.103760"
+
+
 def test_rmst_weibull_huge_cumulative_hazard(tmp_path):
     # Lambda(tau) = 1.3e20, where the incomplete gamma once failed to converge;
     # S is about 0 on [0, tau], so the RMST is the mean Gamma(1 + 1/k) lam^(-1/k)
@@ -143,7 +151,6 @@ def test_usage_errors_exit_two(csv_path, monkeypatch, capsys):
         rmst + ["weibull", "--scale", "80", "--k", "0", "--tau", "10"],
         # closed forms outside the floating-point range: e^(-eta/k) overflows
         # beside an incomplete gamma or beta that underflows, or the beta overflows
-        rmst + ["weibull", "--lambda", "1e-300", "--k", "1e-3", "--tau", "100"],
         rmst + ["loglogistic", "--mu", "-300", "--k", "0.01", "--tau", "100"],
         rmst + ["loglogistic", "--mu", "300", "--k", "1e-3", "--tau", "100"],
     ):
@@ -202,6 +209,24 @@ def test_fit_too_short_for_a_diagnostic_still_writes_its_document(csv_path, tmp_
     assert sum(doc["histogram"]["counts"]) == chains * 40
     table = capsys.readouterr().out
     assert table.count("n/a") == (3 if rhat_known else 6)
+
+
+def test_fit_keeping_fewer_than_ten_draws_is_a_usage_error(csv_path, tmp_path, monkeypatch,
+                                                            capsys):
+    # the summaries need 10 draws in all: 2 x (4 - 1) is refused before sampling
+    out = tmp_path / "few.json"
+    with monkeypatch.context() as patch:
+        patch.setattr("rmstbayes.cli.run_chains", None)
+        with pytest.raises(SystemExit) as e:
+            main(["fit", "--input", csv_path, "--family", "exponential",
+                  "--iter", "4", "--burnin", "1", "--output", str(out)])
+    assert e.value.code == 2
+    assert "chains x (iter - burnin)" in capsys.readouterr().err
+    assert not out.exists()
+    # exactly 10 kept draws fit and write their document
+    assert main(["fit", "--input", csv_path, "--family", "exponential", "--chains", "1",
+                 "--iter", "11", "--burnin", "1", "--output", str(out)]) == 0
+    assert sum(json.loads(out.read_text())["histogram"]["counts"]) == 10
 
 
 def test_fit_with_a_categorical_covariate(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,48 @@ def test_minus_inf_prior_propagates():
     spec = ModelSpec(Family.EXPONENTIAL, EffectKind.RANDOM)
     theta = np.concatenate([np.zeros(3), np.zeros(3), [math.log(10.5)]])  # phi > 10
     assert log_posterior(Model(data, spec), theta) == (-math.inf, None)
+
+
+@pytest.mark.parametrize("effect", [EffectKind.RANDOM, EffectKind.FRAILTY])
+def test_block_log_posterior_equals_single_draws(effect):
+    # a block's lp and rows are its draws' bit for bit; a draw outside the
+    # prior's support (sigma^2 >= 100 or phi >= 10) gets -inf and no pass
+    model = Model(_toy(n=30, clusters=5), ModelSpec(Family.LOG_NORMAL, effect))
+    layout = model.layout
+    rng = np.random.default_rng(11)
+    block = rng.normal(0.0, 0.3, (4, layout.dim))
+    block[1, layout.shape_index] = math.log(150.0)   # sigma^2 past its support
+    block[3, layout.phi_index] = math.log(20.0)      # phi past its support
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lp, rows = log_posterior(model, block)
+        sums = [float(effect_log_prior(model, theta).sum()) for theta in block]
+        carried = log_posterior(model, block, sums)
+        for outside in ([1], [1, 3]):
+            only = log_posterior(model, block[outside])[0]
+            assert list(only) == [-math.inf] * len(outside)
+    assert lp.shape == (4,) and rows.shape == (4, model.x.shape[0])
+    for c, theta in enumerate(block):
+        single_lp, single_rows = log_posterior(model, theta)
+        assert carried[0][c] == lp[c]
+        if c in (1, 3):
+            assert single_lp == lp[c] == -math.inf and single_rows is None
+            continue
+        assert lp[c] == single_lp
+        assert np.array_equal(rows[c], single_rows)
+        assert np.array_equal(carried[1][c], single_rows)
+
+
+@pytest.mark.parametrize("effect", [EffectKind.RANDOM, EffectKind.FRAILTY])
+def test_block_effect_log_prior_equals_single_draws(effect):
+    model = Model(_toy(n=30, clusters=10), ModelSpec(Family.WEIBULL, effect))
+    block = np.random.default_rng(12).normal(0.0, 0.5, (3, model.layout.dim))
+    prior = effect_log_prior(model, block)
+    assert prior.shape == (3, 10)
+    for row, theta in zip(prior, block):
+        assert np.array_equal(row, effect_log_prior(model, theta))
+        # log_prior adds a carried sum exactly as it adds its own
+        assert log_prior(model, theta, float(row.sum())) == log_prior(model, theta)
 
 
 def test_exponential_posterior_mode_matches_closed_form_mle(monkeypatch):

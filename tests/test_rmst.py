@@ -109,6 +109,21 @@ def test_proportional_hazard_forms_match_mpmath(kind, effect):
             assert math.isclose(got, ref, rel_tol=1e-14), (fam, eta, k, tau)
 
 
+@pytest.mark.parametrize("lam, k", [(0.5, 0.005), (1e-300, 1e-3)])
+def test_weibull_rmst_where_the_gamma_form_leaves_range(lam, k):
+    # Gamma(1/k + 1) overflows for k < 0.0059, and e^(-eta/k) at lam = 1e-300,
+    # yet the RMST exists: those draws take the series form
+    p = FamilyParams.weibull(lam, k)
+    got = R.rmst_value(p, NO_EFFECT, 100.0)
+    assert math.isclose(got, R.rmst_numeric(p, NO_EFFECT, 100.0), rel_tol=1e-8)
+    # only those elements: the others keep the gamma form's bits
+    values = R.rmst_closed_form(Family.WEIBULL, np.array([-4.0, math.log(lam), -1.0]),
+                                np.array([1.5, k, 0.7]), 100.0)
+    assert values[1] == got
+    assert values[[0, 2]].tolist() == [R.rmst_closed_form(Family.WEIBULL, -4.0, 1.5, 100.0),
+                                       R.rmst_closed_form(Family.WEIBULL, -1.0, 0.7, 100.0)]
+
+
 def test_weibull_small_shape_quadrature_converges():
     # S(t) = exp(-lam t^k) has an unbounded slope at t = 0 for k < 1; the
     # reference value is the closed form, which agrees with mpmath
@@ -644,7 +659,8 @@ def test_underflowing_rate_rejected_without_warning(fam):
 
 
 @pytest.mark.parametrize("fam, eta, shape", [
-    (Family.WEIBULL, -690.0, 1e-3),       # e^(-eta/k) = inf beside a gamma of 0
+    (Family.WEIBULL, 8.0, 1e-3),          # e^(-eta/k) = 0 beside a Gamma(1001) of inf
+    (Family.WEIBULL, 800.0, 1e-3),        # the same, with z = e^eta tau^k overflowing
     (Family.LOG_LOGISTIC, -300.0, 0.01),  # e^(-mu/k) = inf beside a beta of 0
     (Family.LOG_LOGISTIC, 300.0, 1e-3),   # e^(-mu/k) = 0 beside a beta tail of inf
 ])

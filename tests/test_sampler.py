@@ -113,10 +113,11 @@ def test_natural_scale_positivity():
         assert np.all(draws.column(col) > 0)
 
 
-def _sweep_calls(monkeypatch, family, n_clusters, iterations):
-    """Calls of the sampler's log-density entry points in a two-chain
-    random-effects fit, in order, with a "pass" event for every likelihood
-    pass (a call of the likelihood kernel) whoever makes it."""
+def _sweep_calls(monkeypatch, family, n_clusters, iterations, chains):
+    """Calls of the sampler's log-density entry points in a random-effects
+    fit, in order, with a "pass" event for every likelihood pass (a call of
+    the likelihood kernel) and an "effect_log_prior" event for every
+    evaluation of the effects' prior, whoever makes them."""
     import rmstbayes.inference as inference
     import rmstbayes.sampler as sampler
 
@@ -134,41 +135,65 @@ def _sweep_calls(monkeypatch, family, n_clusters, iterations):
         counted(sampler, name, name)
     counted(sampler, "pointwise_log_likelihood", "effect_pass")
     counted(inference, "log_hazard_survival", "pass")
+    for module in (sampler, inference):
+        counted(module, "effect_log_prior", "effect_log_prior")
     n = 96
     data = SurvivalDataset(np.random.default_rng(3).weibull(1.5, n) * 40.0,
                            np.ones(n, dtype=int), np.ones((n, 1)),
                            np.arange(n) % n_clusters + 1, ("intercept",))
     draws = run_chains(data, ModelSpec(family, EffectKind.RANDOM),
-                       SamplerConfig(chains=2, iterations=iterations, burnin=10, seed=4))
+                       SamplerConfig(chains=chains, iterations=iterations, burnin=10, seed=4))
     monkeypatch.undo()
     return events, draws
 
 
 @pytest.mark.parametrize("n_clusters", [4, 16])
 def test_sweep_cost_does_not_grow_with_clusters(monkeypatch, n_clusters):
+    # A sweep moves every chain once; each step is one block call for all
+    # chains, so the counts per sweep depend on neither M nor the chains.
     from rmstbayes.sampler import _BETA_UPDATES as beta_updates
     for family in (Family.WEIBULL, Family.EXPONENTIAL):
-        short, _ = _sweep_calls(monkeypatch, family, n_clusters, 20)
-        events, draws = _sweep_calls(monkeypatch, family, n_clusters, 40)
-        # Same seed, so the longer run repeats the shorter one and adds
-        # 2 x 20 sweeps.
-        per_sweep = {name: (events.count(name) - short.count(name)) / 40
-                     for name in set(events)}
         has_shape = family is not Family.EXPONENTIAL
-        assert per_sweep == {"log_posterior": beta_updates + has_shape,  # beta, shape
-                             "effect_pass": 1,                          # all M effects
-                             "log_prior": 2,                            # phi
-                             "pass": beta_updates + has_shape + 1}, family
-        # Every likelihood pass comes straight from a log_posterior call or
-        # from the effect step's one pass at its proposal: the phi step's
-        # log_prior calls make none.
-        for before, event in zip(events, events[1:]):
-            if event == "pass":
-                assert before in ("log_posterior", "effect_pass")
-        names = ["beta", *(["shape"] if has_shape else []),
-                 *(f"effect[{i}]" for i in range(1, n_clusters + 1)), "phi"]
-        assert list(draws.acceptance) == names
-        assert all(len(rates) == 2 for rates in draws.acceptance.values())
+        for chains in (1, 2):
+            short, _ = _sweep_calls(monkeypatch, family, n_clusters, 20, chains)
+            events, draws = _sweep_calls(monkeypatch, family, n_clusters, 40, chains)
+            # Same seed, so the longer run repeats the shorter one and adds
+            # 20 sweeps.
+            per_sweep = {name: (events.count(name) - short.count(name)) / 20
+                         for name in set(events)}
+            assert per_sweep == {
+                "log_posterior": beta_updates + has_shape,  # beta, shape
+                "effect_pass": 1,                          # all M effects
+                "pass": beta_updates + has_shape + 1,
+                "effect_log_prior": 2,                     # effect and phi proposals
+                "log_prior": 2 * chains,                   # phi, chain by chain
+            }, (family, chains)
+            # Every likelihood pass comes straight from a log_posterior call
+            # or from the effect step's one pass at its proposal: the phi
+            # step's log_prior calls make none.
+            calls = [event for event in events if event != "effect_log_prior"]
+            for before, event in zip(calls, calls[1:]):
+                if event == "pass":
+                    assert before in ("log_posterior", "effect_pass")
+            names = ["beta", *(["shape"] if has_shape else []),
+                     *(f"effect[{i}]" for i in range(1, n_clusters + 1)), "phi"]
+            assert list(draws.acceptance) == names
+            assert all(len(rates) == chains for rates in draws.acceptance.values())
+
+
+@pytest.mark.parametrize("family, effect", [(Family.LOG_NORMAL, EffectKind.RANDOM),
+                                            (Family.WEIBULL, EffectKind.FRAILTY)])
+def test_chains_run_in_lockstep_as_if_alone(family, effect):
+    # each chain draws from its own stream: a third chain run beside them
+    # leaves the first two chains' kept draws and acceptance rates unchanged
+    data = generate_scenario(ScenarioConfig("B", n=96), 1)
+    runs = [run_chains(data, ModelSpec(family, effect),
+                       SamplerConfig(chains=chains, iterations=160, burnin=80, seed=5))
+            for chains in (2, 3)]
+    assert runs[1].values[:2].tobytes() == runs[0].values.tobytes()
+    for name, rates in runs[0].acceptance.items():
+        assert runs[1].acceptance[name][:2] == rates
+    assert not np.array_equal(runs[1].values[2], runs[1].values[0])
 
 
 def test_initialization_failure_is_explicit(monkeypatch):
