@@ -71,6 +71,9 @@ def kde_mode(v: np.ndarray) -> float:
     weights = (np.bincount(left, weights=1.0 - frac, minlength=_KDE_GRID_POINTS)
                + np.bincount(left + 1, weights=frac, minlength=_KDE_GRID_POINTS))
     half = min(int(39.0 * bw / step), _KDE_GRID_POINTS - 1)
+    if half == 0:
+        # the kernel is one grid point wide; step / bw may overflow to inf
+        return float(grid[int(np.argmax(weights))])
     kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * (step / bw)) ** 2)
     density = np.convolve(weights, kernel)[half: half + _KDE_GRID_POINTS]
     return float(grid[int(np.argmax(density))])

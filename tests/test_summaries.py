@@ -116,6 +116,10 @@ def test_kde_mode_degenerate_samples():
     # zero IQR: the bandwidth falls back to the SD
     v = np.array([0.0] * 95 + [1.0] * 5)
     assert kde_mode(v) == _dense_kde_mode(v) == 0.0
+    # a subnormal IQR gives a bandwidth so small that step / bandwidth
+    # overflows; the mode is the grid point with the most weight
+    v = np.array([0.0] * 7 + [1.0, 1.0, 2.225073858507e-311])
+    assert kde_mode(v) == 0.0
 
 
 def test_normal_tail_probability_reference():
