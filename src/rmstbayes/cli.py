@@ -128,11 +128,15 @@ def _diagnostic(fn, draws, column):
         return None
 
 
-def cmd_fit(args, parser) -> int:
+def _require_kept_draws(args, parser) -> None:
     # summaries need 10 draws; refuse before sampling rather than after
     if args.chains * (args.iterations - args.burnin) < 10:
         parser.error(f"a fit keeps chains x (iter - burnin) draws, which must be >= 10; "
                      f"got {args.chains} x ({args.iterations} - {args.burnin})")
+
+
+def cmd_fit(args, parser) -> int:
+    _require_kept_draws(args, parser)
     data, spec, draws = _fit(args)
     flat = draws.flat()
     param_rows = []
@@ -232,7 +236,8 @@ def cmd_rmst(args, parser) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, parser) -> int:
+    _require_kept_draws(args, parser)
     cfg = ScenarioConfig(scenario=args.scenario, n=args.n,
                          replications=args.replications, seed=args.seed, tau=args.tau)
     family = Family(args.family) if args.family else cfg.family
@@ -310,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--tau", type=_open_interval(0.0, math.inf), default=100.0)
     _add_sampler_flags(p_sim)
     p_sim.add_argument("--output")
-    p_sim.set_defaults(run=cmd_simulate)
+    p_sim.set_defaults(run=functools.partial(cmd_simulate, parser=p_sim))
     return parser
 
 

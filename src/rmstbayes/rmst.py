@@ -33,7 +33,6 @@ from .families import (
     log_hazard_survival,
 )
 from .specfun import (
-    _elementwise,
     _float_if_scalar,
     _reg_gamma_series,
     incomplete_beta_compl,
@@ -88,7 +87,7 @@ def _loglogistic_rmst(mu, k, v, tau: float):
     w = mu + k * math.log(tau)
     ew = np.exp(-np.abs(w))
     s_tau = np.where(w > 0, ew / (1.0 + ew), 1.0 / (1.0 + ew))
-    part = _elementwise(incomplete_beta_compl, s_tau, 1.0 + 1.0 / k, v - 1.0 / k)
+    part = incomplete_beta_compl(s_tau, 1.0 + 1.0 / k, v - 1.0 / k)
     return v * np.exp(-mu / k) * part + tau * s_tau ** v
 
 

@@ -1,13 +1,15 @@
 """Special functions used by the likelihood and the closed-form
 restricted-mean formulas.
 
-The incomplete gamma and the normal tails apply elementwise over numpy arrays
-and to scalars (a float for scalar input).  The normal tails are numpy
-throughout: both rest on one piecewise-polynomial erfcx(a) = e^(a^2) erfc(a),
-and never form e^(-x^2/2) from a rounded x^2.  The stdlib functions under the
-rest (``math.lgamma``, and the scalar incomplete beta for its callers) meet
-arrays through one helper, ``_elementwise``.  The code depends on nothing
-beyond numpy.  All functions are pure and thread-safe.
+The incomplete gamma, the incomplete beta and the normal tails apply
+elementwise over numpy arrays and to scalars (a float for scalar input).
+The series and continued fractions of the incomplete integrals run on one
+live-set loop, ``_converge``, which drops each element at its own
+convergence.  The normal tails are numpy throughout: both rest on one
+piecewise-polynomial erfcx(a) = e^(a^2) erfc(a), and never form e^(-x^2/2)
+from a rounded x^2.  ``math.lgamma`` meets arrays through one helper,
+``_elementwise``.  The code depends on nothing beyond numpy.  All functions
+are pure and thread-safe.
 
 Conventions: the incomplete gamma and incomplete beta integrals are
 *non-regularized*, i.e. the raw integrals
@@ -33,6 +35,8 @@ _MAX_ITER = 1000
 _SQRT_HALF = math.sqrt(0.5)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_HALF = math.log(0.5)
+_TINY = 1e-300  # the modified-Lentz floor
 
 
 def _elementwise(fn, *args) -> np.ndarray:
@@ -242,55 +246,59 @@ def log_std_normal_sf(x):
     return _float_if_scalar(np.where(x > 0.0, np.log(scaled) - 0.5 * xp * xp, np.log1p(-q)))
 
 
-def _reg_gamma_series(z: np.ndarray, a: np.ndarray, log_front: np.ndarray) -> np.ndarray:
-    # P(a, z) by power series, reliable for z < a + 1.  Elementwise over 1-D
-    # arrays; each entry stops at its own convergence, as a scalar loop would.
-    total_at = np.empty_like(z)
-    left = np.arange(len(z))
-    x, ap = z, a.copy()
-    term = 1.0 / a
-    total = term.copy()
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        done = np.abs(term) < np.abs(total) * _EPS
-        total_at[left[done]] = total[done]
+def _converge(step, state, what: str) -> np.ndarray:
+    """The live-set loop under every expansion here: ``state`` is a tuple of
+    1-D arrays of one length, and ``step(n, *state)`` for n = 1, 2, ...
+    returns the next state and a mask of the elements that have converged.
+    Each element leaves the live set at its own convergence, as a scalar loop
+    would stop; the result is the first state array as it stood then."""
+    out = np.empty_like(state[0])
+    left = np.arange(len(out))
+    for n in range(1, _MAX_ITER + 1):
+        state, done = step(n, *state)
+        out[left[done]] = state[0][done]
         keep = ~done
-        left, x, ap, term, total = left[keep], x[keep], ap[keep], term[keep], total[keep]
+        left = left[keep]
         if not len(left):
-            return total_at * np.exp(log_front)
-    raise RuntimeError("incomplete gamma series failed to converge")
+            return out
+        state = tuple(x[keep] for x in state)
+    raise RuntimeError(f"{what} failed to converge")
+
+
+def _not_tiny(x: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(x) < _TINY, _TINY, x)
+
+
+def _gamma_series_step(n, total, term, ap, z):
+    # P(a, z) by power series, reliable for z < a + 1
+    ap = ap + 1.0
+    term = term * (z / ap)
+    total = total + term
+    return (total, term, ap, z), np.abs(term) < np.abs(total) * _EPS
+
+
+def _gamma_cf_step(n, h, c, d, b, a):
+    # Q(a, z) by modified-Lentz continued fraction, reliable for z >= a + 1
+    an = -n * (n - a)
+    b = b + 2.0
+    d = 1.0 / _not_tiny(an * d + b)
+    c = _not_tiny(b + an / c)
+    delta = d * c
+    h = h * delta
+    return (h, c, d, b, a), np.abs(delta - 1.0) < _EPS
+
+
+def _reg_gamma_series(z: np.ndarray, a: np.ndarray, log_front: np.ndarray) -> np.ndarray:
+    term = 1.0 / a
+    return _converge(_gamma_series_step, (term, term, a, z),
+                     "incomplete gamma series") * np.exp(log_front)
 
 
 def _reg_gamma_cf(z: np.ndarray, a: np.ndarray, log_front: np.ndarray) -> np.ndarray:
-    # Q(a, z) by modified-Lentz continued fraction, reliable for z >= a + 1.
-    # Elementwise over 1-D arrays, like the series.
-    tiny = 1e-300
-    h_at = np.empty_like(z)
-    left = np.arange(len(z))
-    ap = a
     b = z + 1.0 - a
-    c = np.full_like(z, 1.0 / tiny)
     d = 1.0 / b
-    h = d.copy()
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - ap)
-        b += 2.0
-        d = an * d + b
-        d[np.abs(d) < tiny] = tiny
-        c = b + an / c
-        c[np.abs(c) < tiny] = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        done = np.abs(delta - 1.0) < _EPS
-        h_at[left[done]] = h[done]
-        keep = ~done
-        left, ap, b, c, d, h = left[keep], ap[keep], b[keep], c[keep], d[keep], h[keep]
-        if not len(left):
-            return h_at * np.exp(log_front)
-    raise RuntimeError("incomplete gamma continued fraction failed to converge")
+    return _converge(_gamma_cf_step, (d, np.full_like(z, 1.0 / _TINY), d, b, a),
+                     "incomplete gamma continued fraction") * np.exp(log_front)
 
 
 def lower_incomplete_gamma(z, a):
@@ -321,127 +329,103 @@ def lower_incomplete_gamma(z, a):
     return out.reshape(shape) if shape else float(out[0])
 
 
-def _beta_head(z: float, a: float, b: float) -> float:
-    # int_0^z t^(a-1)(1-t)^(b-1) dt with z <= 0.5, via the binomial series
-    # (1-t)^(b-1) = sum c_n t^n, c_n = c_{n-1} (n-b)/n.
-    if z == 0.0:
-        return 0.0
-    coef = 1.0
-    power = math.exp(a * math.log(z))  # z^(a+n), updated in the loop
-    total = power / a
-    for n in range(1, _MAX_ITER):
-        coef *= (n - b) / n
-        power *= z
-        term = coef * power / (a + n)
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total
-    raise RuntimeError("incomplete beta head series failed to converge")
+def _beta_cf_step(m, h, c, d, x, a, b):
+    # the regularized incomplete beta's continued fraction (NR-style modified
+    # Lentz), for a, b > 0 and x < (a+1)/(a+b+2): the even and the odd
+    # coefficient of step m, one Lentz update each
+    m2 = 2 * m
+    for aa in (m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
+               -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2))):
+        d = 1.0 / _not_tiny(1.0 + aa * d)
+        c = _not_tiny(1.0 + aa / c)
+        delta = d * c
+        h = h * delta
+    return (h, c, d, x, a, b), np.abs(delta - 1.0) < _EPS
 
 
-def _beta_tail(s0: float, a: float, b: float) -> float:
-    # int_{s0}^{1/2} s^(b-1)(1-s)^(a-1) ds for 0 < s0 < 1/2, i.e. the
-    # t in (1/2, 1-s0] part of the beta integral after the substitution s = 1-t.
-    log_c = math.log(0.5)
-    log_s0 = math.log(s0)
-    coef = 1.0
-    total = 0.0
-    for n in range(_MAX_ITER):
-        if n > 0:
-            coef *= (n - a) / n
-        eps = b + n
-        if abs(eps * log_s0) < _EPS:
-            # the limit as eps -> 0; eps * log would lose all its digits in
-            # the subnormal range
-            piece = log_c - log_s0
-        else:
-            try:
-                piece = (math.expm1(eps * log_c) - math.expm1(eps * log_s0)) / eps
-            except OverflowError:  # where numpy's expm1 gives inf; only eps < 0
-                return math.inf    # overflows, first at n = 0, where the piece is +inf
-        term = coef * piece
-        total += term
-        if n > 4 and abs(term) < abs(total) * _EPS:
-            return total
-    raise RuntimeError("incomplete beta tail series failed to converge")
+def _beta_head_step(n, total, coef, power, z, a, b):
+    # int_0^z t^(a-1)(1-t)^(b-1) dt for 0 < z <= 1/2 via the binomial series
+    # (1-t)^(b-1) = sum c_n t^n, c_n = c_{n-1} (n-b)/n; power is z^(a+n)
+    coef = coef * ((n - b) / n)
+    power = power * z
+    term = coef * power / (a + n)
+    total = total + term
+    return (total, coef, power, z, a, b), np.abs(term) < np.abs(total) * _EPS
 
 
-def _betacf(x: float, a: float, b: float) -> float:
-    # Continued fraction for the regularized incomplete beta (NR-style
-    # modified Lentz).  Requires a, b > 0 and x < (a+1)/(a+b+2).
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER):
-        m2 = 2 * m
-        # the even and the odd coefficient of step m, one Lentz update each
-        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
-                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
-            d = 1.0 + aa * d
-            if abs(d) < tiny:
-                d = tiny
-            c = 1.0 + aa / c
-            if abs(c) < tiny:
-                c = tiny
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise RuntimeError("incomplete beta continued fraction failed to converge")
+def _beta_tail_piece(eps, log_s0):
+    # (2^-eps - s0^eps) / eps in expm1 form, or its limit log(1/2) - log s0
+    # where eps log s0 is below one ulp: in the subnormal range eps log s0
+    # would have lost all its digits.  Overflow, only for eps < 0, gives +inf.
+    with np.errstate(over="ignore", invalid="ignore"):  # 0/0 at eps = 0
+        piece = (np.expm1(eps * _LOG_HALF) - np.expm1(eps * log_s0)) / eps
+    return np.where(np.abs(eps * log_s0) < _EPS, _LOG_HALF - log_s0, piece)
 
 
-def _reg_beta_pos(x: float, one_minus_x: float, a: float, b: float) -> float:
-    # Regularized I_x(a, b) for a, b > 0 and 0 < x, given both x and 1-x to full
-    # precision.  Uses the standard symmetry to keep the CF convergent.
-    if one_minus_x == 0.0:
-        return 1.0
-    front = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log(one_minus_x)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(x, a, b) / a
-    return 1.0 - front * _betacf(one_minus_x, b, a) / b
+def _beta_tail_step(n, total, coef, log_s0, a, b):
+    # int_{s0}^{1/2} s^(b-1)(1-s)^(a-1) ds for 0 < s0 < 1/2, the t in
+    # (1/2, 1-s0] part of the beta integral after s = 1-t: the sum over n of
+    # c_n times the piece at eps = b + n, with c_n = c_{n-1} (n-a)/n
+    coef = coef * ((n - a) / n)
+    term = coef * _beta_tail_piece(b + n, log_s0)
+    total = total + term
+    return (total, coef, log_s0, a, b), (n > 4) & (np.abs(term) < np.abs(total) * _EPS)
 
 
-def _ln_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def incomplete_beta_compl(one_minus_z: float, a: float, b: float) -> float:
+def incomplete_beta_compl(one_minus_z, a, b):
     """Non-regularized incomplete beta integral over [0, z], given
-    one_minus_z = 1 - z; accurate for z near 1.
+    one_minus_z = 1 - z; accurate for z near 1.  Elementwise over numpy
+    arrays or scalars (a float for scalar input).
 
     Requires 0 <= one_minus_z <= 1 and a > 0.  z = 1 is allowed only when
     b > 0 (the integral diverges at t = 1 otherwise).  Callers that know 1-z
     to full precision (e.g. from a logistic survival value) avoid the
     cancellation in forming z = 1 - (1-z).
     """
-    if not a > 0.0:
-        raise ValueError(f"incomplete beta requires a > 0, got a={a}")
-    s0 = one_minus_z
-    if s0 < 0.0 or s0 > 1.0:
-        raise ValueError(f"complement must lie in [0, 1], got {s0}")
-    if s0 == 0.0 and b <= 0.0:
+    s0, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (one_minus_z, a, b)))
+    shape = s0.shape
+    s0, a, b = s0.ravel(), a.ravel(), b.ravel()
+    if not np.all(a > 0.0):
+        raise ValueError(f"incomplete beta requires a > 0, got a={a[~(a > 0.0)][0]}")
+    outside = ~((s0 >= 0.0) & (s0 <= 1.0))  # nan included
+    if outside.any():
+        raise ValueError(f"complement must lie in [0, 1], got {s0[outside][0]}")
+    if np.any((s0 == 0.0) & (b <= 0.0)):
         raise ValueError("incomplete beta diverges at z=1 when b <= 0")
     z = 1.0 - s0
-    if z == 0.0:
-        return 0.0
+    out = np.zeros_like(z)  # the value at z = 0
     # The continued fraction needs b > 0 and cancels catastrophically as b
     # nears 0; for b <= 1e-4 the power series, split at t = 1/2 with the tail
-    # in expm1 form, serves instead.
-    if b > 1e-4:
-        return math.exp(_ln_beta(a, b)) * _reg_beta_pos(z, s0, a, b)
-    if s0 == 0.0:
-        return math.exp(_ln_beta(a, b))  # full integral, 0 < b <= 1e-4
-    if s0 >= 0.5:
-        return _beta_head(z, a, b)
-    return _beta_head(0.5, a, b) + _beta_tail(s0, a, b)
+    # in expm1 form, serves instead.  At z = 1 (b > 0 there) the value is
+    # the beta function.
+    whole = (z > 0.0) & ((b > 1e-4) | (s0 == 0.0))
+    if whole.any():
+        s, x, p, q = s0[whole], z[whole], a[whole], b[whole]
+        lg_p, lg_q, lg_pq = (_elementwise(math.lgamma, y) for y in (p, q, p + q))
+        with np.errstate(divide="ignore"):  # at s = 0 the front is 0, and the value B(a, b)
+            front = np.exp(lg_pq - lg_p - lg_q + p * np.log(x) + q * np.log(s))
+        # the fraction's arguments, under the standard symmetry that keeps it convergent
+        swap = ~(x < (p + 1.0) / (p + q + 2.0))
+        x, p, q = np.where(swap, s, x), np.where(swap, q, p), np.where(swap, p, q)
+        d = 1.0 / _not_tiny(1.0 - (p + q) * x / (p + 1.0))
+        ratio = front * _converge(_beta_cf_step, (d, np.ones_like(d), d, x, p, q),
+                                  "incomplete beta continued fraction") / p
+        out[whole] = np.exp(lg_p + lg_q - lg_pq) * np.where(swap, 1.0 - ratio, ratio)
+    series = (z > 0.0) & ~whole
+    if series.any():
+        s, p, q = s0[series], a[series], b[series]
+        head_at = np.minimum(1.0 - s, 0.5)
+        power = np.exp(p * np.log(head_at))
+        value = _converge(_beta_head_step, (power / p, np.ones_like(s), power, head_at, p, q),
+                          "incomplete beta head series")
+        # past t = 1/2 the tail, whose first piece, if +inf, is its value
+        tail = s < 0.5
+        log_s, p, q = np.log(s[tail]), p[tail], q[tail]
+        total = _beta_tail_piece(q, log_s)
+        live = total < math.inf
+        total[live] = _converge(_beta_tail_step, (total[live], np.ones(live.sum()),
+                                                  log_s[live], p[live], q[live]),
+                                "incomplete beta tail series")
+        value[tail] += total
+        out[series] = value
+    return out.reshape(shape) if shape else float(out[0])

@@ -123,6 +123,7 @@ def test_rmst_weibull_huge_cumulative_hazard(tmp_path):
 def test_usage_errors_exit_two(csv_path, monkeypatch, capsys):
     # invalid values are rejected before any sampling
     monkeypatch.setattr("rmstbayes.cli.run_chains", None)
+    monkeypatch.setattr("rmstbayes.simulation.run_chains", None)
     rmst = ["rmst", "--family"]
     for argv in (
         ["fit", "--input", csv_path, "--family", "gompertz"],
@@ -141,6 +142,8 @@ def test_usage_errors_exit_two(csv_path, monkeypatch, capsys):
         ["fit", "--input", csv_path, "--family", "exponential", "--threshold", "nan"],
         ["fit", "--input", csv_path, "--family", "exponential", "--threshold", "inf"],
         ["simulate", "--scenario", "C", "--tau", "nan"],
+        # a replication would keep 2 x 2 draws, too few to summarize
+        ["simulate", "--scenario", "C", "--n", "8", "--reps", "1", "--iter", "5", "--burnin", "3"],
         # each family without one parameter it requires
         rmst + ["exponential", "--tau", "10"],
         rmst + ["weibull", "--lambda", "0.01", "--tau", "10"],

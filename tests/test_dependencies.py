@@ -1,6 +1,6 @@
 """The runtime depends on numpy only: importing the package, running short
-Weibull and log-normal fits and the posterior RMST must not load scipy or
-mpmath (both are test-only dependencies).  The package root and
+Weibull and log-normal fits, the posterior RMST and log-logistic RMSTs must
+not load scipy or mpmath (both are test-only dependencies).  The package root and
 ``rmstbayes.inference`` export pinned lists of names, and the options the
 root's dataclasses and functions take are pinned too."""
 
@@ -16,6 +16,7 @@ import rmstbayes.inference
 
 SCRIPT = """
 import sys
+import numpy as np
 import rmstbayes
 from rmstbayes import (ModelSpec, SamplerConfig, ScenarioConfig, generate_scenario,
                        rmst_difference, run_chains)
@@ -24,6 +25,9 @@ run_chains(generate_scenario(ScenarioConfig("C", n=64), 0), ModelSpec("weibull",
 draws = run_chains(generate_scenario(ScenarioConfig("B", n=64), 0),
                    ModelSpec("lognormal", "random"), cfg)
 rmst_difference(draws, 100.0)
+# log-logistic shapes on both sides of 1: the beta's continued fraction and series
+rmstbayes.rmst_value(rmstbayes.FamilyParams.loglogistic(-5.0, np.array([0.7, 1.6])),
+                     rmstbayes.NO_EFFECT, 100.0)
 print(sorted(m for m in ("scipy", "mpmath") if m in sys.modules))
 """
 

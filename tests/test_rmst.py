@@ -595,6 +595,24 @@ def test_distribution_is_one_array_evaluation(monkeypatch):
         assert gamma_calls == [(300,)]
     assert built == []
 
+    # and one incomplete-beta call per log-logistic query, frailty included
+    beta_calls = []
+    beta = R.incomplete_beta_compl
+
+    def counted_beta(one_minus_z, a, b):
+        beta_calls.append(np.shape(one_minus_z))
+        return beta(one_minus_z, a, b)
+
+    monkeypatch.setattr(R, "incomplete_beta_compl", counted_beta)
+    for effect in (EffectKind.RANDOM, EffectKind.FRAILTY):
+        rows = _posterior_rows(Family.LOG_LOGISTIC, effect, rng, n=300)
+        draws = _fake_draws(Family.LOG_LOGISTIC, rows, effect, n_clusters=2)
+        for x1, cluster in ((0, None), (1, 2)):
+            beta_calls.clear()
+            assert R.rmst_distribution(draws, 100.0, x1, cluster).values.shape == (300,)
+            assert beta_calls == [(300,)]
+    assert built == []
+
 
 def test_closed_forms_take_arrays_and_scalars_alike():
     lam, k, v = np.array([0.01, 0.02, 3.0]), np.array([0.7, 1.5, 150.0]), np.array([0.5, 1.0, 2.0])

@@ -122,6 +122,28 @@ def test_incomplete_beta_nonpositive_b_grid():
     assert worst < 1e-9
 
 
+def test_incomplete_beta_array_matches_scalar_calls():
+    # both grids as one array: continued-fraction (b > 1e-4) and series
+    # (b <= 1e-4) entries side by side, plus 1 - z = 0 and z = 0
+    points = [(a, b, z) for a in (0.07, 0.5, 1.0, 1.5, 3.3, 10.0, 19.7)
+              for b in (0.04, 0.5, 1.0, 2.6, 8.0)
+              for z in (0.0, 1e-5, 0.1, 0.4, 0.5, 0.7, 0.95, 0.999, 1.0)]
+    points += [(a, b, z) for a in (1.3, 1.5, 2.0, 4.5, 19.7)
+               for b in (0.0, -0.25, -0.5, -1.0, -2.7, -5.5)
+               for z in (0.0, 0.05, 0.3, 0.5, 0.8, 0.97, 0.9999)]
+    a, b, z = (np.array(x) for x in zip(*points))
+    assert np.any(b > 1e-4) and np.any(b <= 1e-4) and np.any(z == 0.0) and np.any(z == 1.0)
+    got = incomplete_beta_compl(1 - z, a, b)
+    assert got.shape == z.shape
+    scalar = np.array([incomplete_beta_compl(1 - float(zi), float(ai), float(bi))
+                       for ai, bi, zi in points])
+    assert np.array_equal(got, scalar)
+    assert np.all(got[z == 0.0] == 0.0)
+    assert isinstance(incomplete_beta_compl(0.3, 1.5, 0.5), float)
+    with pytest.raises(ValueError):
+        incomplete_beta_compl(np.array([0.5, 0.0]), 1.5, np.array([1.0, -0.5]))
+
+
 def test_incomplete_beta_just_below_zero_b_matches_mpmath():
     # a log-logistic frailty case (b = v - 1/k just below 0, 1 - z < 1/2)
     # where a downward recurrence in b was off by 5.7e-12
