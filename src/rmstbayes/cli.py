@@ -25,7 +25,7 @@ from .dataio import DataError, ingest_csv
 from .families import (EffectKind, Family, FamilyParams, NO_EFFECT, frailty,
                        random_offset)
 from .inference import ModelSpec
-from .model_selection import waic as compute_waic
+from .model_selection import _MIN_DRAWS as _WAIC_MIN_DRAWS, waic as compute_waic
 from .rmst import rmst_difference, rmst_value
 from .sampler import SamplerConfig, effective_sample_size, run_chains, split_rhat
 from .simulation import ScenarioConfig, evaluate_replications, scenario_truth
@@ -110,13 +110,11 @@ def _add_column_flags(p: argparse.ArgumentParser) -> None:
                    help="design covariate column (repeatable; default: all extra columns)")
 
 
-def _fit(args):
+def _fit(args, cfg: SamplerConfig):
     data = ingest_csv(args.input, time_col=args.time_col, event_col=args.event_col,
                       cluster_col=args.cluster_col, group_col=args.group_col,
                       covariate_cols=args.covariate)
     spec = ModelSpec(family=Family(args.family), effect=EffectKind(args.effect))
-    cfg = SamplerConfig(chains=args.chains, iterations=args.iterations,
-                        burnin=args.burnin, seed=args.seed)
     return data, spec, run_chains(data, spec, cfg)
 
 
@@ -128,16 +126,22 @@ def _diagnostic(fn, draws, column):
         return None
 
 
-def _require_kept_draws(args, parser) -> None:
-    # summaries need 10 draws; refuse before sampling rather than after
-    if args.chains * (args.iterations - args.burnin) < 10:
-        parser.error(f"a fit keeps chains x (iter - burnin) draws, which must be >= 10; "
-                     f"got {args.chains} x ({args.iterations} - {args.burnin})")
+def _sampler_config(args, parser, min_kept: int = 10) -> SamplerConfig:
+    """The sampler flags as a config, refused before any sampling when they
+    are invalid or keep fewer than ``min_kept`` draws (summaries need 10)."""
+    try:
+        cfg = SamplerConfig(chains=args.chains, iterations=args.iterations,
+                            burnin=args.burnin, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if cfg.chains * (cfg.iterations - cfg.burnin) < min_kept:
+        parser.error(f"{args.subcommand} needs chains x (iter - burnin) >= {min_kept} kept "
+                     f"draws; got {cfg.chains} x ({cfg.iterations} - {cfg.burnin})")
+    return cfg
 
 
 def cmd_fit(args, parser) -> int:
-    _require_kept_draws(args, parser)
-    data, spec, draws = _fit(args)
+    data, spec, draws = _fit(args, _sampler_config(args, parser))
     flat = draws.flat()
     param_rows = []
     for j, name in enumerate(draws.columns):
@@ -191,8 +195,8 @@ def cmd_fit(args, parser) -> int:
     return 0
 
 
-def cmd_waic(args) -> int:
-    data, spec, draws = _fit(args)
+def cmd_waic(args, parser) -> int:
+    data, spec, draws = _fit(args, _sampler_config(args, parser, _WAIC_MIN_DRAWS))
     result = compute_waic(data, spec, draws)
     doc = {
         "config": _config(args),
@@ -209,6 +213,8 @@ def cmd_rmst(args, parser) -> int:
         if args.scale is not None:
             if family not in (Family.WEIBULL, Family.LOG_LOGISTIC) or args.k is None:
                 parser.error("--scale requires --k and family weibull or loglogistic")
+            if any(v is not None for v in (getattr(args, "lambda"), args.mu, args.sigma2)):
+                parser.error("--scale replaces --lambda, --mu and --sigma2: give it with --k alone")
             scale, k = args.scale, args.k
             # A negative scale ** -k would be complex, and log(scale) undefined.
             if not scale > 0:
@@ -237,14 +243,12 @@ def cmd_rmst(args, parser) -> int:
 
 
 def cmd_simulate(args, parser) -> int:
-    _require_kept_draws(args, parser)
+    sampler_cfg = _sampler_config(args, parser)
     cfg = ScenarioConfig(scenario=args.scenario, n=args.n,
                          replications=args.replications, seed=args.seed, tau=args.tau)
     family = Family(args.family) if args.family else cfg.family
     args.family = family.value  # the config records the family fitted
     spec = ModelSpec(family=family, effect=EffectKind(args.effect))
-    sampler_cfg = SamplerConfig(chains=args.chains, iterations=args.iterations,
-                                burnin=args.burnin, seed=args.seed)
     metrics = evaluate_replications(cfg, spec, sampler_cfg)
     truth = scenario_truth(cfg)
     doc = {
@@ -286,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sampler_flags(p_waic)
     p_waic.add_argument("--output")
     _add_column_flags(p_waic)
-    p_waic.set_defaults(run=cmd_waic)
+    p_waic.set_defaults(run=functools.partial(cmd_waic, parser=p_waic))
 
     p_rmst = sub.add_parser("rmst", help="closed-form RMST for given parameters")
     p_rmst.add_argument("--family", required=True, choices=[f.value for f in Family])

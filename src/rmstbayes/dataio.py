@@ -5,9 +5,10 @@ cluster column, a 0/1 group column, and any number of extra covariates.
 Numeric covariates pass through; non-numeric ones are one-hot encoded with
 the first-seen level as the reference.  The design matrix is assembled as
 [intercept, group, covariates...] in declaration order (dummy columns in
-level-appearance order).  Blank lines, before the header too, are skipped, a
-header that repeats a column name is refused, and malformed rows are reported
-together, each by the file line it starts on, in a single DataError.
+level-appearance order).  Blank lines, before the header too, are skipped; a
+header that repeats a column name, and a covariate named twice or naming a
+required column, are refused; malformed rows are reported together, each by
+the file line it starts on, in a single DataError.
 """
 
 from __future__ import annotations
@@ -61,7 +62,11 @@ def ingest_csv(path, time_col: str = "time", event_col: str = "event",
         covariate_cols = [c for c in header if c not in required]
     else:
         covariate_cols = list(covariate_cols)
-        problems = [f"missing covariate column {c!r}" for c in covariate_cols if c not in header]
+        named = dict.fromkeys(covariate_cols)
+        problems = [f"missing covariate column {c!r}" for c in named if c not in header]
+        problems += [f"covariate column {c!r} is a required column" for c in named if c in required]
+        problems += [f"covariate column {c!r} given more than once"
+                     for c in named if covariate_cols.count(c) > 1]
         if problems:
             raise DataError(problems)
     if not records:

@@ -53,11 +53,17 @@ def _is_index(x) -> bool:  # numpy integers count, bools do not
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+# The parameter fields each family takes; the others must be None.
+_FIELDS = {Family.EXPONENTIAL: ("lam",), Family.WEIBULL: ("lam", "k"),
+           Family.LOG_LOGISTIC: ("mu", "k"), Family.LOG_NORMAL: ("mu", "sigma2")}
+
+
 @dataclass(frozen=True)
 class FamilyParams:
-    """Distribution parameters for one family (unused fields are None).
-    The fields may be numpy arrays of equal shape, one entry per parameter
-    set; ``rmst.rmst_value`` accepts those."""
+    """Distribution parameters for one family (unused fields are None, and
+    a value given for one is refused).  The fields may be numpy arrays of
+    equal shape, one entry per parameter set; ``rmst.rmst_value`` accepts
+    those."""
 
     family: Family
     lam: float | None = None
@@ -67,6 +73,10 @@ class FamilyParams:
 
     def __post_init__(self):
         fam = self.family
+        unused = [name for name in ("lam", "k", "mu", "sigma2")
+                  if name not in _FIELDS[fam] and getattr(self, name) is not None]
+        if unused:
+            raise ValueError(f"{Family(fam).value} takes no {' or '.join(unused)}")
         if fam is Family.EXPONENTIAL:
             if not _positive(self.lam):
                 raise ValueError("exponential requires lam > 0")
@@ -133,9 +143,9 @@ def log_hazard_survival(family: Family, eta, shape, t, logt,
 
     ``eta`` is log lam (exponential, weibull) or mu (log-logistic,
     log-normal); ``shape`` is k, or sigma^2 for log-normal, a scalar or an
-    array that broadcasts against ``eta`` (the likelihood passes a scalar
-    with (n,) ``eta`` and effects, or a (B, 1) column of shapes with (B, n)
-    ones, one row per draw).  ``effect`` is the cluster effect on the
+    array that broadcasts against ``eta`` (the likelihood passes a (1,)
+    shape with (n,) ``eta`` and effects, or a (B, 1) column of shapes with
+    (B, n) ones, one row per draw).  ``effect`` is the cluster effect on the
     sampling scale: a random offset u shifts eta, and a frailty given as
     log v scales log S by v and adds log v to log h.
     """

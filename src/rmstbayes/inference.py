@@ -25,8 +25,9 @@ also returns the per-row terms it summed, so the sampler can carry them in
 its state; a cluster's log-likelihood is the bincount of those rows by
 ``model.cluster``.  ``pointwise_log_likelihood``, ``log_posterior`` and
 ``effect_log_prior`` take one draw (dim,) or a block (B, dim) of draws (the
-sampler's chains, WAIC's draws), and a block's results are its draws' bit
-for bit; ``log_prior`` takes one draw.
+sampler's chains, WAIC's draws) through one evaluation, each draw's shape
+or phi broadcast as a column, and ``log_posterior`` evaluates a single draw
+as a block of one; ``log_prior`` takes one draw, in Python floats.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import EffectKind, Family, log_hazard_survival
+from .specfun import _elementwise
 
 _LOG_2PI = math.log(2.0 * math.pi)
 # Gamma(a, b) prior (shape a, rate b) on the Weibull and log-logistic shape k.
@@ -204,14 +206,13 @@ def _check_theta(layout: ParamLayout, theta: np.ndarray, blocks: bool = False) -
 
 def pointwise_log_likelihood(model: Model, theta: np.ndarray) -> np.ndarray:
     """Per-row delta*log f + (1-delta)*log S: the log-likelihood's terms, (n,)
-    for one draw theta (dim,), or (B, n) for a block (B, dim) of draws, each
-    row bit for bit its draw's single-draw terms, in one kernel call."""
+    for one draw theta (dim,), or (B, n) for a block (B, dim) of draws, in
+    one kernel call with each draw's shape as a column."""
     layout, spec = model.layout, model.spec
     theta = _check_theta(layout, theta, blocks=True)
     eta = theta[..., : layout.q] @ model.x.T
     k = layout.shape_index
-    # one draw's shape as a scalar: a (1,) column slows the kernel by ~10%
-    shape = None if k is None else np.exp(theta[k] if theta.ndim == 1 else theta[:, k, None])
+    shape = None if k is None else np.exp(theta[..., k, None])
     # take by precomputed column: theta[..., effects][..., cluster] is slower
     effect = (theta.take(model.effect_column, axis=-1)
               if spec.effect is not EffectKind.NONE else 0.0)
@@ -266,41 +267,31 @@ def effect_log_prior(model: Model, theta: np.ndarray) -> np.ndarray:
     """Per-cluster log prior of the sampling-scale effects given phi:
     u_i ~ N(0, phi^2), or v_i ~ Gamma(1/phi, 1/phi) with the Jacobian of
     log v.  (M,) for one draw (dim,), or (B, M) for a block (B, dim), each
-    row bit for bit its draw's.  ``log_prior`` sums it."""
+    draw's phi a column over its effects.  ``log_prior`` sums it."""
     layout = model.layout
     eff = theta[..., layout.effect_indices]
-    # Each draw's coefficients in Python floats, as for one draw, then
-    # broadcast as a column over its effects.
-    phis = [math.exp(log_phi) for log_phi in np.ravel(theta[..., layout.phi_index]).tolist()]
-    shape = theta.shape[:-1] + (1,)
-
-    def column(values):
-        return np.array(values).reshape(shape)
+    phi = np.exp(theta[..., layout.phi_index, None])
     if model.spec.effect is EffectKind.RANDOM:
-        return (column([-0.5 * (_LOG_2PI + 2.0 * math.log(phi)) for phi in phis])
-                - 0.5 * eff * eff / column([phi * phi for phi in phis]))
-    rs = [1.0 / phi for phi in phis]
-    return (column([r * math.log(r) - math.lgamma(r) for r in rs])
-            + column([r - 1.0 for r in rs]) * eff - column(rs) * np.exp(eff) + eff)
+        return -0.5 * (_LOG_2PI + 2.0 * np.log(phi)) - 0.5 * eff * eff / (phi * phi)
+    r = 1.0 / phi
+    return (r * np.log(r) - _elementwise(math.lgamma, r)
+            + (r - 1.0) * eff - r * np.exp(eff) + eff)
 
 
 def log_posterior(model: Model, theta: np.ndarray, effect_sums=None) -> tuple:
     """(log posterior, per-row log-likelihood terms it summed).
 
-    For one draw theta (dim,): a float and (n,) rows, the rows None when the
-    prior is -inf and no likelihood pass is made.  For a block (B, dim): (B,)
-    and (B, n), each row bit for bit its draw's, in one likelihood pass over
-    the draws whose prior is finite; the others get -inf and rows of nan.
-    ``effect_sums`` is passed on to ``log_prior`` as ``effect_sum``: a float
-    for one draw, one per draw for a block.
+    For a block (B, dim): (B,) and (B, n), in one likelihood pass over the
+    draws whose prior is finite; the others get -inf and rows of nan.  One
+    draw theta (dim,) is evaluated as a block of one: a float and (n,) rows,
+    the rows None when the prior is -inf and no likelihood pass is made.
+    ``effect_sums`` is passed on to ``log_prior`` as ``effect_sum``: one per
+    draw for a block, a float for one draw.
     """
     theta = _check_theta(model.layout, theta, blocks=True)
     if theta.ndim == 1:
-        lp = log_prior(model, theta, effect_sums)
-        if lp == -math.inf:
-            return -math.inf, None
-        rows = pointwise_log_likelihood(model, theta)
-        return lp + float(rows.sum()), rows
+        lp, rows = log_posterior(model, theta[None], [effect_sums])
+        return (float(lp[0]), rows[0]) if lp[0] > -math.inf else (-math.inf, None)
     sums = [None] * len(theta) if effect_sums is None else effect_sums
     prior = np.array([log_prior(model, t, s) for t, s in zip(theta, sums)])
     finite = prior > -math.inf

@@ -25,7 +25,8 @@ evaluates all chains' proposals with one block call of ``log_posterior``,
 chains thus costs _BETA_UPDATES + 2 likelihood passes (_BETA_UPDATES + 1
 without a shape) and two ``effect_log_prior`` calls, whatever M and the
 chain count are.  ``log_prior`` stays a per-chain call on Python floats,
-handed the chain's carried effect-prior sum.
+handed the row sum of the chain's effect prior.  The beta, shape and phi
+steps share one accept-and-move rule, ``adopt``.
 
 Randomness comes from numpy's counter-based Philox generator with per-chain
 substreams seeded by SeedSequence([seed, chain_index]).  Each chain draws
@@ -162,15 +163,11 @@ def _sample(model: Model, cfg: SamplerConfig) -> tuple:
     effects = layout.effect_indices
 
     if layout.phi_index is not None:
-        # Each chain's per-cluster effect prior at theta and its sum: only
-        # the effect and phi steps move them.
+        # each chain's effect prior at theta: only the effect and phi steps move it
         effect_prior = effect_log_prior(model, theta)
-        effect_sums = [float(row.sum()) for row in effect_prior]
         # cluster i of chain c is bin c * M + i of one bincount over all rows
         chain_cluster = (model.cluster + layout.n_clusters
                          * np.arange(cfg.chains)[:, None]).ravel()
-    else:
-        effect_sums = None
 
     def cluster_log_likelihood(point_rows):
         """(chains, M): each cluster's log-likelihood, summed from its rows."""
@@ -187,27 +184,20 @@ def _sample(model: Model, cfg: SamplerConfig) -> tuple:
         else:
             accept_post[:, index] += accepted
 
-    def accepts(lp_prop, index, target) -> list:
+    def adopt(lp_prop, index, target, proposal, carried, carried_prop):
         """The Metropolis test of each chain's proposal, whose log posterior
         is in ``lp_prop``, against its current state, recorded on ``index``;
-        a chain draws its uniform only for a finite proposal."""
+        a chain draws its uniform only for a finite proposal.  Each accepting
+        chain takes its proposal's theta, lp and row of ``carried_prop`` into
+        ``carried`` (the rows, or the effect prior)."""
         accepted = [math.isfinite(new) and new - old > math.log(rng.random())
                     for rng, old, new in zip(rngs, lp, lp_prop)]
         record(index, np.array(accepted, dtype=float), target)
-        return accepted
-
-    def adopt(accepted, proposal, lp_prop, rows_prop):
-        """Move the accepting chains to their proposals: rebind the state
-        when every chain accepts, copy chain by chain otherwise."""
-        nonlocal theta, lp, rows
-        if all(accepted):
-            theta, lp, rows = proposal, lp_prop, rows_prop
-            return
         for c, accept in enumerate(accepted):
             if accept:
                 theta[c] = proposal[c]
                 lp[c] = lp_prop[c]
-                rows[c] = rows_prop[c]
+                carried[c] = carried_prop[c]
 
     def propose(index):
         """theta with coordinate ``index`` of every chain moved by a
@@ -246,21 +236,21 @@ def _sample(model: Model, cfg: SamplerConfig) -> tuple:
                 cov = beta_m2 / (beta_count - 1)
                 cov[:, diagonal, diagonal] += 1e-10
                 beta_chol = np.linalg.cholesky(cov)
+        # the beta and shape steps leave the effect prior as it is
+        sums = None if layout.phi_index is None else effect_prior.sum(axis=1).tolist()
         for _ in range(_BETA_UPDATES):
             proposal = theta.copy()
             for c, rng in enumerate(rngs):
                 step = (rng.normal(size=q) if beta_chol is None
                         else beta_chol[c] @ rng.normal(size=q))
                 proposal[c, :q] += math.exp(log_scales[c, 0]) * step
-            lp_prop, rows_prop = log_posterior(model, proposal, effect_sums)
-            lp_prop = lp_prop.tolist()
-            adopt(accepts(lp_prop, 0, _TARGET_ACCEPT_BLOCK), proposal, lp_prop, rows_prop)
+            lp_prop, rows_prop = log_posterior(model, proposal, sums)
+            adopt(lp_prop.tolist(), 0, _TARGET_ACCEPT_BLOCK, proposal, rows, rows_prop)
         if layout.has_shape:
             proposal = propose(layout.shape_index)
-            lp_prop, rows_prop = log_posterior(model, proposal, effect_sums)
-            lp_prop = lp_prop.tolist()
-            adopt(accepts(lp_prop, layout.shape_index, _TARGET_ACCEPT_SCALAR),
-                  proposal, lp_prop, rows_prop)
+            lp_prop, rows_prop = log_posterior(model, proposal, sums)
+            adopt(lp_prop.tolist(), layout.shape_index, _TARGET_ACCEPT_SCALAR,
+                  proposal, rows, rows_prop)
         if layout.phi_index is not None:
             # Given beta, the shape and phi the effects are conditionally
             # independent, so one proposal per cluster, each accepted on its
@@ -281,27 +271,21 @@ def _sample(model: Model, cfg: SamplerConfig) -> tuple:
             theta[:, effects] = np.where(accepted, proposal[:, effects], theta[:, effects])
             np.putmask(rows, accepted.take(model.cluster, axis=1), rows_prop)
             effect_prior = np.where(accepted, prior_prop, effect_prior)
-            for c in range(cfg.chains):
-                # each chain's own masked sum: a zero-filled sum over all
-                # clusters would add in another order
-                lp[c] += float(log_ratio[c][accepted[c]].sum())
-                effect_sums[c] = float(effect_prior[c].sum())
+            # each chain's own masked sum: a zero-filled sum over all
+            # clusters would add in another order
+            lp = [old + float(ratio[acc].sum())
+                  for old, ratio, acc in zip(lp, log_ratio, accepted)]
             record(effects, accepted.astype(float), _TARGET_ACCEPT_SCALAR)
             # phi enters only the effects' prior: no likelihood pass.
             proposal = propose(layout.phi_index)
             prior_prop = effect_log_prior(model, proposal)
-            sums_prop = [float(row.sum()) for row in prior_prop]
             lp_prop = [old + log_prior(model, new_theta, new_sum)
                        - log_prior(model, old_theta, old_sum)
                        for old, new_theta, new_sum, old_theta, old_sum
-                       in zip(lp, proposal, sums_prop, theta, effect_sums)]
-            for c, accept in enumerate(accepts(lp_prop, layout.phi_index,
-                                               _TARGET_ACCEPT_SCALAR)):
-                if accept:
-                    theta[c] = proposal[c]
-                    lp[c] = lp_prop[c]
-                    effect_prior[c] = prior_prop[c]
-                    effect_sums[c] = sums_prop[c]
+                       in zip(lp, proposal, prior_prop.sum(axis=1).tolist(),
+                              theta, effect_prior.sum(axis=1).tolist())]
+            adopt(lp_prop, layout.phi_index, _TARGET_ACCEPT_SCALAR,
+                  proposal, effect_prior, prior_prop)
         if adapting:
             if it >= moments_start:
                 # Welford update of each chain's beta moments for its

@@ -39,12 +39,11 @@ _LOG_HALF = math.log(0.5)
 _TINY = 1e-300  # the modified-Lentz floor
 
 
-def _elementwise(fn, *args) -> np.ndarray:
-    """The scalar ``fn`` at each element of the broadcast ``args``, as a
-    float array of their shape."""
-    args = np.broadcast_arrays(*args)
-    values = map(fn, *[x.ravel().tolist() for x in args])
-    return np.fromiter(values, float, args[0].size).reshape(args[0].shape)
+def _elementwise(fn, x) -> np.ndarray:
+    """The scalar ``fn`` at each element of ``x``, as a float array of its
+    shape."""
+    x = np.asarray(x)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _float_if_scalar(x):

@@ -156,6 +156,16 @@ def test_usage_errors_exit_two(csv_path, monkeypatch, capsys):
         # beside an incomplete gamma or beta that underflows, or the beta overflows
         rmst + ["loglogistic", "--mu", "-300", "--k", "0.01", "--tau", "100"],
         rmst + ["loglogistic", "--mu", "300", "--k", "1e-3", "--tau", "100"],
+        # a parameter the family does not take, or one --scale would override
+        rmst + ["exponential", "--lambda", "0.02", "--k", "2", "--tau", "10"],
+        rmst + ["weibull", "--lambda", "0.02", "--k", "2", "--mu", "5", "--tau", "10"],
+        rmst + ["loglogistic", "--scale", "50", "--k", "2", "--mu", "1", "--tau", "100"],
+        # WAIC needs 100 kept draws; this fit would keep 2 x 20
+        ["waic", "--input", csv_path, "--family", "exponential", "--iter", "30",
+         "--burnin", "10"],
+        ["fit", "--input", csv_path, "--family", "exponential", "--burnin", "-5"],
+        ["waic", "--input", csv_path, "--family", "exponential", "--burnin", "-5"],
+        ["simulate", "--scenario", "C", "--burnin", "-5"],
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)

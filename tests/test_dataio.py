@@ -71,6 +71,20 @@ def test_missing_covariate_column_named(tmp_path):
         ingest_csv(p, covariate_cols=["age"])
 
 
+@pytest.mark.parametrize("covariates, problem", [
+    (["time"], "covariate column 'time' is a required column"),
+    (["group"], "covariate column 'group' is a required column"),
+    (["age", "age"], "covariate column 'age' given more than once"),
+])
+def test_required_and_repeated_covariates_refused(tmp_path, covariates, problem):
+    # the outcome in the design, or one column twice, would duplicate a
+    # design column and its parameter row
+    p = _write(tmp_path, "time,event,cluster,group,age\n1,1,1,0,40\n")
+    with pytest.raises(DataError) as err:
+        ingest_csv(p, covariate_cols=covariates)
+    assert err.value.problems == [problem]
+
+
 def test_missing_values_rejected_with_row_numbers(tmp_path):
     p = _write(tmp_path, "time,event,cluster,group,age\n1,1,1,0,40\n2,1,1,,33\n")
     with pytest.raises(DataError, match="row 3"):

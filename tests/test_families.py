@@ -112,6 +112,18 @@ def test_param_validation():
     assert np.array_equal(random_offset(np.array([0.1, -0.2])).value, [0.1, -0.2])
 
 
+@pytest.mark.parametrize("family, given, unused", [
+    (Family.EXPONENTIAL, dict(lam=0.02, k=2.0), "k"),
+    (Family.WEIBULL, dict(lam=0.02, k=2.0, mu=5.0), "mu"),
+    (Family.LOG_LOGISTIC, dict(lam=0.02, mu=1.0, k=2.0), "lam"),
+    (Family.LOG_NORMAL, dict(mu=1.0, sigma2=0.5, k=2.0, lam=0.1), "lam or k"),
+])
+def test_params_a_family_does_not_take_are_refused(family, given, unused):
+    # a value that would be ignored is refused rather than recorded unused
+    with pytest.raises(ValueError, match=f"{family.value} takes no {unused}$"):
+        FamilyParams(family, **given)
+
+
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("kind", list(EffectKind))
 def test_block_of_shapes_equals_scalar_calls_bitwise(family, kind):
