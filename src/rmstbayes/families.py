@@ -15,9 +15,11 @@ f(t|v) = v h(t) S(t)^v.
 
 ``log_hazard_survival`` holds each family's log-hazard and log-survival
 formula, once, in numpy (the log-normal tail is one ``log_std_normal_sf``
-call over the array, itself numpy with no Python call per element); the
-likelihood evaluates it over all rows and
-``rmst_numeric`` over its quadrature points.  Its (eta, shape, kind,
+call over an array, itself numpy with no Python call per element).
+``rmst_numeric`` evaluates it over its quadrature points; the likelihood
+asks it for the row term event*log f + (1 - event)*log S over all rows in
+one call, so the log-normal tail without frailty runs on the censored rows
+only.  Its (eta, shape, kind,
 effect), with eta = log lam or mu and effect = u or log v, are also the
 arguments of ``rmst.rmst_closed_form``; ``kernel_args`` maps (FamilyParams,
 EffectValue) to them.
@@ -72,11 +74,12 @@ class FamilyParams:
     sigma2: float | None = None
 
     def __post_init__(self):
-        fam = self.family
+        fam = Family(self.family)
+        object.__setattr__(self, "family", fam)
         unused = [name for name in ("lam", "k", "mu", "sigma2")
                   if name not in _FIELDS[fam] and getattr(self, name) is not None]
         if unused:
-            raise ValueError(f"{Family(fam).value} takes no {' or '.join(unused)}")
+            raise ValueError(f"{fam.value} takes no {' or '.join(unused)}")
         if fam is Family.EXPONENTIAL:
             if not _positive(self.lam):
                 raise ValueError("exponential requires lam > 0")
@@ -119,6 +122,7 @@ class EffectValue:
     value: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", EffectKind(self.kind))
         if self.kind is EffectKind.FRAILTY and not _positive(self.value):
             raise ValueError("frailty value must be positive")
         if self.kind is EffectKind.RANDOM and not _finite(self.value):
@@ -137,9 +141,13 @@ def frailty(v: float) -> EffectValue:
 
 
 def log_hazard_survival(family: Family, eta, shape, t, logt,
-                        kind: EffectKind = EffectKind.NONE, effect=0.0):
+                        kind: EffectKind = EffectKind.NONE, effect=0.0,
+                        event=None, censored=None):
     """(log h, log S) at times ``t`` (with ``logt`` = log t), elementwise over
-    numpy arrays or scalars.
+    numpy arrays or scalars.  Given the rows' ``event`` indicators and
+    ``censored`` row index, it returns the row term event*log h + log S
+    instead; without frailty, log-normal event rows take log f directly and
+    the tail runs on the censored rows only.
 
     ``eta`` is log lam (exponential, weibull) or mu (log-logistic,
     log-normal); ``shape`` is k, or sigma^2 for log-normal, a scalar or an
@@ -162,12 +170,15 @@ def log_hazard_survival(family: Family, eta, shape, t, logt,
         log_h = eta + np.log(shape) + (shape - 1.0) * logt + log_s
     else:
         z = (logt - eta) / np.sqrt(shape)
-        log_s = log_std_normal_sf(z)
         log_pdf = -logt - 0.5 * np.log(shape) - _LOG_SQRT_2PI - 0.5 * z * z
+        if event is not None and kind is not EffectKind.FRAILTY:
+            log_pdf[..., censored] = log_std_normal_sf(z[..., censored])
+            return log_pdf
+        log_s = log_std_normal_sf(z)
         log_h = log_pdf - log_s
     if kind is EffectKind.FRAILTY:
-        return effect + log_h, np.exp(effect) * log_s
-    return log_h, log_s
+        log_h, log_s = effect + log_h, np.exp(effect) * log_s
+    return (log_h, log_s) if event is None else event * log_h + log_s
 
 
 def kernel_args(p: FamilyParams, e: EffectValue) -> tuple:

@@ -180,8 +180,9 @@ class ParamLayout:
 
 class Model:
     """A dataset and a model spec compiled once per fit: the parameter
-    layout and the per-row arrays (log t, events as floats, 0-based cluster
-    index, theta column of the effect) that every evaluation reuses."""
+    layout and the per-row arrays (log t, events as floats, the index of the
+    censored rows, 0-based cluster index, theta column of the effect) that
+    every evaluation reuses."""
 
     def __init__(self, data: SurvivalDataset, spec: ModelSpec):
         self.spec = spec
@@ -191,6 +192,7 @@ class Model:
             shape_name="sigma2" if spec.family is Family.LOG_NORMAL else "k")
         self.x, self.time = data.x, data.time
         self.event = data.event.astype(float)
+        self.censored = np.flatnonzero(data.event == 0)
         self.logt = np.log(data.time)
         self.cluster = data.cluster - 1
         self.effect_column = self.cluster + self.layout.effect_indices.start
@@ -207,7 +209,8 @@ def _check_theta(layout: ParamLayout, theta: np.ndarray, blocks: bool = False) -
 def pointwise_log_likelihood(model: Model, theta: np.ndarray) -> np.ndarray:
     """Per-row delta*log f + (1-delta)*log S: the log-likelihood's terms, (n,)
     for one draw theta (dim,), or (B, n) for a block (B, dim) of draws, in
-    one kernel call with each draw's shape as a column."""
+    one kernel call with each draw's shape as a column, which forms the row
+    term (the log-normal tail without frailty on censored rows only)."""
     layout, spec = model.layout, model.spec
     theta = _check_theta(layout, theta, blocks=True)
     eta = theta[..., : layout.q] @ model.x.T
@@ -216,9 +219,8 @@ def pointwise_log_likelihood(model: Model, theta: np.ndarray) -> np.ndarray:
     # take by precomputed column: theta[..., effects][..., cluster] is slower
     effect = (theta.take(model.effect_column, axis=-1)
               if spec.effect is not EffectKind.NONE else 0.0)
-    log_h, log_s = log_hazard_survival(spec.family, eta, shape,
-                                       model.time, model.logt, spec.effect, effect)
-    return model.event * log_h + log_s
+    return log_hazard_survival(spec.family, eta, shape, model.time, model.logt,
+                               spec.effect, effect, model.event, model.censored)
 
 
 def log_prior(model: Model, theta: np.ndarray, effect_sum: float | None = None) -> float:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from rmstbayes import cli
 from rmstbayes.families import (EffectKind, EffectValue, Family, FamilyParams,
                                 NO_EFFECT, frailty, log_hazard_survival, random_offset)
+from rmstbayes.rmst import rmst_value
 from tests.conftest import log_h_s
 
 mp.mp.dps = 30
@@ -122,6 +123,26 @@ def test_params_a_family_does_not_take_are_refused(family, given, unused):
     # a value that would be ignored is refused rather than recorded unused
     with pytest.raises(ValueError, match=f"{family.value} takes no {unused}$"):
         FamilyParams(family, **given)
+
+
+def test_string_family_and_kind_are_coerced_and_checked():
+    # a string names its enum member, as ModelSpec allows, so the checks run
+    assert FamilyParams("weibull", lam=0.02, k=1.5).family is Family.WEIBULL
+    assert EffectValue("random", 0.3).kind is EffectKind.RANDOM
+    with pytest.raises(ValueError, match="weibull requires"):
+        FamilyParams("weibull", lam=-1.0, k=2.0)
+    with pytest.raises(ValueError, match="frailty value must be positive"):
+        EffectValue("frailty", -1.0)
+    with pytest.raises(ValueError, match="random offset must be finite"):
+        EffectValue("random", math.inf)
+    with pytest.raises(ValueError):
+        FamilyParams("gompertz", lam=0.02)
+    with pytest.raises(ValueError):
+        EffectValue("shared", 1.0)
+    assert rmst_value(FamilyParams("exponential", lam=0.02), NO_EFFECT, 10.0) == \
+        rmst_value(FamilyParams.exponential(0.02), NO_EFFECT, 10.0)
+    assert rmst_value(FamilyParams.weibull(0.02, 1.5), EffectValue("frailty", 2.0), 10.0) == \
+        rmst_value(FamilyParams.weibull(0.02, 1.5), frailty(2.0), 10.0)
 
 
 @pytest.mark.parametrize("family", list(Family))

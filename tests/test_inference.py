@@ -128,8 +128,8 @@ def test_pointwise_matches_row_by_row_scalar_evaluation():
         assert math.isclose(float(pw[i]), ref, rel_tol=1e-11)
 
 
-def test_lognormal_likelihood_is_one_array_evaluation(monkeypatch):
-    # the log-normal tail runs once over all rows, not once per row
+def _normal_tail_calls(monkeypatch, effect):
+    """Shapes of the log_std_normal_sf calls one log-normal pass makes."""
     calls = []
     log_sf = F.log_std_normal_sf
 
@@ -139,9 +139,22 @@ def test_lognormal_likelihood_is_one_array_evaluation(monkeypatch):
 
     monkeypatch.setattr(F, "log_std_normal_sf", counted)
     data = _toy(n=60, clusters=3)
-    model = Model(data, ModelSpec(Family.LOG_NORMAL, EffectKind.RANDOM))
+    model = Model(data, ModelSpec(Family.LOG_NORMAL, effect))
     theta = np.random.default_rng(2).normal(-1.0, 0.5, model.layout.dim)
     assert pointwise_log_likelihood(model, theta).shape == (60,)
+    return calls, data
+
+
+def test_lognormal_likelihood_is_one_array_evaluation(monkeypatch):
+    # the log-normal tail runs once, over the censored rows only: event rows
+    # take log f directly
+    calls, data = _normal_tail_calls(monkeypatch, EffectKind.RANDOM)
+    assert calls == [(int((data.event == 0).sum()),)]
+
+
+def test_lognormal_frailty_likelihood_runs_the_tail_over_all_rows(monkeypatch):
+    # a frailty event row needs v log S as well as log h
+    calls, _ = _normal_tail_calls(monkeypatch, EffectKind.FRAILTY)
     assert calls == [(60,)]
 
 
@@ -177,6 +190,48 @@ def test_block_rows_equal_single_draw_rows(scenario_c_small, family, effect):
     single = np.vstack([pointwise_log_likelihood(model, th) for th in thetas])
     assert np.all(np.isfinite(block))
     assert np.array_equal(block, single)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("effect", list(EffectKind))
+def test_row_term_matches_the_hazard_survival_pair(family, effect):
+    # The kernel's row term against event*log h + log S built from its own
+    # (log h, log S) pair.  The log-normal z = (log t - mu)/sigma spans about
+    # [-38, 38]: sigma = 0.1 and log t - mu in [-3.75, 3.75].
+    n, rng = 96, np.random.default_rng(13)
+    lognormal = family is Family.LOG_NORMAL
+    data = SurvivalDataset(np.exp(3.0 + np.linspace(-3.75, 3.75, n)), rng.integers(0, 2, n), np.ones((n, 1)),
+                           np.arange(n) % 4 + 1)
+    assert 0 < data.event.sum() < n
+    model = Model(data, ModelSpec(family, effect))
+    layout, has_effect = model.layout, effect is not EffectKind.NONE
+    thetas = np.zeros((3, layout.dim))
+    thetas[:, 0] = [3.0, 2.999, 3.001] if lognormal else [-4.0, -4.2, -3.8]
+    if layout.has_shape:
+        thetas[:, layout.shape_index] = math.log(0.01 if lognormal else 1.5)
+    if has_effect:
+        thetas[:, layout.effect_indices] = rng.normal(0.0, 0.003, (3, 4))
+        thetas[:, layout.phi_index] = math.log(0.5)
+    rows = pointwise_log_likelihood(model, thetas)
+    assert pointwise_log_likelihood(model, thetas[0]).tobytes() == rows[0].tobytes()
+
+    eta = thetas[:, :1] @ data.x.T
+    shape = np.exp(thetas[:, layout.shape_index, None]) if layout.has_shape else None
+    u = thetas[:, layout.effect_indices][:, model.cluster] if has_effect else 0.0
+    logt = model.logt
+    log_h, log_s = F.log_hazard_survival(family, eta, shape, data.time, logt, effect, u)
+    pair = model.event * log_h + log_s
+    if not lognormal or effect is EffectKind.FRAILTY:
+        assert rows.tobytes() == pair.tobytes()
+        return
+    z = (logt - (eta + u)) / np.sqrt(shape)
+    assert 35.0 < np.abs(z).max() < 38.5
+    log_f = -logt - 0.5 * np.log(shape) - F._LOG_SQRT_2PI - 0.5 * z * z
+    event = data.event == 1
+    assert rows[:, event].tobytes() == log_f[:, event].tobytes()
+    assert rows[:, ~event].tobytes() == log_s[:, ~event].tobytes()
+    ulp = np.spacing(np.abs(log_f) + np.abs(log_s))
+    assert np.all(np.abs(rows - pair) <= 2.0 * ulp)
 
 
 # ---------------------------------------------------------------- layout ---
