@@ -1,17 +1,19 @@
 """Command-line front end: fit / simulate / rmst / waic.
 
-Every subcommand is deterministic given --seed, prints a human-readable
-table to stdout, and (with --output) writes a single JSON document that
-carries the fully resolved configuration alongside the results.  Output
-files are written to a temporary file and renamed into place so a failed
-run never leaves a partial document; a non-finite value, which JSON cannot
-hold, fails the run instead of being written.  Exit status: 0 on success,
-1 on runtime failure, 2 on usage errors, invalid parameter values included.
+Every subcommand is deterministic given --seed and returns its results and
+a human-readable table; ``main`` writes (with --output) one JSON document of
+the fully resolved configuration and the results, then prints the table to
+stdout.  Output files are written to a temporary file and renamed into place
+so a failed run never leaves a partial document and prints nothing; a
+non-finite value, which JSON cannot hold, fails the run instead of being
+written.  Exit status: 0 on success, 1 on runtime failure, 2 on usage
+errors, invalid parameter values included.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -55,11 +57,8 @@ def _config(args) -> dict:
 
 
 def _summary_dict(s: RmstSummary) -> dict:
-    return {
-        "mean": s.mean, "median": s.median, "mode": s.mode, "sd": s.sd,
-        "ci_level": s.ci_level, "ci_low": s.ci_low, "ci_high": s.ci_high,
-        "exceedance": [{"threshold": t, "probability": p} for t, p in s.exceedance],
-    }
+    return {**dataclasses.asdict(s),
+            "exceedance": [{"threshold": t, "probability": p} for t, p in s.exceedance]}
 
 
 def _table(headers, rows) -> str:
@@ -140,7 +139,7 @@ def _sampler_config(args, parser, min_kept: int = 10) -> SamplerConfig:
     return cfg
 
 
-def cmd_fit(args, parser) -> int:
+def cmd_fit(args, parser) -> tuple[dict, str]:
     data, spec, draws = _fit(args, _sampler_config(args, parser))
     flat = draws.flat()
     param_rows = []
@@ -171,43 +170,32 @@ def cmd_fit(args, parser) -> int:
             forest.append([f"cluster-{i}", s.mean, s.ci_low, s.ci_high])
         forest.append(["marginal", diff_summary.mean, diff_summary.ci_low, diff_summary.ci_high])
 
-    doc = {
-        "config": _config(args),
+    headers = ["parameter", "Mode", "Median", "Mean", "SE",
+               f"{args.ci_level:.0%}CI lo", "hi", "Rhat", "ESS"]
+    rows = [tuple(r.values()) for r in param_rows]  # keys in column order
+    for label in ("group0", "group1", "difference"):
+        s = rmst_doc[label]
+        rows.append((f"RMST {label}", s["mode"], s["median"], s["mean"], s["sd"],
+                     s["ci_low"], s["ci_high"], "", ""))
+    exceedance = [f"P(RMST difference < {item['threshold']:g}) = {item['probability']:.4f}"
+                  for item in rmst_doc["difference"]["exceedance"]]
+    return {
         "parameters": param_rows,
         "rmst": rmst_doc,
         "histogram": {"edges": list(edges), "counts": [int(c) for c in counts]},
         "forest": forest,
         "acceptance": draws.acceptance,
-    }
-    _write_output(doc, args.output)
-
-    headers = ["parameter", "Mode", "Median", "Mean", "SE",
-               f"{args.ci_level:.0%}CI lo", "hi", "Rhat", "ESS"]
-    rows = [(r["name"], r["mode"], r["median"], r["mean"], r["sd"],
-             r["ci_low"], r["ci_high"], r["rhat"], r["ess"]) for r in param_rows]
-    for label in ("group0", "group1", "difference"):
-        s = rmst_doc[label]
-        rows.append((f"RMST {label}", s["mode"], s["median"], s["mean"], s["sd"],
-                     s["ci_low"], s["ci_high"], "", ""))
-    print(_table(headers, rows))
-    for item in rmst_doc["difference"]["exceedance"]:
-        print(f"P(RMST difference < {item['threshold']:g}) = {item['probability']:.4f}")
-    return 0
+    }, "\n".join([_table(headers, rows), *exceedance])
 
 
-def cmd_waic(args, parser) -> int:
+def cmd_waic(args, parser) -> tuple[dict, str]:
     data, spec, draws = _fit(args, _sampler_config(args, parser, _WAIC_MIN_DRAWS))
     result = compute_waic(data, spec, draws)
-    doc = {
-        "config": _config(args),
-        "waic": result.waic, "lppd": result.lppd, "p_waic": result.p_waic,
-    }
-    _write_output(doc, args.output)
-    print(_table(["WAIC", "lppd", "p_waic"], [(result.waic, result.lppd, result.p_waic)]))
-    return 0
+    return ({"waic": result.waic, "lppd": result.lppd, "p_waic": result.p_waic},
+            _table(["WAIC", "lppd", "p_waic"], [(result.waic, result.lppd, result.p_waic)]))
 
 
-def cmd_rmst(args, parser) -> int:
+def cmd_rmst(args, parser) -> tuple[dict, str]:
     family = Family(args.family)
     try:
         if args.scale is not None:
@@ -236,13 +224,10 @@ def cmd_rmst(args, parser) -> int:
         value = rmst_value(params, effect, args.tau)
     except ValueError as exc:
         parser.error(str(exc))
-    doc = {"config": _config(args), "rmst": value}
-    _write_output(doc, args.output)
-    print(f"RMST(tau={args.tau:g}) = {value:.6f}")
-    return 0
+    return {"rmst": value}, f"RMST(tau={args.tau:g}) = {value:.6f}"
 
 
-def cmd_simulate(args, parser) -> int:
+def cmd_simulate(args, parser) -> tuple[dict, str]:
     sampler_cfg = _sampler_config(args, parser)
     cfg = ScenarioConfig(scenario=args.scenario, n=args.n,
                          replications=args.replications, seed=args.seed, tau=args.tau)
@@ -251,18 +236,14 @@ def cmd_simulate(args, parser) -> int:
     spec = ModelSpec(family=family, effect=EffectKind(args.effect))
     metrics = evaluate_replications(cfg, spec, sampler_cfg)
     truth = scenario_truth(cfg)
-    doc = {
-        "config": _config(args),
+    return {
         "truth": {"group0": truth[0], "group1": truth[1], "difference": truth[2]},
         "metrics": {"bias": metrics.bias, "mse": metrics.mse,
                     "mode": metrics.mode_diff, "median": metrics.median_diff,
                     "replications": metrics.replications, "failures": metrics.failures},
-    }
-    _write_output(doc, args.output)
-    print(_table(["Bias", "MSE", "Mode", "Median", "reps", "failed"],
-                 [(metrics.bias, metrics.mse, metrics.mode_diff,
-                   metrics.median_diff, metrics.replications, metrics.failures)]))
-    return 0
+    }, _table(["Bias", "MSE", "Mode", "Median", "reps", "failed"],
+              [(metrics.bias, metrics.mse, metrics.mode_diff,
+                metrics.median_diff, metrics.replications, metrics.failures)])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,10 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        results, text = args.run(args)
+        # the subcommand may resolve arguments, so the config is read after it
+        _write_output({"config": _config(args), **results}, args.output)
+        print(text)
     except (DataError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ def _try_float(value: str):
 def ingest_csv(path, time_col: str = "time", event_col: str = "event",
                cluster_col: str = "cluster", group_col: str = "group",
                covariate_cols=None) -> SurvivalDataset:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # past a byte-order mark
         reader = csv.reader(fh)
         header = next((fields for fields in reader if fields), None)  # past blank lines
         if header is None:

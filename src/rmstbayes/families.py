@@ -28,7 +28,7 @@ EffectValue) to them.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -55,8 +55,10 @@ def _is_index(x) -> bool:  # numpy integers count, bools do not
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-# The parameter fields each family takes; the others must be None.
-_FIELDS = {Family.EXPONENTIAL: ("lam",), Family.WEIBULL: ("lam", "k"),
+# Each family's (eta field, shape field), the one record of the parameters a
+# family takes (the others must be None): eta is log lam or mu, mu must be
+# finite and every other field positive, and exponential has no shape.
+_FIELDS = {Family.EXPONENTIAL: ("lam", None), Family.WEIBULL: ("lam", "k"),
            Family.LOG_LOGISTIC: ("mu", "k"), Family.LOG_NORMAL: ("mu", "sigma2")}
 
 
@@ -76,22 +78,15 @@ class FamilyParams:
     def __post_init__(self):
         fam = Family(self.family)
         object.__setattr__(self, "family", fam)
-        unused = [name for name in ("lam", "k", "mu", "sigma2")
-                  if name not in _FIELDS[fam] and getattr(self, name) is not None]
+        unused = [f.name for f in fields(self)[1:]  # the parameter fields
+                  if f.name not in _FIELDS[fam] and getattr(self, f.name) is not None]
         if unused:
             raise ValueError(f"{fam.value} takes no {' or '.join(unused)}")
-        if fam is Family.EXPONENTIAL:
-            if not _positive(self.lam):
-                raise ValueError("exponential requires lam > 0")
-        elif fam is Family.WEIBULL:
-            if not (_positive(self.lam) and _positive(self.k)):
-                raise ValueError("weibull requires lam > 0 and k > 0")
-        elif fam is Family.LOG_LOGISTIC:
-            if not (_finite(self.mu) and _positive(self.k)):
-                raise ValueError("loglogistic requires finite mu and k > 0")
-        elif fam is Family.LOG_NORMAL:
-            if not (_finite(self.mu) and _positive(self.sigma2)):
-                raise ValueError("lognormal requires finite mu and sigma2 > 0")
+        named = [name for name in _FIELDS[fam] if name is not None]
+        if not all(_finite(self.mu) if name == "mu" else _positive(getattr(self, name))
+                   for name in named):
+            raise ValueError(f"{fam.value} requires " + " and ".join(
+                "finite mu" if name == "mu" else f"{name} > 0" for name in named))
 
     @staticmethod
     def exponential(lam: float) -> "FamilyParams":
@@ -182,10 +177,10 @@ def log_hazard_survival(family: Family, eta, shape, t, logt,
 
 
 def kernel_args(p: FamilyParams, e: EffectValue) -> tuple:
-    """(eta, shape, effect) arguments of ``log_hazard_survival`` for p and e."""
-    if p.family in (Family.EXPONENTIAL, Family.WEIBULL):
-        eta, shape = np.log(p.lam), p.k
-    else:
-        eta, shape = p.mu, p.sigma2 if p.family is Family.LOG_NORMAL else p.k
+    """(eta, shape, effect) arguments of ``log_hazard_survival`` for p and e;
+    eta (log lam or mu) and the shape are the fields ``_FIELDS`` names."""
+    eta_field, shape_field = _FIELDS[p.family]
+    eta = np.log(p.lam) if eta_field == "lam" else p.mu
+    shape = None if shape_field is None else getattr(p, shape_field)
     effect = np.log(e.value) if e.kind is EffectKind.FRAILTY else e.value
     return eta, shape, effect

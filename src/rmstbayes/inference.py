@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import EffectKind, Family, log_hazard_survival
+from .families import _FIELDS, EffectKind, Family, log_hazard_survival
 from .specfun import _elementwise
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -118,7 +118,7 @@ class ModelSpec:
 
     @property
     def has_shape(self) -> bool:
-        return self.family is not Family.EXPONENTIAL
+        return _FIELDS[self.family][1] is not None
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ class Model:
         self.layout = ParamLayout(
             q=data.q, has_shape=spec.has_shape, effect=spec.effect,
             n_clusters=data.n_clusters,
-            shape_name="sigma2" if spec.family is Family.LOG_NORMAL else "k")
+            shape_name=_FIELDS[spec.family][1] or "k")
         self.x, self.time = data.x, data.time
         self.event = data.event.astype(float)
         self.censored = np.flatnonzero(data.event == 0)

@@ -72,6 +72,8 @@ class SamplerConfig:
             raise ValueError("iterations must be positive")
         if not 0 <= self.burnin < self.iterations:
             raise ValueError("burn-in must satisfy 0 <= burnin < iterations")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

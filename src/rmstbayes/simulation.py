@@ -51,7 +51,7 @@ _SCENARIOS = {
 class ScenarioConfig:
     """One scenario's run settings; its family and shape are fixed by the
     scenario (see _SCENARIOS), and ``beta`` defaults to it.  ``n`` is a
-    positive multiple of 2 * _CLUSTERS, and ``replications`` at least 1."""
+    positive multiple of 2 * _CLUSTERS, ``replications`` >= 1, ``seed`` >= 0."""
 
     scenario: str
     n: int = 512
@@ -75,6 +75,8 @@ class ScenarioConfig:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
         if not 0.0 <= self.censor_prob <= 1.0:
             raise ValueError("censor_prob must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
     @property
     def family(self) -> Family:

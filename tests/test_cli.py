@@ -166,6 +166,10 @@ def test_usage_errors_exit_two(csv_path, monkeypatch, capsys):
         ["fit", "--input", csv_path, "--family", "exponential", "--burnin", "-5"],
         ["waic", "--input", csv_path, "--family", "exponential", "--burnin", "-5"],
         ["simulate", "--scenario", "C", "--burnin", "-5"],
+        # a negative seed is refused before the CSV is read
+        ["fit", "--input", csv_path, "--family", "exponential", "--seed", "-1"],
+        ["waic", "--input", csv_path, "--family", "exponential", "--seed", "-1"],
+        ["simulate", "--scenario", "C", "--seed", "-1"],
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)
@@ -368,13 +372,14 @@ def test_readme_commands_parse():
             assert os.path.isfile(os.path.join(ROOT, path)), shlex.join(words)
 
 
-def test_no_partial_output_on_failure(tmp_path, monkeypatch):
+def test_no_partial_output_on_failure(tmp_path, monkeypatch, capsys):
     out = tmp_path / "never.json"
     code = main(["fit", "--input", str(tmp_path / "absent.csv"),
                  "--family", "exponential", "--output", str(out)])
     assert code == 1
     assert not out.exists()
     assert not list(tmp_path.glob("*.tmp"))
+    assert capsys.readouterr().out == ""
     # JSON has no NaN: a non-finite result fails the run, mid-write, rather
     # than leave a document that strict parsers reject
     monkeypatch.setattr("rmstbayes.cli.rmst_value", lambda p, e, tau: math.nan)
@@ -382,3 +387,5 @@ def test_no_partial_output_on_failure(tmp_path, monkeypatch):
                  "--output", str(out)])
     assert code == 1
     assert list(tmp_path.iterdir()) == []
+    # the table is printed only after the document is written
+    assert capsys.readouterr().out == ""

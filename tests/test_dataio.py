@@ -46,6 +46,19 @@ def test_round_trip_reproduces_generated_dataset(tmp_path):
     assert back.column_names == d.column_names
 
 
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with one
+    d = generate_scenario(ScenarioConfig("C", n=64), 0)
+    plain = tmp_path / "plain.csv"
+    write_csv(d, plain)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a, b = ingest_csv(plain), ingest_csv(bom)
+    assert b.column_names == a.column_names
+    for name in ("time", "event", "cluster", "x"):
+        assert np.array_equal(getattr(b, name), getattr(a, name))
+
+
 def test_row_level_errors_are_aggregated(tmp_path):
     p = _write(tmp_path, "time,event,cluster,group,age\n"
                          "-3,1,1,0,40\n10,2,1,0,41\nok,1,1,1,42\n5,1,1,0,43\n"

@@ -2,6 +2,7 @@
 conditioning, and parameter validation."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -10,8 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from rmstbayes import cli
 from rmstbayes.families import (EffectKind, EffectValue, Family, FamilyParams,
-                                NO_EFFECT, frailty, log_hazard_survival, random_offset)
+                                NO_EFFECT, frailty, kernel_args, log_hazard_survival,
+                                random_offset)
+from rmstbayes.inference import Model, ModelSpec
 from rmstbayes.rmst import rmst_value
+from rmstbayes.simulation import ScenarioConfig, generate_scenario
 from tests.conftest import log_h_s
 
 mp.mp.dps = 30
@@ -123,6 +127,41 @@ def test_params_a_family_does_not_take_are_refused(family, given, unused):
     # a value that would be ignored is refused rather than recorded unused
     with pytest.raises(ValueError, match=f"{family.value} takes no {unused}$"):
         FamilyParams(family, **given)
+
+
+@pytest.mark.parametrize("family, message, refused", [
+    (Family.EXPONENTIAL, "exponential requires lam > 0",
+     [dict(), dict(lam=0.0), dict(lam=-1.0), dict(lam=math.nan)]),
+    (Family.WEIBULL, "weibull requires lam > 0 and k > 0",
+     [dict(k=2.0), dict(lam=0.02), dict(lam=-1.0, k=2.0), dict(lam=0.02, k=0.0)]),
+    (Family.LOG_LOGISTIC, "loglogistic requires finite mu and k > 0",
+     [dict(k=2.0), dict(mu=1.0), dict(mu=math.inf, k=2.0), dict(mu=1.0, k=-2.0)]),
+    (Family.LOG_NORMAL, "lognormal requires finite mu and sigma2 > 0",
+     [dict(sigma2=1.0), dict(mu=1.0), dict(mu=math.nan, sigma2=1.0), dict(mu=1.0, sigma2=0.0)]),
+])
+def test_each_family_names_its_domain_when_refused(family, message, refused):
+    for given in refused:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FamilyParams(family, **given)
+
+
+@pytest.mark.parametrize("p, eta, shape, shape_name", [
+    (FamilyParams.exponential(0.02), math.log(0.02), None, "k"),
+    (FamilyParams.weibull(0.005, 1.7), math.log(0.005), 1.7, "k"),
+    (FamilyParams.loglogistic(-9.0, 2.0), -9.0, 2.0, "k"),
+    (FamilyParams.lognormal(3.0, 1.0), 3.0, 1.0, "sigma2"),
+])
+def test_each_family_reads_its_own_fields(p, eta, shape, shape_name):
+    # eta is log lam or mu, and the shape slot is k, sigma2 or absent
+    for e, effect in ((NO_EFFECT, 0.0), (random_offset(0.3), 0.3),
+                      (frailty(2.0), math.log(2.0))):
+        assert kernel_args(p, e) == (eta, shape, effect)
+    spec = ModelSpec(p.family)
+    assert spec.has_shape is (shape is not None)
+    layout = Model(generate_scenario(ScenarioConfig("C", n=8), 0), spec).layout
+    assert layout.shape_name == shape_name
+    assert layout.column_names() == ("beta0", "beta1", "beta2")[:layout.q] + \
+        ((shape_name,) if shape is not None else ())
 
 
 def test_string_family_and_kind_are_coerced_and_checked():

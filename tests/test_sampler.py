@@ -59,6 +59,13 @@ def test_zero_iterations_rejected():
         SamplerConfig(iterations=100, burnin=100)
 
 
+def test_negative_seed_rejected():
+    # SeedSequence refuses it, but only once sampling starts
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SamplerConfig(seed=-1)
+    assert SamplerConfig(seed=0).seed == 0
+
+
 def test_posterior_mean_recovers_truth():
     # n=1000 exponential data with beta = (-4.5, 0.5)
     rng = np.random.default_rng(8)

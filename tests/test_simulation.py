@@ -28,6 +28,8 @@ def test_config_validation():
             ScenarioConfig("C", n=n)
     with pytest.raises(ValueError, match="replications must be at least 1"):
         ScenarioConfig("C", replications=0)
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        ScenarioConfig("C", seed=-1)
 
 
 def test_generator_is_deterministic():
