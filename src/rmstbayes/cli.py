@@ -38,7 +38,10 @@ def _write_output(doc: dict, path: str | None) -> None:
     if path is None:
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:  # it names the temporary file, not the user's path
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, allow_nan=False)

@@ -9,8 +9,7 @@ p_waic = sum_i var_s(l_is) over the per-draw pointwise log-likelihoods l_is.
 block's (B, n) log-likelihoods in one call of the family kernel, and each
 observation keeps a running maximum and rescaled sum of exp for lppd and a
 running mean and sum of squared deviations (Chan et al.'s merge) for p_waic,
-so the (S, n) matrix is never built.  ``waic_from_matrix`` computes the
-same quantities from a whole matrix.
+so the (S, n) matrix is never built.
 """
 
 from __future__ import annotations
@@ -40,11 +39,6 @@ class WaicResult:
     @property
     def waic(self) -> float:
         return -2.0 * (self.lppd - self.p_waic)
-
-
-def _warn_degenerate():
-    warnings.warn("degenerate draws: zero variance in every pointwise "
-                  "log-likelihood; p_waic set to 0", RuntimeWarning, stacklevel=3)
 
 
 def waic(data: SurvivalDataset, spec: ModelSpec, draws: PosteriorDraws) -> WaicResult:
@@ -77,25 +71,8 @@ def waic(data: SurvivalDataset, spec: ModelSpec, draws: PosteriorDraws) -> WaicR
         m2 += (dev * dev).sum(axis=0) + delta * delta * ((count - b) * b / count)
     pointwise_lppd = top + np.log(scaled / count)
     if not m2.any():
-        _warn_degenerate()
+        warnings.warn("degenerate draws: zero variance in every pointwise "
+                      "log-likelihood; p_waic set to 0", RuntimeWarning, stacklevel=2)
     pointwise_p = m2 / (count - 1)
-    return WaicResult(lppd=float(pointwise_lppd.sum()), p_waic=float(pointwise_p.sum()),
-                      pointwise_lppd=pointwise_lppd, pointwise_p=pointwise_p)
-
-
-def waic_from_matrix(ll: np.ndarray) -> WaicResult:
-    """WAIC directly from a (draws, observations) log-likelihood matrix."""
-    ll = np.asarray(ll, dtype=float)
-    # log mean exp per observation, overflow-safe.
-    mx = ll.max(axis=0)
-    ratio = ll - mx
-    np.exp(ratio, out=ratio)  # in place: one (draws, observations) temporary
-    pointwise_lppd = mx + np.log(np.mean(ratio, axis=0))
-    del ratio
-    if np.all(np.ptp(ll, axis=0) == 0.0):
-        _warn_degenerate()
-        pointwise_p = np.zeros(ll.shape[1])
-    else:
-        pointwise_p = ll.var(axis=0, ddof=1)
     return WaicResult(lppd=float(pointwise_lppd.sum()), p_waic=float(pointwise_p.sum()),
                       pointwise_lppd=pointwise_lppd, pointwise_p=pointwise_p)

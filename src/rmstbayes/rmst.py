@@ -6,7 +6,10 @@ frailty form is approximate.  ``rmst_closed_form`` is their one dispatcher
 and the one check of their arguments, which are those of the likelihood
 kernel ``families.log_hazard_survival``: (family, eta, shape, kind, effect).
 The exponential and Weibull forms work from eta = log lam itself, with a
-frailty v folded in as eta + log v.  ``rmst_distribution`` calls it once over
+frailty v folded in as eta + log v.  The Weibull and log-logistic prefactors
+e^(-eta/k) and v e^(-mu/k) go to the incomplete gamma and beta as their log
+factor, so no prefactor is formed apart from its integral; a value that is
+not in (0, inf) is refused.  ``rmst_distribution`` calls it once over
 all posterior draws, with eta = beta . (1, x1, covariates...), and
 ``rmst_value`` through ``families.kernel_args``.  ``rmst_numeric``
 integrates the survival function by adaptive Simpson quadrature and is the
@@ -32,13 +35,7 @@ from .families import (
     kernel_args,
     log_hazard_survival,
 )
-from .specfun import (
-    _float_if_scalar,
-    _reg_gamma_series,
-    incomplete_beta_compl,
-    lower_incomplete_gamma,
-    std_normal_sf,
-)
+from .specfun import incomplete_beta_compl, lower_incomplete_gamma, std_normal_sf
 
 _LOG_TIME_SPAN = 60.0  # rmst_numeric integrates log(t / tau) over [-60, 0]
 _NUMERIC_TOL = 1e-10   # rmst_numeric's absolute tolerance
@@ -59,47 +56,39 @@ def _check_tau(tau: float) -> None:
 
 def _weibull_rmst(eta, k, tau: float):
     # e^(-eta/k) gamma_inc(z; a) + tau e^(-z) with a = 1/k + 1 and
-    # z = e^eta tau^k, from eta = log lam directly; a z that overflows is
-    # infinite, which leaves e^(-eta/k) Gamma(a).
+    # z = e^eta tau^k, from eta = log lam directly; e^(-eta/k) enters the
+    # incomplete gamma's exponent.  A z that overflows is infinite, which
+    # leaves e^(-eta/k) Gamma(a).
     a = 1.0 / k + 1.0
     z = np.exp(eta + k * math.log(tau))
-    value = np.exp(-eta / k) * lower_incomplete_gamma(z, a) + tau * np.exp(-z)
-    bad = ~np.isfinite(value)
-    if bad.any():
-        # e^(-eta/k) or Gamma(a) (k < 0.0059) overflows.  With gamma_inc(z; a)
-        # = z^a e^(-z) sum_n z^n / (a (a+1)...(a+n)) the value is
-        # tau e^(-z) (1 + z sum), whose terms cannot overflow for z < a + 1;
-        # only these elements take it, so the others keep their bits.
-        value = np.array(value, dtype=float)
-        series = bad & (z < a + 1.0)
-        zs, as_ = (np.broadcast_to(x, value.shape)[series] for x in (z, a))
-        total = _reg_gamma_series(zs, as_, np.zeros_like(zs))
-        value[series] = tau * np.exp(-zs) * (1.0 + zs * total)
-    return value
+    return lower_incomplete_gamma(z, a, -eta / k) + tau * np.exp(-z)
 
 
-def _loglogistic_rmst(mu, k, v, tau: float):
+def _loglogistic_rmst(mu, k, log_v, tau: float):
     # v e^(-mu/k) B(1 - S(tau); 1 + 1/k, v - 1/k) + tau S(tau)^v, with a
-    # frailty v on the hazard (v = 1: none).  For k <= 1 the beta's second
-    # argument is <= 0; the integral stays finite because it stops short of 1
-    # (finite-tau RMST needs no first moment).
+    # frailty v on the hazard (log v = 0: none); v e^(-mu/k) enters the
+    # incomplete beta's exponent.  For k <= 1 the beta's second argument is
+    # <= 0; the integral stays finite because it stops short of 1 (finite-tau
+    # RMST needs no first moment).
     # S(tau) = 1/(1 + e^w), overflow-safe
     w = mu + k * math.log(tau)
     ew = np.exp(-np.abs(w))
     s_tau = np.where(w > 0, ew / (1.0 + ew), 1.0 / (1.0 + ew))
-    part = incomplete_beta_compl(s_tau, 1.0 + 1.0 / k, v - 1.0 / k)
-    return v * np.exp(-mu / k) * part + tau * s_tau ** v
+    v = np.exp(log_v)
+    return (incomplete_beta_compl(s_tau, 1.0 + 1.0 / k, v - 1.0 / k, log_v - mu / k)
+            + tau * s_tau ** v)
 
 
-def _lognormal_rmst(mu, sigma2, v, tau: float):
-    # exp(mu + sigma2/2) Phi(z1) + tau (1 - Phi(z0)) without a frailty (v is None),
+def _lognormal_rmst(mu, sigma2, log_v, tau: float):
+    # exp(mu + sigma2/2) Phi(z1) + tau (1 - Phi(z0)) without a frailty (log_v is None),
     # z1 = (log tau - mu - sigma2)/sigma and z0 = (log tau - mu)/sigma
     sigma = np.sqrt(sigma2)
     log_tau = math.log(tau)
     z1 = (log_tau - mu - sigma2) / sigma
     z0 = (log_tau - mu) / sigma
-    if v is None:
+    if log_v is None:
         return np.exp(mu + 0.5 * sigma2) * std_normal_sf(-z1) + tau * std_normal_sf(z0)
+    v = np.exp(log_v)
     # The paper's approximate frailty form; rmst_numeric integrates the exact
     # S^v integrand.
     return (np.exp(mu + 0.5 * sigma2) * (1.0 - std_normal_sf(z1)**v) / v
@@ -115,8 +104,9 @@ def rmst_closed_form(family: Family, eta, shape, tau: float,
     log lam (exponential, weibull) or mu (log-logistic, log-normal),
     ``shape`` is k, or sigma^2 for log-normal (unused for exponential), and
     ``effect`` is a random offset u added to eta or, for a frailty, log v.
-    The log-normal frailty form is an approximation.  A value outside the
-    floating-point range raises ValueError rather than giving nan or inf.
+    The log-normal frailty form is an approximation.  A value that is not in
+    (0, inf), which an RMST always is, raises ValueError rather than giving
+    nan, inf or an underflowed 0.
     """
     _check_tau(tau)
     if not (_finite(eta) and _finite(effect)):
@@ -127,7 +117,7 @@ def rmst_closed_form(family: Family, eta, shape, tau: float,
     # on a proportional hazard, a frailty v is the offset log v on eta
     if kind is EffectKind.RANDOM or (kind is EffectKind.FRAILTY and proportional):
         eta = eta + effect
-    v = np.exp(effect) if kind is EffectKind.FRAILTY and not proportional else None
+    log_v = effect if kind is EffectKind.FRAILTY and not proportional else None
     # Overflow is not warned of here: a value it spoils is refused below.
     with np.errstate(over="ignore", invalid="ignore"):
         if proportional:
@@ -138,15 +128,16 @@ def rmst_closed_form(family: Family, eta, shape, tau: float,
             value = (-np.expm1(-lam * tau) / lam if family is Family.EXPONENTIAL
                      else _weibull_rmst(eta, shape, tau))
         elif family is Family.LOG_LOGISTIC:
-            value = _loglogistic_rmst(eta, shape, 1.0 if v is None else v, tau)
+            value = _loglogistic_rmst(eta, shape, 0.0 if log_v is None else log_v, tau)
         else:
-            value = _lognormal_rmst(eta, shape, v, tau)
-    bad = ~np.isfinite(value)
-    if bad.any():  # e^(-eta/k) overflows beside an incomplete gamma or beta that underflows
+            value = _lognormal_rmst(eta, shape, log_v, tau)
+    # an RMST is positive, so a 0 is an underflow
+    bad = ~((value > 0.0) & (value < math.inf))
+    if bad.any():
         eta_at, shape_at = (np.broadcast_to(x, bad.shape).flat[bad.argmax()] for x in (eta, shape))
         raise ValueError(f"the {family.value} RMST leaves the floating-point range "
                          f"at eta={eta_at}, shape={shape_at}")
-    return _float_if_scalar(value)
+    return value if np.ndim(value) else float(value)
 
 
 def rmst_value(p: FamilyParams, e: EffectValue, tau: float):

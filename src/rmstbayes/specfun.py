@@ -12,15 +12,18 @@ from a rounded x^2.  ``math.lgamma`` meets arrays through one helper,
 are pure and thread-safe.
 
 Conventions: the incomplete gamma and incomplete beta integrals are
-*non-regularized*, i.e. the raw integrals
+*non-regularized*, i.e. the raw integrals, times e^L for a trailing log
+factor L (default 0):
 
-    lower_incomplete_gamma(z, a)             = int_0^z t^(a-1) e^(-t) dt
-    incomplete_beta_compl(one_minus_z, a, b) = int_0^z t^(a-1) (1-t)^(b-1) dt
+    lower_incomplete_gamma(z, a, L)             = e^L int_0^z t^(a-1) e^(-t) dt
+    incomplete_beta_compl(one_minus_z, a, b, L) = e^L int_0^z t^(a-1) (1-t)^(b-1) dt
 
-The beta integral takes its upper limit as the complement 1 - z, which the
-log-logistic RMST knows to full precision as a survival value.  It supports
-b <= 0 as long as z < 1 (the singularity at t=1 is then excluded from the
-integration range).
+L joins the exponent of the front each expansion already forms, before its
+one exp, so a caller's prefactor that overflows never meets an integral that
+underflows.  The series are DLMF 8.7.1 and 8.17.8.  The beta integral takes
+its upper limit as the complement 1 - z, which the log-logistic RMST knows to
+full precision as a survival value.  It supports b <= 0 as long as z < 1 (the
+singularity at t=1 is then excluded from the integration range).
 """
 
 from __future__ import annotations
@@ -269,7 +272,8 @@ def _not_tiny(x: np.ndarray) -> np.ndarray:
 
 
 def _gamma_series_step(n, total, term, ap, z):
-    # P(a, z) by power series, reliable for z < a + 1
+    # the sum of gamma(a, z) = z^a e^(-z) sum_n z^n / (a (a+1) ... (a+n))
+    # (DLMF 8.7.1), reliable for z < a + 1
     ap = ap + 1.0
     term = term * (z / ap)
     total = total + term
@@ -287,12 +291,6 @@ def _gamma_cf_step(n, h, c, d, b, a):
     return (h, c, d, b, a), np.abs(delta - 1.0) < _EPS
 
 
-def _reg_gamma_series(z: np.ndarray, a: np.ndarray, log_front: np.ndarray) -> np.ndarray:
-    term = 1.0 / a
-    return _converge(_gamma_series_step, (term, term, a, z),
-                     "incomplete gamma series") * np.exp(log_front)
-
-
 def _reg_gamma_cf(z: np.ndarray, a: np.ndarray, log_front: np.ndarray) -> np.ndarray:
     b = z + 1.0 - a
     d = 1.0 / b
@@ -300,31 +298,39 @@ def _reg_gamma_cf(z: np.ndarray, a: np.ndarray, log_front: np.ndarray) -> np.nda
                      "incomplete gamma continued fraction") * np.exp(log_front)
 
 
-def lower_incomplete_gamma(z, a):
-    """Non-regularized lower incomplete gamma integral over [0, z],
-    elementwise over numpy arrays or scalars (a float for scalar input).
+def lower_incomplete_gamma(z, a, log_factor=0.0):
+    """e^log_factor times the non-regularized lower incomplete gamma integral
+    over [0, z], elementwise over numpy arrays or scalars (a float for scalar
+    input).
 
     The power series serves z < a + 1 and the continued fraction the rest,
-    each on its own part of the array.  Both scale their sum by the prefactor
-    e^(-z) z^a / Gamma(a); past a + 1, where it underflows (exponent < -746),
-    the upper tail is below one ulp of 1, and the value is Gamma(a), as at z = inf.
+    each on its own part of the array.  ``log_factor`` joins the exponent of
+    each part's one exp, so a factor that overflows beside an integral that
+    underflows is never formed: the series is
+    e^(log_factor - z + a log z) sum_n z^n / (a (a+1) ... (a+n)), and past
+    a + 1 the value is e^(log_factor) Gamma(a) (1 - Q), where Q carries the
+    front e^(-z) z^a / Gamma(a).  Where that front underflows (exponent
+    < -746), Q is below one ulp of 1, and the value is the one at z = inf.
     """
-    z, a = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(a, dtype=float))
+    z, a, log_factor = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                             for x in (z, a, log_factor)))
     shape = z.shape
-    z, a = z.ravel(), a.ravel()
+    z, a, log_factor = z.ravel(), a.ravel(), log_factor.ravel()
     if not np.all(a > 0.0):
         raise ValueError(f"lower_incomplete_gamma requires a > 0, got a={a[~(a > 0.0)][0]}")
     if not np.all(z >= 0.0):
         raise ValueError(f"lower_incomplete_gamma requires z >= 0, got z={z[~(z >= 0.0)][0]}")
     log_gamma_a = _elementwise(math.lgamma, a)
-    out = np.exp(log_gamma_a)  # the value at z = inf
+    out = np.exp(log_factor + log_gamma_a)  # the value at z = inf
     out[z == 0.0] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):  # -inf at z = 0, nan at z = inf
-        log_front = -z + a * np.log(z) - log_gamma_a
+        log_power = -z + a * np.log(z)
     lower = (z > 0.0) & (z < a + 1.0)
-    upper = (z >= a + 1.0) & (log_front >= -746.0)
-    out[lower] *= _reg_gamma_series(z[lower], a[lower], log_front[lower])
-    out[upper] *= 1.0 - _reg_gamma_cf(z[upper], a[upper], log_front[upper])
+    upper = (z >= a + 1.0) & (log_power - log_gamma_a >= -746.0)
+    term = 1.0 / a[lower]
+    out[lower] = _converge(_gamma_series_step, (term, term, a[lower], z[lower]),
+                           "incomplete gamma series") * np.exp(log_factor[lower] + log_power[lower])
+    out[upper] *= 1.0 - _reg_gamma_cf(z[upper], a[upper], (log_power - log_gamma_a)[upper])
     return out.reshape(shape) if shape else float(out[0])
 
 
@@ -342,14 +348,14 @@ def _beta_cf_step(m, h, c, d, x, a, b):
     return (h, c, d, x, a, b), np.abs(delta - 1.0) < _EPS
 
 
-def _beta_head_step(n, total, coef, power, z, a, b):
-    # int_0^z t^(a-1)(1-t)^(b-1) dt for 0 < z <= 1/2 via the binomial series
-    # (1-t)^(b-1) = sum c_n t^n, c_n = c_{n-1} (n-b)/n; power is z^(a+n)
-    coef = coef * ((n - b) / n)
-    power = power * z
-    term = coef * power / (a + n)
+def _beta_head_step(n, total, term, h, a, b):
+    # the sum of int_0^h t^(a-1)(1-t)^(b-1) dt
+    # = h^a (1-h)^b / a sum_n (a+b)_n / (a+1)_n h^n (DLMF 8.17.8), 0 < h <= 1/2;
+    # for a + b > 0 and b < 1 the terms fall by h or faster, and the sum lies
+    # in [1, 2]
+    term = term * ((a + b + (n - 1)) / (a + n) * h)
     total = total + term
-    return (total, coef, power, z, a, b), np.abs(term) < np.abs(total) * _EPS
+    return (total, term, h, a, b), np.abs(term) < np.abs(total) * _EPS
 
 
 def _beta_tail_piece(eps, log_s0):
@@ -371,19 +377,22 @@ def _beta_tail_step(n, total, coef, log_s0, a, b):
     return (total, coef, log_s0, a, b), (n > 4) & (np.abs(term) < np.abs(total) * _EPS)
 
 
-def incomplete_beta_compl(one_minus_z, a, b):
-    """Non-regularized incomplete beta integral over [0, z], given
-    one_minus_z = 1 - z; accurate for z near 1.  Elementwise over numpy
-    arrays or scalars (a float for scalar input).
+def incomplete_beta_compl(one_minus_z, a, b, log_factor=0.0):
+    """e^log_factor times the non-regularized incomplete beta integral over
+    [0, z], given one_minus_z = 1 - z; accurate for z near 1.  Elementwise
+    over numpy arrays or scalars (a float for scalar input).
 
     Requires 0 <= one_minus_z <= 1 and a > 0.  z = 1 is allowed only when
     b > 0 (the integral diverges at t = 1 otherwise).  Callers that know 1-z
     to full precision (e.g. from a logistic survival value) avoid the
-    cancellation in forming z = 1 - (1-z).
+    cancellation in forming z = 1 - (1-z).  ``log_factor`` joins the exponent
+    of the continued fraction's and the head series' fronts before their one
+    exp; the tail series, which has no front, is scaled by e^log_factor.
     """
-    s0, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (one_minus_z, a, b)))
+    s0, a, b, log_factor = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                                 for x in (one_minus_z, a, b, log_factor)))
     shape = s0.shape
-    s0, a, b = s0.ravel(), a.ravel(), b.ravel()
+    s0, a, b, log_factor = s0.ravel(), a.ravel(), b.ravel(), log_factor.ravel()
     if not np.all(a > 0.0):
         raise ValueError(f"incomplete beta requires a > 0, got a={a[~(a > 0.0)][0]}")
     outside = ~((s0 >= 0.0) & (s0 <= 1.0))  # nan included
@@ -399,24 +408,31 @@ def incomplete_beta_compl(one_minus_z, a, b):
     # the beta function.
     whole = (z > 0.0) & ((b > 1e-4) | (s0 == 0.0))
     if whole.any():
-        s, x, p, q = s0[whole], z[whole], a[whole], b[whole]
+        s, x, p, q, ls = s0[whole], z[whole], a[whole], b[whole], log_factor[whole]
         lg_p, lg_q, lg_pq = (_elementwise(math.lgamma, y) for y in (p, q, p + q))
-        with np.errstate(divide="ignore"):  # at s = 0 the front is 0, and the value B(a, b)
-            front = np.exp(lg_pq - lg_p - lg_q + p * np.log(x) + q * np.log(s))
+        log_beta = lg_p + lg_q - lg_pq
+        with np.errstate(divide="ignore"):  # -inf at s = 0, where the value is B(a, b)
+            log_front = p * np.log(x) + q * np.log(s)
         # the fraction's arguments, under the standard symmetry that keeps it convergent
         swap = ~(x < (p + 1.0) / (p + q + 2.0))
         x, p, q = np.where(swap, s, x), np.where(swap, q, p), np.where(swap, p, q)
         d = 1.0 / _not_tiny(1.0 - (p + q) * x / (p + 1.0))
-        ratio = front * _converge(_beta_cf_step, (d, np.ones_like(d), d, x, p, q),
-                                  "incomplete beta continued fraction") / p
-        out[whole] = np.exp(lg_p + lg_q - lg_pq) * np.where(swap, 1.0 - ratio, ratio)
+        ratio = _converge(_beta_cf_step, (d, np.ones_like(d), d, x, p, q),
+                          "incomplete beta continued fraction") / p
+        out[whole] = np.where(
+            swap, np.exp(ls + log_beta) * (1.0 - np.exp(log_front - log_beta) * ratio),
+            np.exp(ls + log_front) * ratio)
     series = (z > 0.0) & ~whole
     if series.any():
-        s, p, q = s0[series], a[series], b[series]
+        s, p, q, ls = s0[series], a[series], b[series], log_factor[series]
         head_at = np.minimum(1.0 - s, 0.5)
-        power = np.exp(p * np.log(head_at))
-        value = _converge(_beta_head_step, (power / p, np.ones_like(s), power, head_at, p, q),
-                          "incomplete beta head series")
+        log_front = ls + p * np.log(head_at) + q * np.log(np.maximum(s, 0.5)) - np.log(p)
+        value = np.zeros_like(s)  # where the front underflows
+        live = log_front >= -746.0
+        ones = np.ones(live.sum())
+        value[live] = np.exp(log_front[live]) * _converge(
+            _beta_head_step, (ones, ones, head_at[live], p[live], q[live]),
+            "incomplete beta head series")
         # past t = 1/2 the tail, whose first piece, if +inf, is its value
         tail = s < 0.5
         log_s, p, q = np.log(s[tail]), p[tail], q[tail]
@@ -425,6 +441,6 @@ def incomplete_beta_compl(one_minus_z, a, b):
         total[live] = _converge(_beta_tail_step, (total[live], np.ones(live.sum()),
                                                   log_s[live], p[live], q[live]),
                                 "incomplete beta tail series")
-        value[tail] += total
+        value[tail] += total * np.exp(ls[tail])
         out[series] = value
     return out.reshape(shape) if shape else float(out[0])

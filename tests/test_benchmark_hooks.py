@@ -66,3 +66,15 @@ def test_sampler_steps_go_through_the_hooked_log_posterior(monkeypatch):
     blocks = [shape for shape in calls if len(shape) == 2]
     assert len(blocks) == iterations * (sampler._BETA_UPDATES + 1)
     assert blocks[0][0] == 2
+
+
+def test_special_function_layers_count_the_rmst_calls():
+    # The benchmark counts specfun.gamma and specfun.beta at the names the
+    # closed forms look them up by; each must be specfun's own function, so
+    # that a count is one call the RMST really makes.
+    import rmstbayes.rmst as rmst
+    import rmstbayes.specfun as specfun
+    layers = _layers()
+    for name in ("lower_incomplete_gamma", "incomplete_beta_compl"):
+        assert ("rmstbayes.rmst", name) in layers
+        assert getattr(rmst, name) is getattr(specfun, name)

@@ -120,6 +120,15 @@ def test_rmst_weibull_huge_cumulative_hazard(tmp_path):
     assert doc["config"]["lambda"] == 1.3e16
 
 
+def test_rmst_prefactor_overflowing_beside_underflowing_integral(capsys):
+    # e^(-mu/k) overflows and the incomplete beta underflows; S is about 1
+    # on [0, tau], so the RMST is about tau
+    code = main(["rmst", "--family", "loglogistic", "--mu", "-300", "--k", "0.01",
+                 "--tau", "100"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "RMST(tau=100) = 100.000000"
+
+
 def test_usage_errors_exit_two(csv_path, monkeypatch, capsys):
     # invalid values are rejected before any sampling
     monkeypatch.setattr("rmstbayes.cli.run_chains", None)
@@ -152,9 +161,7 @@ def test_usage_errors_exit_two(csv_path, monkeypatch, capsys):
         # scale ** -k overflows; k = 0 is not a shape
         rmst + ["weibull", "--scale", "1e-300", "--k", "2", "--tau", "10"],
         rmst + ["weibull", "--scale", "80", "--k", "0", "--tau", "10"],
-        # closed forms outside the floating-point range: e^(-eta/k) overflows
-        # beside an incomplete gamma or beta that underflows, or the beta overflows
-        rmst + ["loglogistic", "--mu", "-300", "--k", "0.01", "--tau", "100"],
+        # a closed form outside the floating-point range: the beta's tail overflows
         rmst + ["loglogistic", "--mu", "300", "--k", "1e-3", "--tau", "100"],
         # a parameter the family does not take, or one --scale would override
         rmst + ["exponential", "--lambda", "0.02", "--k", "2", "--tau", "10"],
@@ -370,6 +377,17 @@ def test_readme_commands_parse():
             compile(words[2], "README", "exec")
         for path in (w for w in words if w.endswith(".py")):
             assert os.path.isfile(os.path.join(ROOT, path)), shlex.join(words)
+
+
+def test_output_in_missing_directory_names_the_given_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["rmst", "--family", "exponential", "--lambda", "0.02", "--tau", "10",
+                 "--output", os.path.join("nodir", "x.json")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: [Errno 2] No such file or directory: "
+                            f"{os.path.join('nodir', 'x.json')!r}\n")
+    assert captured.out == ""
 
 
 def test_no_partial_output_on_failure(tmp_path, monkeypatch, capsys):

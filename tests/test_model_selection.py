@@ -13,8 +13,25 @@ import rmstbayes.inference as I
 import rmstbayes.model_selection as MS
 from rmstbayes.families import EffectKind, Family
 from rmstbayes.inference import Model, ModelSpec, SurvivalDataset, pointwise_log_likelihood
-from rmstbayes.model_selection import waic, waic_from_matrix
+from rmstbayes.model_selection import WaicResult, waic
 from rmstbayes.sampler import PosteriorDraws, SamplerConfig, run_chains
+
+
+def waic_from_matrix(ll: np.ndarray) -> WaicResult:
+    """The WAIC oracle: WAIC directly from a (draws, observations)
+    log-likelihood matrix, held whole."""
+    ll = np.asarray(ll, dtype=float)
+    # log mean exp per observation, overflow-safe.
+    mx = ll.max(axis=0)
+    pointwise_lppd = mx + np.log(np.mean(np.exp(ll - mx), axis=0))
+    if np.all(np.ptp(ll, axis=0) == 0.0):
+        warnings.warn("degenerate draws: zero variance in every pointwise "
+                      "log-likelihood; p_waic set to 0", RuntimeWarning, stacklevel=2)
+        pointwise_p = np.zeros(ll.shape[1])
+    else:
+        pointwise_p = ll.var(axis=0, ddof=1)
+    return WaicResult(lppd=float(pointwise_lppd.sum()), p_waic=float(pointwise_p.sum()),
+                      pointwise_lppd=pointwise_lppd, pointwise_p=pointwise_p)
 
 
 def test_single_draw_has_zero_penalty():
