@@ -227,7 +227,7 @@ def cmd_rmst(args, parser) -> tuple[dict, str]:
         value = rmst_value(params, effect, args.tau)
     except ValueError as exc:
         parser.error(str(exc))
-    return {"rmst": value}, f"RMST(tau={args.tau:g}) = {value:.6f}"
+    return {"rmst": value}, f"RMST(tau={args.tau:g}) = {value:#.7g}"
 
 
 def cmd_simulate(args, parser) -> tuple[dict, str]:

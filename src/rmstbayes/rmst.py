@@ -66,16 +66,20 @@ def _weibull_rmst(eta, k, tau: float):
 
 def _loglogistic_rmst(mu, k, log_v, tau: float):
     # v e^(-mu/k) B(1 - S(tau); 1 + 1/k, v - 1/k) + tau S(tau)^v, with a
-    # frailty v on the hazard (log v = 0: none); v e^(-mu/k) enters the
-    # incomplete beta's exponent.  For k <= 1 the beta's second argument is
-    # <= 0; the integral stays finite because it stops short of 1 (finite-tau
-    # RMST needs no first moment).
+    # frailty v on the hazard (log v = 0: none).  For k <= 1 the beta's second
+    # argument is <= 0; the integral stays finite because it stops short of 1
+    # (finite-tau RMST needs no first moment).  e^(-mu/k) = tau (S/(1-S))^(1/k)
+    # enters the beta's exponent with log(1 - S) of the rounded S the beta
+    # sees, so an error in 1 - S cancels against the beta's front (1-S)^(1+1/k).
     # S(tau) = 1/(1 + e^w), overflow-safe
     w = mu + k * math.log(tau)
     ew = np.exp(-np.abs(w))
     s_tau = np.where(w > 0, ew / (1.0 + ew), 1.0 / (1.0 + ew))
     v = np.exp(log_v)
-    return (incomplete_beta_compl(s_tau, 1.0 + 1.0 / k, v - 1.0 / k, log_v - mu / k)
+    with np.errstate(divide="ignore"):  # log 0 at S = 1, where the beta is 0
+        log_odds = -np.logaddexp(0.0, w) - np.log1p(-s_tau)
+    return (incomplete_beta_compl(s_tau, 1.0 + 1.0 / k, v - 1.0 / k,
+                                  log_v + math.log(tau) + log_odds / k)
             + tau * s_tau ** v)
 
 

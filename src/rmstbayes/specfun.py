@@ -20,10 +20,15 @@ factor L (default 0):
 
 L joins the exponent of the front each expansion already forms, before its
 one exp, so a caller's prefactor that overflows never meets an integral that
-underflows.  The series are DLMF 8.7.1 and 8.17.8.  The beta integral takes
-its upper limit as the complement 1 - z, which the log-logistic RMST knows to
-full precision as a survival value.  It supports b <= 0 as long as z < 1 (the
-singularity at t=1 is then excluded from the integration range).
+underflows.  The gamma is the series DLMF 8.7.1 below z = a + 1 and a
+continued fraction above.  The beta is two series with positive fronts, and
+no continued fraction: DLMF 8.17.8 from t = 0, and the binomial series in
+1 - t near t = 1, over a span short enough that its alternating terms cancel
+little; past the bulk the symmetry DLMF 8.17.4 may swap a and b.  The beta
+integral takes its upper limit as the complement 1 - z, which the
+log-logistic RMST knows to full precision as a survival value.  It supports
+b <= 0 as long as z < 1 (the singularity at t=1 is then excluded from the
+integration range).
 """
 
 from __future__ import annotations
@@ -38,8 +43,8 @@ _MAX_ITER = 1000
 _SQRT_HALF = math.sqrt(0.5)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_HALF = math.log(0.5)
 _TINY = 1e-300  # the modified-Lentz floor
+_TAIL_SPAN = 4.0  # the beta's tail stops at s = _TAIL_SPAN / |a - 1|, losing <= e^(2 _TAIL_SPAN)
 
 
 def _elementwise(fn, x) -> np.ndarray:
@@ -334,47 +339,51 @@ def lower_incomplete_gamma(z, a, log_factor=0.0):
     return out.reshape(shape) if shape else float(out[0])
 
 
-def _beta_cf_step(m, h, c, d, x, a, b):
-    # the regularized incomplete beta's continued fraction (NR-style modified
-    # Lentz), for a, b > 0 and x < (a+1)/(a+b+2): the even and the odd
-    # coefficient of step m, one Lentz update each
-    m2 = 2 * m
-    for aa in (m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
-               -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2))):
-        d = 1.0 / _not_tiny(1.0 + aa * d)
-        c = _not_tiny(1.0 + aa / c)
-        delta = d * c
-        h = h * delta
-    return (h, c, d, x, a, b), np.abs(delta - 1.0) < _EPS
-
-
 def _beta_head_step(n, total, term, h, a, b):
     # the sum of int_0^h t^(a-1)(1-t)^(b-1) dt
-    # = h^a (1-h)^b / a sum_n (a+b)_n / (a+1)_n h^n (DLMF 8.17.8), 0 < h <= 1/2;
-    # for a + b > 0 and b < 1 the terms fall by h or faster, and the sum lies
-    # in [1, 2]
+    # = h^a (1-h)^b / a sum_n (a+b)_n / (a+1)_n h^n (DLMF 8.17.8)
     term = term * ((a + b + (n - 1)) / (a + n) * h)
     total = total + term
     return (total, term, h, a, b), np.abs(term) < np.abs(total) * _EPS
 
 
-def _beta_tail_piece(eps, log_s0):
-    # (2^-eps - s0^eps) / eps in expm1 form, or its limit log(1/2) - log s0
-    # where eps log s0 is below one ulp: in the subnormal range eps log s0
-    # would have lost all its digits.  Overflow, only for eps < 0, gives +inf.
-    with np.errstate(over="ignore", invalid="ignore"):  # 0/0 at eps = 0
-        piece = (np.expm1(eps * _LOG_HALF) - np.expm1(eps * log_s0)) / eps
-    return np.where(np.abs(eps * log_s0) < _EPS, _LOG_HALF - log_s0, piece)
-
-
-def _beta_tail_step(n, total, coef, log_s0, a, b):
-    # int_{s0}^{1/2} s^(b-1)(1-s)^(a-1) ds for 0 < s0 < 1/2, the t in
-    # (1/2, 1-s0] part of the beta integral after s = 1-t: the sum over n of
-    # c_n times the piece at eps = b + n, with c_n = c_{n-1} (n-a)/n
-    coef = coef * ((n - a) / n)
-    term = coef * _beta_tail_piece(b + n, log_s0)
+def _beta_tail_step(n, total, coef, a, b, log_hi, log_lo, log_front):
+    # int_lo^hi s^(b-1)(1-s)^(a-1) ds = sum_m c_m int_lo^hi s^(e-1) ds with
+    # e = b + m and c_m = c_(m-1) (m-a)/m, the binomial coefficients of
+    # (1-s)^(a-1); step n adds m = n - 1.  Relative to e^log_front each
+    # integral is e^(max(e log hi, e log lo) - log_front) (1 - e^-x)/|e| with
+    # x = |e| (log hi - log lo), or log hi - log lo where x is below one ulp
+    e = b + (n - 1)
+    width = log_hi - log_lo
+    x = np.abs(e) * width
+    piece = np.divide(-np.expm1(-x), np.abs(e), out=width, where=x >= _EPS)
+    term = coef * np.exp(np.maximum(e * log_hi, e * log_lo) - log_front) * piece
     total = total + term
-    return (total, coef, log_s0, a, b), (n > 4) & (np.abs(term) < np.abs(total) * _EPS)
+    coef = coef * ((n - a) / n)
+    return (total, coef, a, b, log_hi, log_lo, log_front), np.abs(term) < np.abs(total) * _EPS
+
+
+def _beta_from_zero(x, log_x, s0, log_s0, a, b, log_factor):
+    """e^log_factor int_0^x t^(a-1)(1-t)^(b-1) dt for x > 0, from x, its
+    complement s0 and their logs: the head series over [0, min(x, 1 - split)]
+    and, where s0 < split, the tail series in s = 1 - t over [s0, split]."""
+    split = _TAIL_SPAN / np.maximum(np.abs(a - 1.0), 2.0 * _TAIL_SPAN)
+    tail = s0 < split
+    log_split = np.log(split)
+    log_front = (log_factor + a * np.where(tail, np.log1p(-split), log_x)
+                 + b * np.where(tail, log_split, log_s0) - np.log(a))
+    out = np.zeros_like(x)  # where the head's front underflows
+    live = log_front >= -746.0
+    h, ones = np.where(tail, 1.0 - split, x)[live], np.ones(live.sum())
+    out[live] = np.exp(log_front[live]) * _converge(
+        _beta_head_step, (ones, ones, h, a[live], b[live]), "incomplete beta head series")
+    if tail.any():
+        a, b, log_hi, log_lo = a[tail], b[tail], log_split[tail], log_s0[tail]
+        log_front = np.maximum(b * log_hi, b * log_lo)
+        out[tail] += np.exp(log_factor[tail] + log_front) * _converge(
+            _beta_tail_step, (np.zeros_like(a), np.ones_like(a), a, b, log_hi, log_lo, log_front),
+            "incomplete beta tail series")
+    return out
 
 
 def incomplete_beta_compl(one_minus_z, a, b, log_factor=0.0):
@@ -385,9 +394,18 @@ def incomplete_beta_compl(one_minus_z, a, b, log_factor=0.0):
     Requires 0 <= one_minus_z <= 1 and a > 0.  z = 1 is allowed only when
     b > 0 (the integral diverges at t = 1 otherwise).  Callers that know 1-z
     to full precision (e.g. from a logistic survival value) avoid the
-    cancellation in forming z = 1 - (1-z).  ``log_factor`` joins the exponent
-    of the continued fraction's and the head series' fronts before their one
-    exp; the tail series, which has no front, is scaled by e^log_factor.
+    cancellation in forming z = 1 - (1-z).
+
+    Two series serve, each with a positive front that ``log_factor`` joins
+    before its one exp.  The head series (DLMF 8.17.8) covers
+    [0, min(z, 1 - split)], split = min(1/2, 4/|a - 1|).  Where 1 - z < split,
+    the binomial series in s = 1 - t covers [1 - z, split], for any b; its
+    alternating terms cancel by at most about e^8 there.  For b > 1e-4 (so
+    that B(a, b) is not huge) and z past the bulk, z >= (a+1)/(a+b+2), the
+    symmetry B(a, b) - int_0^(1-z) s^(b-1)(1-s)^(a-1) ds (DLMF 8.17.4) serves
+    instead where its head needs fewer terms.  The head's terms fall by about
+    t per step near t = 1, so for a past about 100 and b below a few, a
+    1 - z just above the split takes more than ``_MAX_ITER`` steps.
     """
     s0, a, b, log_factor = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                                  for x in (one_minus_z, a, b, log_factor)))
@@ -401,46 +419,20 @@ def incomplete_beta_compl(one_minus_z, a, b, log_factor=0.0):
     if np.any((s0 == 0.0) & (b <= 0.0)):
         raise ValueError("incomplete beta diverges at z=1 when b <= 0")
     z = 1.0 - s0
+    with np.errstate(divide="ignore"):  # log 0 at s0 = 0 or 1
+        log_z, log_s0 = np.log1p(-s0), np.log(s0)
+        # the terms each head needs, about (b + 36) / -log z straight and
+        # (a + 36) / -log(1 - z) swapped (36: -log of one ulp)
+        swap = ((b > 1e-4) & (z >= (a + 1.0) / (a + b + 2.0))
+                & ((np.maximum(a, 1.0) + 36.0) * -log_z < (np.maximum(b, 1.0) + 36.0) * -log_s0))
     out = np.zeros_like(z)  # the value at z = 0
-    # The continued fraction needs b > 0 and cancels catastrophically as b
-    # nears 0; for b <= 1e-4 the power series, split at t = 1/2 with the tail
-    # in expm1 form, serves instead.  At z = 1 (b > 0 there) the value is
-    # the beta function.
-    whole = (z > 0.0) & ((b > 1e-4) | (s0 == 0.0))
-    if whole.any():
-        s, x, p, q, ls = s0[whole], z[whole], a[whole], b[whole], log_factor[whole]
-        lg_p, lg_q, lg_pq = (_elementwise(math.lgamma, y) for y in (p, q, p + q))
-        log_beta = lg_p + lg_q - lg_pq
-        with np.errstate(divide="ignore"):  # -inf at s = 0, where the value is B(a, b)
-            log_front = p * np.log(x) + q * np.log(s)
-        # the fraction's arguments, under the standard symmetry that keeps it convergent
-        swap = ~(x < (p + 1.0) / (p + q + 2.0))
-        x, p, q = np.where(swap, s, x), np.where(swap, q, p), np.where(swap, p, q)
-        d = 1.0 / _not_tiny(1.0 - (p + q) * x / (p + 1.0))
-        ratio = _converge(_beta_cf_step, (d, np.ones_like(d), d, x, p, q),
-                          "incomplete beta continued fraction") / p
-        out[whole] = np.where(
-            swap, np.exp(ls + log_beta) * (1.0 - np.exp(log_front - log_beta) * ratio),
-            np.exp(ls + log_front) * ratio)
-    series = (z > 0.0) & ~whole
-    if series.any():
-        s, p, q, ls = s0[series], a[series], b[series], log_factor[series]
-        head_at = np.minimum(1.0 - s, 0.5)
-        log_front = ls + p * np.log(head_at) + q * np.log(np.maximum(s, 0.5)) - np.log(p)
-        value = np.zeros_like(s)  # where the front underflows
-        live = log_front >= -746.0
-        ones = np.ones(live.sum())
-        value[live] = np.exp(log_front[live]) * _converge(
-            _beta_head_step, (ones, ones, head_at[live], p[live], q[live]),
-            "incomplete beta head series")
-        # past t = 1/2 the tail, whose first piece, if +inf, is its value
-        tail = s < 0.5
-        log_s, p, q = np.log(s[tail]), p[tail], q[tail]
-        total = _beta_tail_piece(q, log_s)
-        live = total < math.inf
-        total[live] = _converge(_beta_tail_step, (total[live], np.ones(live.sum()),
-                                                  log_s[live], p[live], q[live]),
-                                "incomplete beta tail series")
-        value[tail] += total * np.exp(ls[tail])
-        out[series] = value
+    direct = (z > 0.0) & ~swap
+    out[direct] = _beta_from_zero(*(y[direct] for y in (z, log_z, s0, log_s0, a, b, log_factor)))
+    if swap.any():
+        p, q = a[swap], b[swap]
+        log_beta = (_elementwise(math.lgamma, p) + _elementwise(math.lgamma, q)
+                    - _elementwise(math.lgamma, p + q))
+        out[swap] = np.exp(log_factor[swap] + log_beta)
+        part = swap & (s0 > 0.0)  # at z = 1 the value is B(a, b)
+        out[part] -= _beta_from_zero(*(y[part] for y in (s0, log_s0, z, log_z, b, a, log_factor)))
     return out.reshape(shape) if shape else float(out[0])

@@ -78,7 +78,8 @@ def test_rmst_alternate_parameterization(capsys):
                          ("loglogistic", lambda t: 1.0 / (1.0 + (t / 20.0) ** 1.5))):
         main(["rmst", "--family", family, "--scale", "20", "--k", "1.5", "--tau", "100"])
         got = float(capsys.readouterr().out.strip().split("=")[-1])
-        assert abs(got - integrate(surv, 0.0, 100.0)) <= 1e-6
+        # the line prints 7 significant digits
+        assert math.isclose(got, integrate(surv, 0.0, 100.0), rel_tol=1e-6)
 
 
 def test_rmst_loglogistic_half_shape(capsys):
@@ -104,7 +105,7 @@ def test_rmst_weibull_tiny_shape(capsys):
     code = main(["rmst", "--family", "weibull", "--lambda", "0.5", "--k", "0.005",
                  "--tau", "100"])
     assert code == 0
-    assert capsys.readouterr().out.strip() == "RMST(tau=100) = 60.103760"
+    assert capsys.readouterr().out.strip() == "RMST(tau=100) = 60.10376"
 
 
 def test_rmst_weibull_huge_cumulative_hazard(tmp_path):
@@ -126,7 +127,7 @@ def test_rmst_prefactor_overflowing_beside_underflowing_integral(capsys):
     code = main(["rmst", "--family", "loglogistic", "--mu", "-300", "--k", "0.01",
                  "--tau", "100"])
     assert code == 0
-    assert capsys.readouterr().out.strip() == "RMST(tau=100) = 100.000000"
+    assert capsys.readouterr().out.strip() == "RMST(tau=100) = 100.0000"
 
 
 def test_usage_errors_exit_two(csv_path, monkeypatch, capsys):
@@ -161,8 +162,6 @@ def test_usage_errors_exit_two(csv_path, monkeypatch, capsys):
         # scale ** -k overflows; k = 0 is not a shape
         rmst + ["weibull", "--scale", "1e-300", "--k", "2", "--tau", "10"],
         rmst + ["weibull", "--scale", "80", "--k", "0", "--tau", "10"],
-        # a closed form outside the floating-point range: the beta's tail overflows
-        rmst + ["loglogistic", "--mu", "300", "--k", "1e-3", "--tau", "100"],
         # a parameter the family does not take, or one --scale would override
         rmst + ["exponential", "--lambda", "0.02", "--k", "2", "--tau", "10"],
         rmst + ["weibull", "--lambda", "0.02", "--k", "2", "--mu", "5", "--tau", "10"],

@@ -10,8 +10,9 @@ oracles are exact special functions, not quadrature: ``mp.gammainc`` for the
 proportional-hazard forms, Euler's integral tau 2F1(v, 1/k; 1 + 1/k; -e^mu
 tau^k) for log-logistic and ``mp.ncdf`` for log-normal.
 
-Each point matches to 1e-10 relative, or it lies in a listed region where
-the form refuses with ValueError.  No point may raise RuntimeError.
+Each point matches to 1e-10 relative, or its value lies below the normal
+floating-point range and the form refuses it with ValueError.  No point may
+raise RuntimeError.
 """
 
 import math
@@ -21,6 +22,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from rmstbayes import specfun
 from rmstbayes.families import EffectKind, Family
 from rmstbayes.rmst import rmst_closed_form
 
@@ -31,16 +33,6 @@ _SIGMA2 = (0.01, 0.1, 1.0, 10.0, 99.0)
 _FRAILTIES = (0.05, 1.0, 20.0)  # v = 1: no frailty
 _TAUS = (0.5, 100.0)
 _REL_TOL = 1e-10
-_LOG_MAX = math.log(sys.float_info.max)
-
-# Log-logistic points where the incomplete beta's tail series in (1 - t)
-# cancels (its coefficients alternate and grow like binomial(1/k, n)): the
-# value is wrong, or negative and refused.  ROADMAP.md lists the defect and a
-# positive-term series that would mend it.  (mu, k, v, tau)
-_CANCELLING = frozenset([
-    *((0.0, k, v, 100.0) for k in (0.005, 0.01, 0.03) for v in _FRAILTIES),
-    *((mu, 0.03, 20.0, tau) for mu in (25.0, 30.0, 35.0) for tau in _TAUS),
-])
 
 
 def _exact(family, eta, shape, v, tau) -> float:
@@ -71,21 +63,9 @@ def _points(family):
             for v in frailties for tau in _TAUS]
 
 
-def _refusable(family, eta, shape, v, tau, exact) -> bool:
-    """The listed regions where a ValueError is the right answer."""
-    if exact < sys.float_info.min:  # the RMST itself is below the normal range
-        return True
-    if family is Family.LOG_LOGISTIC:
-        # S(tau) = 1/(1 + e^w) < 1/2, and the first piece of the beta's tail
-        # series, S(tau)^(v - 1/k), overflows
-        w = eta + shape * math.log(tau)
-        return w > 0.0 and (1.0 / shape - v) * math.log1p(math.exp(w)) > _LOG_MAX
-    return False
-
-
 def _misses(family, points):
-    """The points that neither match the oracle nor refuse where refusing is
-    listed."""
+    """The points that neither match the oracle nor refuse a value below the
+    normal range."""
     misses = []
     for eta, shape, v, tau in points:
         exact = _exact(family, eta, shape, v, tau)
@@ -93,7 +73,7 @@ def _misses(family, points):
         try:
             got = rmst_closed_form(family, eta, shape, tau, kind, math.log(v))
         except ValueError:
-            if not _refusable(family, eta, shape, v, tau, exact):
+            if exact >= sys.float_info.min:
                 misses.append((eta, shape, v, tau, "ValueError", exact))
             continue
         # subnormal values carry fewer digits: the tolerance floors at the
@@ -105,16 +85,7 @@ def _misses(family, points):
 
 @pytest.mark.parametrize("family", list(Family))
 def test_exact_closed_forms_match_mpmath_over_the_box(family):
-    points = [p for p in _points(family)
-              if not (family is Family.LOG_LOGISTIC and p in _CANCELLING)]
-    assert _misses(family, points) == []
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the incomplete beta's tail series cancels for small k")
-def test_loglogistic_cancellation_points_match_mpmath():
-    assert _CANCELLING <= set(_points(Family.LOG_LOGISTIC))
-    assert _misses(Family.LOG_LOGISTIC, sorted(_CANCELLING)) == []
+    assert _misses(family, _points(family)) == []
 
 
 @pytest.mark.parametrize("family, eta, shape", [
@@ -126,7 +97,68 @@ def test_loglogistic_cancellation_points_match_mpmath():
     (Family.WEIBULL, math.log(1e-300), 1e-3),
     # the same pair for log-logistic: e^(-mu/k) beside an underflowing beta
     (Family.LOG_LOGISTIC, -300.0, 0.01),
+    # e^(-mu/k) = 0 beside a beta of about e^300000; the RMST is 5.1e-129
+    (Family.LOG_LOGISTIC, 300.0, 1e-3),
+    # 1 - S(tau) is about 1e-16 and has lost digits, and e^(-mu/k) must carry
+    # the same error as the beta's front, not raise it to the power 1/k
+    (Family.LOG_LOGISTIC, -36.6, 0.005),
+    (Family.LOG_LOGISTIC, -36.6, 0.01),
 ])
 def test_prefactor_outside_float_range_matches_mpmath(family, eta, shape):
     exact = _exact(family, eta, shape, 1.0, 100.0)
     assert math.isclose(rmst_closed_form(family, eta, shape, 100.0), exact, rel_tol=_REL_TOL)
+
+
+def _count_steps(monkeypatch) -> list:
+    """A one-element list that records the largest step count any
+    ``specfun._converge`` loop reaches from here on."""
+    most = [0]
+    converge = specfun._converge
+
+    def counted(step, state, what):
+        def counting(n, *args):
+            most[0] = max(most[0], n)
+            return step(n, *args)
+        return converge(counting, state, what)
+
+    monkeypatch.setattr(specfun, "_converge", counted)
+    return most
+
+
+def test_random_points_match_hypergeometric_in_few_steps(monkeypatch):
+    # 300 log-logistic points in a wider box than the grid (eta in [-50, 50],
+    # k in [0.001, 50] and v in [0.01, 20] log-uniform, three horizons), and
+    # 300 incomplete betas (a in [0.05, 50], b in [-20, 60], 1 - z in
+    # [1e-12, 1] log-uniform) against 50-digit z^a/a 2F1(a, 1 - b; a + 1; z).
+    # The series need at most 500 steps, well inside specfun._MAX_ITER.  Past
+    # a = 50 the head series needs up to about 9 (a - 1) steps where b < 3
+    # and 1 - z lies just above the split (548 at a = 60); see the xfail below.
+    steps = _count_steps(monkeypatch)
+    rng = np.random.default_rng(20261020)
+    n = 300
+    mu = rng.uniform(-50.0, 50.0, n)
+    k = np.exp(rng.uniform(math.log(1e-3), math.log(50.0), n))
+    v = np.exp(rng.uniform(math.log(0.01), math.log(20.0), n))
+    tau = rng.choice([0.5, 100.0, 1e4], n)
+    points = [tuple(float(x) for x in p) for p in zip(mu, k, v, tau)]
+    assert _misses(Family.LOG_LOGISTIC, points) == []
+    a = rng.uniform(0.05, 50.0, n)
+    b = rng.uniform(-20.0, 60.0, n)
+    s0 = np.exp(rng.uniform(math.log(1e-12), 0.0, n))
+    got = specfun.incomplete_beta_compl(s0, a, b)
+    with mp.workdps(50):
+        exact = np.array([float(z ** ai / ai * mp.hyp2f1(ai, 1 - bi, ai + 1, z))
+                          for ai, bi, z in zip(a, b, (1 - mp.mpf(x) for x in s0))])
+    assert np.all(np.abs(got - exact) <= _REL_TOL * np.maximum(exact, sys.float_info.min))
+    assert steps[0] <= 500
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="the head series needs about 9 (a - 1) steps here")
+def test_loglogistic_frailty_near_one_over_k_converges():
+    # a = 1 + 1/k = 131, b = v - 1/k = 1 and S(tau) = 0.0232, just above the
+    # tail's split 4/(a - 1): the head series runs to t = 0.977 with terms
+    # that fall by about t per step.  The RMST is 5.3e-211.
+    k, v, tau = 0.0077, 1.0 / 0.0077 + 1.0, 100.0
+    mu = math.log(1.0 / 0.0232 - 1.0) - k * math.log(tau)
+    assert _misses(Family.LOG_LOGISTIC, [(mu, k, v, tau)]) == []
