@@ -1,20 +1,21 @@
 """Closed-form restricted mean survival time (RMST) and posterior RMST samples.
 
 RMST(tau) = int_0^tau S(t) dt.  Each family's closed form is written once,
-as a private kernel elementwise over arrays or scalars; the log-normal
-frailty form is approximate.  ``rmst_closed_form`` is their one dispatcher
-and the one check of their arguments, which are those of the likelihood
-kernel ``families.log_hazard_survival``: (family, eta, shape, kind, effect).
-The exponential and Weibull forms work from eta = log lam itself, with a
-frailty v folded in as eta + log v.  The Weibull and log-logistic prefactors
-e^(-eta/k) and v e^(-mu/k) go to the incomplete gamma and beta as their log
-factor, so no prefactor is formed apart from its integral; a value that is
-not in (0, inf) is refused.  ``rmst_distribution`` calls it once over
-all posterior draws, with eta = beta . (1, x1, covariates...), and
-``rmst_value`` through ``families.kernel_args``.  ``rmst_numeric``
-integrates the survival function by adaptive Simpson quadrature and is the
-independent oracle for every closed form (and the exact value for log-normal
-frailty); no posterior path calls it.
+as a private kernel elementwise over arrays or scalars, in one signature
+(eta, shape, log v, tau) with log v = 0 without a frailty; the exponential
+is the Weibull form at k = 1, and the log-normal frailty form is the paper's
+approximation.  ``rmst_closed_form`` is their one dispatcher and the one
+check of their arguments, which are those of the likelihood kernel
+``families.log_hazard_survival``: (family, eta, shape, kind, effect).  The
+Weibull and log-logistic prefactors e^(-eta/k) and v e^(-mu/k) go to the
+incomplete gamma and beta as their log factor, so no prefactor is formed
+apart from its integral; a value that is not in (0, inf) is refused.
+``rmst_distribution`` calls it once over all posterior draws, with
+eta = beta . (1, x1, covariates...), and ``rmst_value`` through
+``families.kernel_args``.  ``rmst_numeric`` integrates the survival function
+by adaptive Simpson quadrature and is the independent oracle for every
+closed form (and the exact value for log-normal frailty); no posterior path
+calls it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .families import (
     kernel_args,
     log_hazard_survival,
 )
-from .specfun import incomplete_beta_compl, lower_incomplete_gamma, std_normal_sf
+from .specfun import incomplete_beta_compl, log_std_normal_sf, lower_incomplete_gamma
 
 _LOG_TIME_SPAN = 60.0  # rmst_numeric integrates log(t / tau) over [-60, 0]
 _NUMERIC_TOL = 1e-10   # rmst_numeric's absolute tolerance
@@ -54,11 +55,13 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must be positive and finite, got {tau}")
 
 
-def _weibull_rmst(eta, k, tau: float):
+def _weibull_rmst(eta, k, log_v, tau: float):
     # e^(-eta/k) gamma_inc(z; a) + tau e^(-z) with a = 1/k + 1 and
-    # z = e^eta tau^k, from eta = log lam directly; e^(-eta/k) enters the
-    # incomplete gamma's exponent.  A z that overflows is infinite, which
-    # leaves e^(-eta/k) Gamma(a).
+    # z = e^eta tau^k, from eta = log lam + log v directly (a frailty scales
+    # a proportional hazard); e^(-eta/k) enters the incomplete gamma's
+    # exponent.  A z that overflows is infinite, which leaves
+    # e^(-eta/k) Gamma(a), and one that underflows is 0, which leaves tau.
+    eta = eta + log_v
     a = 1.0 / k + 1.0
     z = np.exp(eta + k * math.log(tau))
     return lower_incomplete_gamma(z, a, -eta / k) + tau * np.exp(-z)
@@ -84,19 +87,18 @@ def _loglogistic_rmst(mu, k, log_v, tau: float):
 
 
 def _lognormal_rmst(mu, sigma2, log_v, tau: float):
-    # exp(mu + sigma2/2) Phi(z1) + tau (1 - Phi(z0)) without a frailty (log_v is None),
-    # z1 = (log tau - mu - sigma2)/sigma and z0 = (log tau - mu)/sigma
-    sigma = np.sqrt(sigma2)
-    log_tau = math.log(tau)
-    z1 = (log_tau - mu - sigma2) / sigma
-    z0 = (log_tau - mu) / sigma
-    if log_v is None:
-        return np.exp(mu + 0.5 * sigma2) * std_normal_sf(-z1) + tau * std_normal_sf(z0)
-    v = np.exp(log_v)
-    # The paper's approximate frailty form; rmst_numeric integrates the exact
-    # S^v integrand.
-    return (np.exp(mu + 0.5 * sigma2) * (1.0 - std_normal_sf(z1)**v) / v
-            + tau * std_normal_sf(z0)**v)
+    # e^(mu + sigma2/2) (1 - Q(z1)^v)/v + tau Q(z0)^v, Q the standard normal
+    # tail, z1 = (log tau - mu - sigma2)/sigma and z0 = (log tau - mu)/sigma,
+    # with Q^v = e^(v log Q), so 1 - Q^v never cancels.  Exact at v = 1, and
+    # the paper's approximation otherwise (rmst_numeric integrates S^v).
+    sigma, log_tau, v = np.sqrt(sigma2), math.log(tau), np.exp(log_v)
+    log_q1 = log_std_normal_sf((log_tau - mu - sigma2) / sigma)
+    log_q0 = log_std_normal_sf((log_tau - mu) / sigma)
+    return np.exp(mu + 0.5 * sigma2) * -np.expm1(v * log_q1) / v + tau * np.exp(v * log_q0)
+
+
+_FORMS = {Family.EXPONENTIAL: _weibull_rmst, Family.WEIBULL: _weibull_rmst,
+          Family.LOG_LOGISTIC: _loglogistic_rmst, Family.LOG_NORMAL: _lognormal_rmst}
 
 
 def rmst_closed_form(family: Family, eta, shape, tau: float,
@@ -106,35 +108,26 @@ def rmst_closed_form(family: Family, eta, shape, tau: float,
 
     The arguments are those of ``families.log_hazard_survival``: ``eta`` is
     log lam (exponential, weibull) or mu (log-logistic, log-normal),
-    ``shape`` is k, or sigma^2 for log-normal (unused for exponential), and
-    ``effect`` is a random offset u added to eta or, for a frailty, log v.
-    The log-normal frailty form is an approximation.  A value that is not in
-    (0, inf), which an RMST always is, raises ValueError rather than giving
-    nan, inf or an underflowed 0.
+    ``shape`` is k, or sigma^2 for log-normal (unused for exponential, which
+    is the Weibull form at k = 1), and ``effect`` is a random offset u added
+    to eta or, for a frailty, log v, which goes to the family's form as its
+    log v (0 without a frailty).  The log-normal frailty form is an
+    approximation.  A value that is not in (0, inf), which an RMST always
+    is, raises ValueError rather than giving nan, inf or an underflowed 0.
     """
     _check_tau(tau)
     if not (_finite(eta) and _finite(effect)):
         raise ValueError("eta and the effect must be finite")
-    if family is not Family.EXPONENTIAL and not _positive(shape):
+    if family is Family.EXPONENTIAL:
+        shape = 1.0
+    elif not _positive(shape):
         raise ValueError(f"{family.value} requires a positive shape")
-    proportional = family in (Family.EXPONENTIAL, Family.WEIBULL)
-    # on a proportional hazard, a frailty v is the offset log v on eta
-    if kind is EffectKind.RANDOM or (kind is EffectKind.FRAILTY and proportional):
+    if kind is EffectKind.RANDOM:
         eta = eta + effect
-    log_v = effect if kind is EffectKind.FRAILTY and not proportional else None
+    log_v = effect if kind is EffectKind.FRAILTY else 0.0
     # Overflow is not warned of here: a value it spoils is refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        if proportional:
-            lam = np.exp(eta)
-            if not _positive(lam):
-                raise ValueError("the rate exp(eta) underflows to 0")
-            # exponential: (1 - e^(-lam tau)) / lam
-            value = (-np.expm1(-lam * tau) / lam if family is Family.EXPONENTIAL
-                     else _weibull_rmst(eta, shape, tau))
-        elif family is Family.LOG_LOGISTIC:
-            value = _loglogistic_rmst(eta, shape, 0.0 if log_v is None else log_v, tau)
-        else:
-            value = _lognormal_rmst(eta, shape, log_v, tau)
+        value = _FORMS[family](eta, shape, log_v, tau)
     # an RMST is positive, so a 0 is an underflow
     bad = ~((value > 0.0) & (value < math.inf))
     if bad.any():

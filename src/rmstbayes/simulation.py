@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .families import Family
+from .families import Family, _finite
 from .inference import ModelSpec, SurvivalDataset
 from .rmst import rmst_closed_form, rmst_difference
 from .sampler import SamplerConfig, run_chains
@@ -51,7 +51,8 @@ _SCENARIOS = {
 class ScenarioConfig:
     """One scenario's run settings; its family and shape are fixed by the
     scenario (see _SCENARIOS), and ``beta`` defaults to it.  ``n`` is a
-    positive multiple of 2 * _CLUSTERS, ``replications`` >= 1, ``seed`` >= 0."""
+    positive multiple of 2 * _CLUSTERS, ``replications`` >= 1, ``seed`` >= 0;
+    ``beta`` is three finite numbers and the effect variance finite, >= 0."""
 
     scenario: str
     n: int = 512
@@ -67,6 +68,11 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose A, B, or C")
         if not self.beta:
             object.__setattr__(self, "beta", _SCENARIOS[self.scenario].beta)
+        if len(self.beta) != 3 or not _finite(self.beta):
+            raise ValueError(f"beta must be three finite numbers, got {self.beta}")
+        if not 0.0 <= self.random_effect_variance < math.inf:
+            raise ValueError("random_effect_variance must be finite and at least 0, "
+                             f"got {self.random_effect_variance}")
         if self.n < 2 * _CLUSTERS:
             raise ValueError(f"n must be at least {2 * _CLUSTERS} (2 * clusters), got {self.n}")
         if self.n % (2 * _CLUSTERS) != 0:

@@ -3,9 +3,9 @@ restricted-mean formulas.
 
 The incomplete gamma, the incomplete beta and the normal tails apply
 elementwise over numpy arrays and to scalars (a float for scalar input).
-The series and continued fractions of the incomplete integrals run on one
-live-set loop, ``_converge``, which drops each element at its own
-convergence.  The normal tails are numpy throughout: both rest on one
+The series of both incomplete integrals and the gamma's continued fraction
+run on one live-set loop, ``_converge``, which drops each element at its
+own convergence.  The normal tails are numpy throughout: both rest on one
 piecewise-polynomial erfcx(a) = e^(a^2) erfc(a), and never form e^(-x^2/2)
 from a rounded x^2.  ``math.lgamma`` meets arrays through one helper,
 ``_elementwise``.  The code depends on nothing beyond numpy.  All functions

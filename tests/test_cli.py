@@ -130,6 +130,16 @@ def test_rmst_prefactor_overflowing_beside_underflowing_integral(capsys):
     assert capsys.readouterr().out.strip() == "RMST(tau=100) = 100.0000"
 
 
+def test_rmst_lognormal_frailty_form(capsys):
+    # the paper's approximate frailty form, e^(mu + sigma^2/2)(1 - S(z1)^v)/v
+    # + tau S(z0)^v: S(z1) is 1 - 1.6e-17, so 1 - S(z1)^v must not be formed by
+    # subtraction (that gives 87.00187)
+    code = main(["rmst", "--family", "lognormal", "--mu", "10", "--sigma2", "60",
+                 "--v", "0.5", "--tau", "100"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "RMST(tau=100) = 90.65965"
+
+
 def test_usage_errors_exit_two(csv_path, monkeypatch, capsys):
     # invalid values are rejected before any sampling
     monkeypatch.setattr("rmstbayes.cli.run_chains", None)

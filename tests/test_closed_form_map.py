@@ -5,10 +5,11 @@ The box: eta in [-40, 40], the shape k in [0.005, 30], sigma^2 in
 [0.01, 100), a frailty v in [0.05, 20] and two horizons.  A random effect
 only moves eta, so the exact forms are exponential and Weibull (a frailty
 folds into eta), log-logistic with and without a frailty, and log-normal
-without one; the log-normal frailty form is the paper's approximation.  The
-oracles are exact special functions, not quadrature: ``mp.gammainc`` for the
-proportional-hazard forms, Euler's integral tau 2F1(v, 1/k; 1 + 1/k; -e^mu
-tau^k) for log-logistic and ``mp.ncdf`` for log-normal.
+without one.  The log-normal frailty form is the paper's approximation, and
+is checked against its own formula.  The oracles are exact special
+functions, not quadrature: ``mp.gammainc`` for the proportional-hazard forms,
+Euler's integral tau 2F1(v, 1/k; 1 + 1/k; -e^mu tau^k) for log-logistic and
+``mp.ncdf`` for log-normal.
 
 Each point matches to 1e-10 relative, or its value lies below the normal
 floating-point range and the form refuses it with ValueError.  No point may
@@ -49,29 +50,35 @@ def _exact(family, eta, shape, v, tau) -> float:
         if family is Family.LOG_LOGISTIC:
             k = mp.mpf(shape)
             return float(tau * mp.hyp2f1(v, 1 / k, 1 + 1 / k, -mp.exp(eta) * tau ** k))
+        # e^(mu + sigma^2/2)(1 - Q(z1)^v)/v + tau Q(z0)^v, Q = 1 - Phi: exact at
+        # v = 1, the paper's approximation otherwise.  Below z1 = 0, log Q(z1)
+        # is formed from Phi(z1) itself: Q(z1) rounds to 1 at 40 digits once
+        # Phi(z1) < 1e-40, and 1 - Q(z1)^v would be 0
         sigma2 = mp.mpf(shape)
         sigma, log_tau = mp.sqrt(sigma2), mp.log(tau)
-        return float(mp.exp(eta + sigma2 / 2) * mp.ncdf((log_tau - eta - sigma2) / sigma)
-                     + tau * mp.ncdf((eta - log_tau) / sigma))
+        z1, z0 = (log_tau - eta - sigma2) / sigma, (log_tau - eta) / sigma
+        log_q1 = mp.log(mp.ncdf(-z1)) if z1 > 0 else mp.log1p(-mp.ncdf(z1))
+        return float(mp.exp(eta + sigma2 / 2) * -mp.expm1(v * log_q1) / v
+                     + tau * mp.ncdf(-z0) ** v)
 
 
-def _points(family):
+def _points(family, frailties=_FRAILTIES):
     """(eta, shape, v, tau) over the box for one family."""
     shapes = {Family.EXPONENTIAL: (None,), Family.LOG_NORMAL: _SIGMA2}.get(family, _SHAPES)
-    frailties = (1.0,) if family is Family.LOG_NORMAL else _FRAILTIES
     return [(eta, shape, v, tau) for eta in _ETAS for shape in shapes
             for v in frailties for tau in _TAUS]
 
 
-def _misses(family, points):
+def _misses(family, points, kind=None):
     """The points that neither match the oracle nor refuse a value below the
-    normal range."""
+    normal range; each is a frailty, or no effect at v = 1 when ``kind`` is
+    None."""
     misses = []
     for eta, shape, v, tau in points:
         exact = _exact(family, eta, shape, v, tau)
-        kind = EffectKind.NONE if v == 1.0 else EffectKind.FRAILTY
+        at = kind or (EffectKind.NONE if v == 1.0 else EffectKind.FRAILTY)
         try:
-            got = rmst_closed_form(family, eta, shape, tau, kind, math.log(v))
+            got = rmst_closed_form(family, eta, shape, tau, at, math.log(v))
         except ValueError:
             if exact >= sys.float_info.min:
                 misses.append((eta, shape, v, tau, "ValueError", exact))
@@ -85,7 +92,16 @@ def _misses(family, points):
 
 @pytest.mark.parametrize("family", list(Family))
 def test_exact_closed_forms_match_mpmath_over_the_box(family):
-    assert _misses(family, _points(family)) == []
+    frailties = (1.0,) if family is Family.LOG_NORMAL else _FRAILTIES
+    assert _misses(family, _points(family, frailties)) == []
+
+
+def test_lognormal_frailty_form_matches_its_formula_over_the_box():
+    # 510 frailty points, v = 1 among them.  Where Q(z1) rounds to 1,
+    # 1 - Q(z1)^v by subtraction loses every digit (mu = -15, sigma^2 = 99,
+    # v = 20, tau = 0.5 would give 1.7e-23 for 0.0082)
+    points = _points(Family.LOG_NORMAL)
+    assert _misses(Family.LOG_NORMAL, points, EffectKind.FRAILTY) == []
 
 
 @pytest.mark.parametrize("family, eta, shape", [

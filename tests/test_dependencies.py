@@ -25,7 +25,7 @@ run_chains(generate_scenario(ScenarioConfig("C", n=64), 0), ModelSpec("weibull",
 draws = run_chains(generate_scenario(ScenarioConfig("B", n=64), 0),
                    ModelSpec("lognormal", "random"), cfg)
 rmst_difference(draws, 100.0)
-# log-logistic shapes on both sides of 1: the beta's continued fraction and series
+# log-logistic shapes on both sides of 1: the beta's second argument of either sign
 rmstbayes.rmst_value(rmstbayes.FamilyParams.loglogistic(-5.0, np.array([0.7, 1.6])),
                      rmstbayes.NO_EFFECT, 100.0)
 print(sorted(m for m in ("scipy", "mpmath") if m in sys.modules))

@@ -678,13 +678,25 @@ def test_nan_eta_rejected_by_every_family(fam):
 
 
 @pytest.mark.parametrize("fam", [Family.EXPONENTIAL, Family.WEIBULL])
-def test_underflowing_rate_rejected_without_warning(fam):
-    # eta is finite, but exp(eta) rounds to 0, where the closed forms divide
-    # by the rate or take its log
-    with pytest.raises(ValueError, match="underflows"):
-        R.rmst_closed_form(fam, np.array([-4.0, -800.0]), 1.5, 100.0)
-    with pytest.raises(ValueError, match="underflows"):
-        R.rmst_closed_form(fam, -700.0, 1.5, 100.0, EffectKind.FRAILTY, -100.0)
+def test_underflowing_rate_gives_tau_without_warning(fam):
+    # eta is finite, but exp(eta) rounds to 0: S = 1 up to tau
+    shape = None if fam is Family.EXPONENTIAL else 1.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = R.rmst_closed_form(fam, np.array([-4.0, -800.0]), shape, 100.0)
+        assert got[0] < 100.0 and got[1] == 100.0
+        assert R.rmst_closed_form(fam, -800.0, shape, 100.0) == 100.0
+        assert R.rmst_closed_form(fam, -800.0, shape, 100.0, EffectKind.FRAILTY, 3.0) == 100.0
+        assert R.rmst_closed_form(fam, -700.0, shape, 100.0, EffectKind.FRAILTY, -100.0) == 100.0
+
+
+@pytest.mark.parametrize("kind, effect", [(EffectKind.NONE, 0.0), (EffectKind.RANDOM, 0.7),
+                                          (EffectKind.FRAILTY, -0.4)])
+def test_exponential_is_the_weibull_form_at_shape_one(kind, effect):
+    eta = np.linspace(-40.0, 8.0, 49)
+    for tau in (0.5, 100.0):
+        assert np.array_equal(R.rmst_closed_form(Family.EXPONENTIAL, eta, None, tau, kind, effect),
+                              R.rmst_closed_form(Family.WEIBULL, eta, 1.0, tau, kind, effect))
 
 
 @pytest.mark.parametrize("fam, eta, shape", [

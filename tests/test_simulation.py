@@ -30,6 +30,13 @@ def test_config_validation():
         ScenarioConfig("C", replications=0)
     with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
         ScenarioConfig("C", seed=-1)
+    for beta in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0), (1.0, math.nan, 0.0), (1.0, 0.0, math.inf)):
+        with pytest.raises(ValueError, match="beta must be three finite numbers"):
+            ScenarioConfig("C", beta=beta)
+    for variance in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="random_effect_variance must be finite and at least 0"):
+            ScenarioConfig("C", random_effect_variance=variance)
+    assert ScenarioConfig("C", random_effect_variance=0.0).random_effect_variance == 0.0
 
 
 def test_generator_is_deterministic():
