@@ -150,30 +150,40 @@ def log_hazard_survival(family: Family, eta, shape, t, logt,
     shape with (n,) ``eta`` and effects, or a (B, 1) column of shapes with
     (B, n) ones, one row per draw).  ``effect`` is the cluster effect on the
     sampling scale: a random offset u shifts eta, and a frailty given as
-    log v scales log S by v and adds log v to log h.
+    log v scales log S by v and adds log v to log h.  Both are formed in
+    place in two fresh arrays (0-d for scalar input); no argument is written.
     """
     if kind is EffectKind.RANDOM:
         eta = eta + effect
+    full = np.broadcast(eta, logt).shape  # shape and effect broadcast against eta
+    h, s = np.empty(full), np.empty(full)
     if family is Family.EXPONENTIAL:
-        log_h = eta
-        log_s = -np.exp(eta) * t
-    elif family is Family.WEIBULL:
-        log_h = eta + np.log(shape) + (shape - 1.0) * logt
-        log_s = -np.exp(eta + shape * logt)
-    elif family is Family.LOG_LOGISTIC:
-        log_s = -np.logaddexp(0.0, eta + shape * logt)  # S = 1/(1 + e^eta t^k)
-        log_h = eta + np.log(shape) + (shape - 1.0) * logt + log_s
-    else:
-        z = (logt - eta) / np.sqrt(shape)
-        log_pdf = -logt - 0.5 * np.log(shape) - _LOG_SQRT_2PI - 0.5 * z * z
+        h[...] = eta
+        np.multiply(np.negative(np.exp(eta, out=s), out=s), t, out=s)  # log S = -e^eta t
+    elif family is Family.LOG_NORMAL:
+        np.divide(np.subtract(logt, eta, out=s), np.sqrt(shape), out=s)  # z
+        np.subtract(-logt, 0.5 * np.log(shape), out=h)
+        h -= _LOG_SQRT_2PI
+        half_z2 = np.multiply(0.5, s)
+        half_z2 *= s
+        h -= half_z2  # log f = -log t - log sigma - log sqrt(2 pi) - z^2/2
         if event is not None and kind is not EffectKind.FRAILTY:
-            log_pdf[..., censored] = log_std_normal_sf(z[..., censored])
-            return log_pdf
-        log_s = log_std_normal_sf(z)
-        log_h = log_pdf - log_s
+            h[..., censored] = log_std_normal_sf(s[..., censored])
+            return h
+        s = log_std_normal_sf(s)
+        h -= s
+    else:
+        np.add(eta, np.log(shape), out=h)
+        h += np.multiply(shape - 1.0, logt, out=s)  # (eta + log k) + (k - 1) log t
+        np.add(np.multiply(shape, logt, out=s), eta, out=s)  # w = eta + k log t
+        if family is Family.WEIBULL:
+            np.negative(np.exp(s, out=s), out=s)  # log S = -e^w
+        else:  # S = 1/(1 + e^w)
+            h += np.negative(np.logaddexp(0.0, s, out=s), out=s)
     if kind is EffectKind.FRAILTY:
-        log_h, log_s = effect + log_h, np.exp(effect) * log_s
-    return (log_h, log_s) if event is None else event * log_h + log_s
+        h += effect
+        s *= np.exp(effect)
+    return (h, s) if event is None else np.add(np.multiply(event, h, out=h), s, out=h)
 
 
 def kernel_args(p: FamilyParams, e: EffectValue) -> tuple:

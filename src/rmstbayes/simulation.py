@@ -52,7 +52,7 @@ class ScenarioConfig:
     """One scenario's run settings; its family and shape are fixed by the
     scenario (see _SCENARIOS), and ``beta`` defaults to it.  ``n`` is a
     positive multiple of 2 * _CLUSTERS, ``replications`` >= 1, ``seed`` >= 0;
-    ``beta`` is three finite numbers and the effect variance finite, >= 0."""
+    ``beta`` is three finite numbers, the effect variance finite, >= 0, ``tau`` finite, > 0."""
 
     scenario: str
     n: int = 512
@@ -70,6 +70,8 @@ class ScenarioConfig:
             object.__setattr__(self, "beta", _SCENARIOS[self.scenario].beta)
         if len(self.beta) != 3 or not _finite(self.beta):
             raise ValueError(f"beta must be three finite numbers, got {self.beta}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if not 0.0 <= self.random_effect_variance < math.inf:
             raise ValueError("random_effect_variance must be finite and at least 0, "
                              f"got {self.random_effect_variance}")

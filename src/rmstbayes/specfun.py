@@ -3,13 +3,13 @@ restricted-mean formulas.
 
 The incomplete gamma, the incomplete beta and the normal tails apply
 elementwise over numpy arrays and to scalars (a float for scalar input).
-The series of both incomplete integrals and the gamma's continued fraction
-run on one live-set loop, ``_converge``, which drops each element at its
-own convergence.  The normal tails are numpy throughout: both rest on one
-piecewise-polynomial erfcx(a) = e^(a^2) erfc(a), and never form e^(-x^2/2)
-from a rounded x^2.  ``math.lgamma`` meets arrays through one helper,
-``_elementwise``.  The code depends on nothing beyond numpy.  All functions
-are pure and thread-safe.
+Their series and the gamma's continued fraction run on one live-set loop,
+``_converge``, which writes each element at its own convergence and shrinks
+its arrays only when a step leaves half or fewer live.  The normal tails,
+numpy throughout, rest on one piecewise-polynomial erfcx(a) = e^(a^2)
+erfc(a) and never form e^(-x^2/2) from a rounded x^2.  ``math.lgamma``
+(through ``_elementwise``) runs only on the elements whose value uses it.
+Numpy is the one dependency; all functions are pure and thread-safe.
 
 Conventions: the incomplete gamma and incomplete beta integrals are
 *non-regularized*, i.e. the raw integrals, times e^L for a trailing log
@@ -257,19 +257,25 @@ def _converge(step, state, what: str) -> np.ndarray:
     """The live-set loop under every expansion here: ``state`` is a tuple of
     1-D arrays of one length, and ``step(n, *state)`` for n = 1, 2, ...
     returns the next state and a mask of the elements that have converged.
-    Each element leaves the live set at its own convergence, as a scalar loop
-    would stop; the result is the first state array as it stood then."""
+    Each element's result is the first state array as it stood at its own
+    convergence, as a scalar loop would stop.  The arrays shrink to the live
+    elements only after a step that converges some and leaves at most half
+    live; until then converged elements keep stepping, never read again."""
     out = np.empty_like(state[0])
-    left = np.arange(len(out))
-    for n in range(1, _MAX_ITER + 1):
+    index, live = np.arange(len(out)), np.ones(len(out), dtype=bool)
+    n = 0
+    while len(index):
+        if n == _MAX_ITER:
+            raise RuntimeError(f"{what} failed to converge")
+        n += 1
         state, done = step(n, *state)
-        out[left[done]] = state[0][done]
-        keep = ~done
-        left = left[keep]
-        if not len(left):
-            return out
-        state = tuple(x[keep] for x in state)
-    raise RuntimeError(f"{what} failed to converge")
+        done &= live
+        if done.any():
+            out[index[done]] = state[0][done]
+            live ^= done
+            if 2 * np.count_nonzero(live) <= len(live):
+                index, state, live = index[live], tuple(x[live] for x in state), live[live]
+    return out
 
 
 def _not_tiny(x: np.ndarray) -> np.ndarray:
@@ -312,10 +318,10 @@ def lower_incomplete_gamma(z, a, log_factor=0.0):
     each on its own part of the array.  ``log_factor`` joins the exponent of
     each part's one exp, so a factor that overflows beside an integral that
     underflows is never formed: the series is
-    e^(log_factor - z + a log z) sum_n z^n / (a (a+1) ... (a+n)), and past
-    a + 1 the value is e^(log_factor) Gamma(a) (1 - Q), where Q carries the
-    front e^(-z) z^a / Gamma(a).  Where that front underflows (exponent
-    < -746), Q is below one ulp of 1, and the value is the one at z = inf.
+    e^(log_factor - z + a log z) sum_n z^n / (a (a+1) ... (a+n)); past a + 1,
+    the one part that takes log Gamma(a), it is e^(log_factor) Gamma(a) (1 - Q),
+    with Q's front e^(-z) z^a / Gamma(a).  Where that front underflows
+    (exponent < -746), Q is below one ulp of 1: the value at z = inf.
     """
     z, a, log_factor = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                              for x in (z, a, log_factor)))
@@ -325,17 +331,19 @@ def lower_incomplete_gamma(z, a, log_factor=0.0):
         raise ValueError(f"lower_incomplete_gamma requires a > 0, got a={a[~(a > 0.0)][0]}")
     if not np.all(z >= 0.0):
         raise ValueError(f"lower_incomplete_gamma requires z >= 0, got z={z[~(z >= 0.0)][0]}")
-    log_gamma_a = _elementwise(math.lgamma, a)
-    out = np.exp(log_factor + log_gamma_a)  # the value at z = inf
-    out[z == 0.0] = 0.0
+    out = np.zeros_like(z)  # the value at z = 0
     with np.errstate(divide="ignore", invalid="ignore"):  # -inf at z = 0, nan at z = inf
         log_power = -z + a * np.log(z)
     lower = (z > 0.0) & (z < a + 1.0)
-    upper = (z >= a + 1.0) & (log_power - log_gamma_a >= -746.0)
     term = 1.0 / a[lower]
     out[lower] = _converge(_gamma_series_step, (term, term, a[lower], z[lower]),
                            "incomplete gamma series") * np.exp(log_factor[lower] + log_power[lower])
-    out[upper] *= 1.0 - _reg_gamma_cf(z[upper], a[upper], (log_power - log_gamma_a)[upper])
+    upper = z >= a + 1.0
+    log_gamma_a = _elementwise(math.lgamma, a[upper])
+    out[upper] = np.exp(log_factor[upper] + log_gamma_a)  # the value at z = inf
+    log_power[upper] -= log_gamma_a  # there the log of Q's front
+    cf = upper & (log_power >= -746.0)
+    out[cf] *= 1.0 - _reg_gamma_cf(z[cf], a[cf], log_power[cf])
     return out.reshape(shape) if shape else float(out[0])
 
 

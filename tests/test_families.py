@@ -205,6 +205,36 @@ def test_block_of_shapes_equals_scalar_calls_bitwise(family, kind):
         assert np.array_equal(log_h[row], h) and np.array_equal(log_s[row], s)
 
 
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("kind", list(EffectKind))
+@pytest.mark.parametrize("block", [False, True])
+def test_kernel_writes_no_argument(family, kind, block):
+    # both return forms, with (n,) eta and a (1,) shape as one draw and with
+    # (B, n) eta and a (B, 1) shape column as a block; the arguments are read
+    # only, so a write into one raises, and their bytes are unchanged after
+    rng = np.random.default_rng(31)
+    lead, n = ((4,) if block else ()), 30
+    t = rng.exponential(30.0, n) + 0.1
+    event = (rng.random(n) < 0.6).astype(float)
+    args = {"eta": rng.normal(-4.0, 1.0, (*lead, n)),
+            "shape": None if family is Family.EXPONENTIAL
+            else np.exp(rng.normal(0.2, 0.4, (*lead, 1))),
+            "t": t, "logt": np.log(t), "event": event,
+            "censored": np.flatnonzero(event == 0.0)}
+    if kind is not EffectKind.NONE:
+        args["effect"] = rng.normal(0.0, 0.5, args["eta"].shape)
+    before = {}
+    for name, x in args.items():
+        if x is not None:
+            x.flags.writeable = False
+            before[name] = x.tobytes()
+    rest = {k: v for k, v in args.items() if k not in ("event", "censored")}
+    log_h, log_s = log_hazard_survival(family, kind=kind, **rest)
+    rows_term = log_hazard_survival(family, kind=kind, **args)
+    assert rows_term.shape == log_h.shape == log_s.shape == args["eta"].shape
+    assert {name: args[name].tobytes() for name in before} == before
+
+
 def _scale_params(monkeypatch, argv):
     """The FamilyParams that `rmstbayes rmst --scale` builds, or None if it
     exits before computing an RMST."""

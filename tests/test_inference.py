@@ -111,6 +111,26 @@ def test_pointwise_sums_to_total(family, effect):
     assert math.isclose(float(pw.sum()), lp - log_prior(model, theta), rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("effect", list(EffectKind))
+def test_pointwise_writes_neither_theta_nor_the_model(family, effect):
+    # theta and every per-row array of the compiled model are read only, so
+    # a write into one raises, and their bytes are unchanged after
+    model = Model(_toy(), ModelSpec(family, effect))
+    theta = np.random.default_rng(7).normal(-1.0, 0.5, (3, model.layout.dim))
+    arrays = {"theta": theta, **{name: value for name, value in vars(model).items()
+                                 if isinstance(value, np.ndarray)}}
+    assert {"x", "time", "event", "censored", "logt", "cluster"} <= set(arrays)
+    before = {}
+    for name, x in arrays.items():
+        x.flags.writeable = False
+        before[name] = x.tobytes()
+    rows = pointwise_log_likelihood(model, theta)
+    one_by_one = [pointwise_log_likelihood(model, th) for th in theta]
+    assert rows.tobytes() == np.stack(one_by_one).tobytes()
+    assert {name: x.tobytes() for name, x in arrays.items()} == before
+
+
 def test_pointwise_matches_row_by_row_scalar_evaluation():
     data = _toy(n=9, clusters=3)
     spec = ModelSpec(Family.LOG_LOGISTIC, EffectKind.RANDOM)

@@ -1,7 +1,8 @@
 """Closed-form restricted-mean formulas against the adaptive-Simpson
 quadrature oracle, reference values, analytic limits, and per-draw
-posterior evaluation."""
+posterior evaluation, whose outputs and WAIC are pinned bit for bit."""
 
+import hashlib
 import inspect
 import itertools
 import math
@@ -17,7 +18,8 @@ from rmstbayes.families import (EffectKind, EffectValue, Family, FamilyParams,
                                 NO_EFFECT, frailty, kernel_args, log_hazard_survival,
                                 random_offset)
 from rmstbayes.specfun import incomplete_beta_compl, lower_incomplete_gamma
-from rmstbayes.inference import ModelSpec, ParamLayout
+from rmstbayes.inference import ModelSpec, ParamLayout, SurvivalDataset
+from rmstbayes.model_selection import waic
 from rmstbayes.sampler import PosteriorDraws, SamplerConfig
 from tests.conftest import log_h_s
 
@@ -716,3 +718,56 @@ def test_frailty_draw_of_zero_refused():
     with pytest.raises(ValueError, match="positive"):
         R.rmst_distribution(draws, 100.0, 0, cluster=1)
     assert R.rmst_distribution(draws, 100.0, 0, cluster=2).values.shape == (3,)
+
+
+def _pinned_dataset():
+    """A seeded two-cluster, two-column dataset of the layout that
+    ``_posterior_rows`` draws for, with events and censored rows."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([29])))
+    n = 48
+    x1 = (np.arange(n) % 2).astype(float)
+    event = (rng.random(n) < 0.7).astype(int)
+    return SurvivalDataset(time=rng.exponential(40.0, n) + 0.01, event=event,
+                           x=np.column_stack([np.ones(n), x1]),
+                           cluster=np.repeat([1, 2], n // 2))
+
+
+# SHA-256 of rmst_difference's three vectors (marginal and, with effects,
+# cluster 1) and of the bytes of waic's four fields, on seeded synthetic
+# draws of every family x effect: a rewrite of the posterior side (the
+# closed forms, their special functions, the likelihood's row term) that
+# moves any value by one bit fails here.  The WAIC leaves out the edge draws
+# of _posterior_rows, whose likelihood underflows.  Same IEEE-754 and numpy
+# caveats as the sampler's KERNEL_DIGESTS.
+POSTERIOR_DIGESTS = {
+    ("exponential", "none"): "dab9bd8d49d31f95418bb309f5bef05e5895e47c28baa9ba34c994b734ce5b51",
+    ("exponential", "random"): "1e93a51bb1d51e1f626a0ba4a79cc42f9f1ebbba8992e49cc51bdb0d7d8b6495",
+    ("exponential", "frailty"): "1e7e6700c0f92657cf7135cd846b32c12387785d5da7231b41f731f57641752a",
+    ("weibull", "none"): "e47f47184ff2dc201ce419724a8eb9230c0a5133f44dc056333272b3b02f57db",
+    ("weibull", "random"): "6dbf9d3d32bf4a020b7faa785d1860b4538a3959ae7ba686cd2a4331a64bbe7b",
+    ("weibull", "frailty"): "ec3404988c3797690a0e4688e8bb7c033b9c07d40822739f1070619d7f73094f",
+    ("loglogistic", "none"): "e0afaea79234c7ac89835d4534c6e9de09540069637d5eb31cbe741d56ff45e1",
+    ("loglogistic", "random"): "301126e2b7a1851ff7c64085c9e2ed3d8d263fa360910ff31f432bcb656856d7",
+    ("loglogistic", "frailty"): "b687dee3ea9e4f496914a545b36de334f0df6b6d3be398e8f8e401b539514351",
+    ("lognormal", "none"): "4aec627f75edce30557b79c64711546a471a178ed3a5230047247374190d9773",
+    ("lognormal", "random"): "61b42561297c8d25a1b6283fc3c79ab6a8030ad04f9410b6b9c6d60d01460fb4",
+    ("lognormal", "frailty"): "08a9ef12828ec2e9a42a1b2194ebad638685109e37ab2ebf617fe1eab1b1a1e6",
+}
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("effect", list(EffectKind))
+def test_posterior_outputs_are_pinned(family, effect):
+    rng = np.random.default_rng(2900 + 10 * list(Family).index(family)
+                                + list(EffectKind).index(effect))
+    rows = _posterior_rows(family, effect, rng)
+    draws = _fake_draws(family, rows, effect, n_clusters=2)
+    digest = hashlib.sha256()
+    for cluster in (None, 1) if effect is not EffectKind.NONE else (None,):
+        for vector in R.rmst_difference(draws, 100.0, cluster):
+            digest.update(vector.values.tobytes())
+    result = waic(_pinned_dataset(), draws.spec,
+                  _fake_draws(family, rows[:-5], effect, n_clusters=2))
+    digest.update(np.array([result.lppd, result.p_waic]).tobytes())
+    digest.update(result.pointwise_lppd.tobytes() + result.pointwise_p.tobytes())
+    assert digest.hexdigest() == POSTERIOR_DIGESTS[family.value, effect.value]

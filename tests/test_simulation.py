@@ -36,6 +36,9 @@ def test_config_validation():
     for variance in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="random_effect_variance must be finite and at least 0"):
             ScenarioConfig("C", random_effect_variance=variance)
+    for tau in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            ScenarioConfig("C", tau=tau)
     assert ScenarioConfig("C", random_effect_variance=0.0).random_effect_variance == 0.0
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import log_ndtr, ndtr
 
+import rmstbayes.specfun as S
 from rmstbayes.specfun import (incomplete_beta_compl,
                                log_std_normal_sf, lower_incomplete_gamma,
                                std_normal_sf)
@@ -89,6 +90,69 @@ def test_lower_incomplete_gamma_monotone_in_z(a, z1, z2):
     lo, hi = sorted((z1, z2))
     bound = lower_incomplete_gamma(hi, a) * (1 + 4 * sys.float_info.epsilon)
     assert lower_incomplete_gamma(lo, a) <= bound
+
+
+# -------------------------------------------------------- live-set loop ---
+
+def _expansion_states(which, rng, size):
+    """(step, state) of one expansion on seeded inputs whose elements converge
+    at widely spread steps, as its caller builds the state."""
+    a = rng.uniform(0.05, 60.0, size)
+    ones = np.ones(size)
+    if which == "gamma series":  # z < a + 1
+        term = 1.0 / a
+        return S._gamma_series_step, (term, term, a, (a + 1.0) * rng.uniform(0.0, 1.0, size))
+    if which == "gamma continued fraction":  # z >= a + 1
+        b = 2.0 + rng.exponential(20.0, size)  # z + 1 - a
+        return S._gamma_cf_step, (1.0 / b, ones / S._TINY, 1.0 / b, b, a)
+    return S._beta_head_step, (ones, ones, rng.uniform(0.01, 0.9, size), a,
+                               rng.uniform(0.1, 30.0, size))
+
+
+@pytest.mark.parametrize("which", ["gamma series", "gamma continued fraction", "beta head"])
+def test_converge_matches_one_element_loops_bitwise(which):
+    # each element's value is the one a loop over that element alone gives,
+    # whichever steps its neighbours converge at
+    step, state = _expansion_states(which, np.random.default_rng(29), 200)
+    got = S._converge(step, state, which)
+    steps = []
+
+    def counted(n, *x):
+        steps[-1] = n
+        return step(n, *x)
+
+    for i in range(len(got)):
+        steps.append(0)
+        alone = S._converge(counted, tuple(x[i:i + 1] for x in state), which)
+        assert alone.tobytes() == got[i:i + 1].tobytes(), i
+    assert len(set(steps)) >= 20 and max(steps) >= 4 * min(steps), sorted(set(steps))
+
+
+def test_converge_returns_at_once_on_an_empty_state():
+    def step(n, *state):
+        raise AssertionError("an empty state was stepped")
+
+    assert S._converge(step, (np.empty(0), np.empty(0)), "no expansion").shape == (0,)
+    # all on the series, or all on the continued fraction: the other part of
+    # the loop is handed an empty subset
+    for z in ([0.5, 2.0, 5.0], [7.0, 20.0, 90.0]):
+        got = lower_incomplete_gamma(np.array(z), 5.0)
+        assert got.tolist() == [lower_incomplete_gamma(x, 5.0) for x in z]
+
+
+def test_converge_names_the_expansion_that_fails():
+    # element x converges at step n = x + 1; _MAX_ITER steps are taken, no more
+    def step(n, x):
+        return (x,), x < n
+
+    last = float(S._MAX_ITER - 1)
+    assert S._converge(step, (np.array([1.0, 7.0, last]),), "toy").tolist() == [1.0, 7.0, last]
+    with pytest.raises(RuntimeError, match="^toy expansion failed to converge$"):
+        S._converge(step, (np.array([1.0, 7.0, last + 1.0]),), "toy expansion")
+    # at z = a = 1e8 the series needs about 1e5 terms; its neighbours converge
+    with (pytest.raises(RuntimeError, match="^incomplete gamma series failed to converge$"),
+          np.errstate(over="ignore")):  # its front e^(-z) z^a overflows
+        lower_incomplete_gamma(np.array([0.5, 1e8, 2.0, 1.0]), np.array([1.0, 1e8, 3.0, 2.0]))
 
 
 # ----------------------------------------------------------------- beta ---
