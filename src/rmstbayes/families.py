@@ -157,9 +157,11 @@ def log_hazard_survival(family: Family, eta, shape, t, logt,
         eta = eta + effect
     full = np.broadcast(eta, logt).shape  # shape and effect broadcast against eta
     h, s = np.empty(full), np.empty(full)
+    # s holds log S for log-normal and -log S for the other families, which
+    # are negated only when log S itself is returned
     if family is Family.EXPONENTIAL:
         h[...] = eta
-        np.multiply(np.negative(np.exp(eta, out=s), out=s), t, out=s)  # log S = -e^eta t
+        np.multiply(np.exp(eta, out=s), t, out=s)  # -log S = e^eta t
     elif family is Family.LOG_NORMAL:
         np.divide(np.subtract(logt, eta, out=s), np.sqrt(shape), out=s)  # z
         np.subtract(-logt, 0.5 * np.log(shape), out=h)
@@ -177,13 +179,17 @@ def log_hazard_survival(family: Family, eta, shape, t, logt,
         h += np.multiply(shape - 1.0, logt, out=s)  # (eta + log k) + (k - 1) log t
         np.add(np.multiply(shape, logt, out=s), eta, out=s)  # w = eta + k log t
         if family is Family.WEIBULL:
-            np.negative(np.exp(s, out=s), out=s)  # log S = -e^w
+            np.exp(s, out=s)  # -log S = e^w
         else:  # S = 1/(1 + e^w)
-            h += np.negative(np.logaddexp(0.0, s, out=s), out=s)
+            h -= np.logaddexp(0.0, s, out=s)
     if kind is EffectKind.FRAILTY:
         h += effect
         s *= np.exp(effect)
-    return (h, s) if event is None else np.add(np.multiply(event, h, out=h), s, out=h)
+    negated = family is not Family.LOG_NORMAL
+    if event is None:
+        return h, np.negative(s, out=s) if negated else s
+    np.multiply(event, h, out=h)
+    return np.subtract(h, s, out=h) if negated else np.add(h, s, out=h)
 
 
 def kernel_args(p: FamilyParams, e: EffectValue) -> tuple:

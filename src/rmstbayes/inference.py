@@ -27,7 +27,10 @@ its state; a cluster's log-likelihood is the bincount of those rows by
 ``effect_log_prior`` take one draw (dim,) or a block (B, dim) of draws (the
 sampler's chains, WAIC's draws) through one evaluation, each draw's shape
 or phi broadcast as a column, and ``log_posterior`` evaluates a single draw
-as a block of one; ``log_prior`` takes one draw, in Python floats.
+as a block of one, checking a block once for all its draws; ``log_prior``
+takes one draw, in Python floats.  ``log_posterior`` and
+``pointwise_log_likelihood`` also take the draws' x @ beta when the caller
+carries it.
 """
 
 from __future__ import annotations
@@ -206,14 +209,16 @@ def _check_theta(layout: ParamLayout, theta: np.ndarray, blocks: bool = False) -
     return theta
 
 
-def pointwise_log_likelihood(model: Model, theta: np.ndarray) -> np.ndarray:
+def pointwise_log_likelihood(model: Model, theta: np.ndarray, xb=None) -> np.ndarray:
     """Per-row delta*log f + (1-delta)*log S: the log-likelihood's terms, (n,)
     for one draw theta (dim,), or (B, n) for a block (B, dim) of draws, in
     one kernel call with each draw's shape as a column, which forms the row
-    term (the log-normal tail without frailty on censored rows only)."""
+    term (the log-normal tail without frailty on censored rows only).
+    ``xb``, the draws' x @ beta of the same shape, is formed when not given
+    (the sampler carries it)."""
     layout, spec = model.layout, model.spec
     theta = _check_theta(layout, theta, blocks=True)
-    eta = theta[..., : layout.q] @ model.x.T
+    eta = theta[..., : layout.q] @ model.x.T if xb is None else xb
     k = layout.shape_index
     shape = None if k is None else np.exp(theta[..., k, None])
     # take by precomputed column: theta[..., effects][..., cluster] is slower
@@ -232,12 +237,16 @@ def log_prior(model: Model, theta: np.ndarray, effect_sum: float | None = None) 
 
     Returns -inf when phi or sigma^2 fall outside their uniform supports.
     """
+    theta = _check_theta(model.layout, theta)
+    return _log_prior(model, theta, theta.tolist(), effect_sum)
+
+
+def _log_prior(model: Model, theta: np.ndarray, values: list, effect_sum) -> float:
+    """``log_prior`` of a checked draw theta whose ``theta.tolist()`` is
+    ``values``: Python floats, since on a handful of values numpy's per-call
+    cost dominates.  The beta terms are summed left to right from 0.0,
+    numpy's order for fewer than 8 terms."""
     spec, layout = model.spec, model.layout
-    theta = _check_theta(layout, theta)
-    # Python floats: on a handful of values numpy's per-call cost dominates.
-    # The beta terms are summed left to right from 0.0, numpy's order for
-    # fewer than 8 terms.
-    values = theta.tolist()
     total = 0.0
     for b in values[: layout.q]:
         total += _COEF_LOG_NORM - 0.5 * b * b / _COEF_PRIOR_VARIANCE
@@ -280,7 +289,7 @@ def effect_log_prior(model: Model, theta: np.ndarray) -> np.ndarray:
             + (r - 1.0) * eff - r * np.exp(eff) + eff)
 
 
-def log_posterior(model: Model, theta: np.ndarray, effect_sums=None) -> tuple:
+def log_posterior(model: Model, theta: np.ndarray, effect_sums=None, xb=None) -> tuple:
     """(log posterior, per-row log-likelihood terms it summed).
 
     For a block (B, dim): (B,) and (B, n), in one likelihood pass over the
@@ -288,23 +297,27 @@ def log_posterior(model: Model, theta: np.ndarray, effect_sums=None) -> tuple:
     draw theta (dim,) is evaluated as a block of one: a float and (n,) rows,
     the rows None when the prior is -inf and no likelihood pass is made.
     ``effect_sums`` is passed on to ``log_prior`` as ``effect_sum``: one per
-    draw for a block, a float for one draw.
+    draw for a block, a float for one draw; ``xb`` on to
+    ``pointwise_log_likelihood``.
     """
     theta = _check_theta(model.layout, theta, blocks=True)
     if theta.ndim == 1:
-        lp, rows = log_posterior(model, theta[None], [effect_sums])
+        lp, rows = log_posterior(model, theta[None], [effect_sums],
+                                 None if xb is None else xb[None])
         return (float(lp[0]), rows[0]) if lp[0] > -math.inf else (-math.inf, None)
     sums = [None] * len(theta) if effect_sums is None else effect_sums
-    prior = np.array([log_prior(model, t, s) for t, s in zip(theta, sums)])
+    prior = np.array([_log_prior(model, t, values, s)
+                      for t, values, s in zip(theta, theta.tolist(), sums)])
     finite = prior > -math.inf
     if finite.all():
-        rows = pointwise_log_likelihood(model, theta)
+        rows = pointwise_log_likelihood(model, theta, xb)
         return prior + rows.sum(axis=1), rows
     # no pass at a draw outside the prior's support: a sigma^2 past it can
     # overflow the kernel
     rows = np.full((len(theta), len(model.time)), np.nan)
     lp = np.full(len(theta), -math.inf)
     if finite.any():
-        rows[finite] = pointwise_log_likelihood(model, theta[finite])
+        rows[finite] = pointwise_log_likelihood(model, theta[finite],
+                                                None if xb is None else xb[finite])
         lp[finite] = prior[finite] + rows[finite].sum(axis=1)
     return lp, rows

@@ -4,11 +4,11 @@ Each sweep updates, in order: the full coefficient vector beta (joint
 Gaussian proposal with an adapted full covariance, target acceptance 0.234),
 the shape parameter, the cluster effects and log phi (target 0.44 each).
 A chain's state is theta, its log posterior, the per-row log-likelihood
-terms at theta and, with cluster effects, the per-cluster log prior of the
-effects at theta.  The cluster effects are conditionally independent given
-beta, the shape and phi, so all M are proposed at once, each with its own
-step scale, and each is accepted or rejected on its own cluster's
-log-ratio: one likelihood pass, at the proposal, for all M effects, since
+terms and x @ beta at theta and, with cluster effects, the per-cluster log
+prior of the effects at theta.  The cluster effects are conditionally
+independent given beta, the shape and phi, so all M are proposed at once,
+each with its own step scale, and each is accepted or rejected on its own
+cluster's log-ratio: one likelihood pass, at the proposal, for all M effects, since
 the current clusters' log-likelihoods are sums of the carried rows and
 their priors are carried.  phi enters only the effects' prior, so its
 update takes no likelihood pass.  Every step scale follows a Robbins-Monro
@@ -19,14 +19,17 @@ module constants; ``SamplerConfig`` holds only the chain count, lengths and
 seed.
 
 The chains run in lockstep: the state holds every chain, theta (chains,
-dim), the rows (chains, n) and the effect priors (chains, M), and each step
-evaluates all chains' proposals with one block call of ``log_posterior``,
-``pointwise_log_likelihood`` or ``effect_log_prior``.  A sweep of all
-chains thus costs _BETA_UPDATES + 2 likelihood passes (_BETA_UPDATES + 1
-without a shape) and two ``effect_log_prior`` calls, whatever M and the
-chain count are.  ``log_prior`` stays a per-chain call on Python floats,
+dim), the rows and x @ beta (chains, n each) and the effect priors (chains,
+M), and each step evaluates all chains' proposals with one block call of
+``log_posterior``, ``pointwise_log_likelihood`` or ``effect_log_prior``.
+A sweep of all chains thus costs _BETA_UPDATES + 2 likelihood passes
+(_BETA_UPDATES + 1 without a shape) and two ``effect_log_prior`` calls,
+whatever M and the chain count are.  Only the beta step forms x @ beta,
+once per proposal for the block; the shape and effect steps pass the
+carried value.  ``log_prior`` stays a per-chain call on Python floats,
 handed the row sum of the chain's effect prior.  The beta, shape and phi
-steps share one accept-and-move rule, ``adopt``.
+steps share one accept-and-move rule, ``adopt``, which records a scalar
+coordinate's adaptation chain by chain, with no array built per step.
 
 Randomness comes from numpy's counter-based Philox generator with per-chain
 substreams seeded by SeedSequence([seed, chain_index]).  Each chain draws
@@ -154,13 +157,20 @@ def _sample(model: Model, cfg: SamplerConfig) -> tuple:
             for chain in range(cfg.chains)]
     thetas, lp, rows = zip(*(_initial_point(model, rng) for rng in rngs))
     theta, lp, rows = np.array(thetas), list(lp), np.array(rows)
+    q = layout.q
+    # each chain's x @ beta: only the beta step moves it
+    xb = theta[:, :q] @ model.x.T
 
     # Adaptation state by theta coordinate: index 0 stands for the beta
     # block (1..q-1 go unused), index i >= q for shape, effect or phi i.
-    # Every step records on every chain, so one clock per coordinate serves all.
-    q = layout.q
+    # Every step records on every chain, so one clock per coordinate serves
+    # all, and the effects, recorded together, share effects.start's.
     log_scales = np.full((cfg.chains, layout.dim), math.log(_INITIAL_STEP))
-    rm_iter = np.zeros(layout.dim, dtype=int)  # per-coordinate adaptation clocks
+    rm_iter = [0] * layout.dim  # per-coordinate adaptation clocks
+    # the Robbins-Monro gain 1/i^0.6 at clock i + 1, as numpy's power rounds
+    # it (Python's ** differs in the last bit at some i), for up to
+    # _BETA_UPDATES records per burn-in sweep
+    gains = 1.0 / np.arange(1, _BETA_UPDATES * cfg.burnin + 1) ** 0.6
     accept_post = np.zeros((cfg.chains, layout.dim))
     effects = layout.effect_indices
 
@@ -176,30 +186,29 @@ def _sample(model: Model, cfg: SamplerConfig) -> tuple:
         return np.bincount(chain_cluster, point_rows.ravel(),
                            minlength=cfg.chains * layout.n_clusters).reshape(cfg.chains, -1)
 
-    def record(index, accepted, target):
-        """Robbins-Monro step-scale update during burn-in, acceptance counts
-        after it; ``index`` may be a slice, ``accepted`` has a chains axis."""
-        if adapting:
-            rm_iter[index] += 1
-            gamma = 1.0 / rm_iter[index] ** 0.6
-            log_scales[:, index] += gamma * (accepted - target)
-        else:
-            accept_post[:, index] += accepted
-
-    def adopt(lp_prop, index, target, proposal, carried, carried_prop):
+    def adopt(lp_prop, index, target, proposal, *carried):
         """The Metropolis test of each chain's proposal, whose log posterior
-        is in ``lp_prop``, against its current state, recorded on ``index``;
-        a chain draws its uniform only for a finite proposal.  Each accepting
-        chain takes its proposal's theta, lp and row of ``carried_prop`` into
-        ``carried`` (the rows, or the effect prior)."""
+        is in ``lp_prop``, against its current state, recorded on the scalar
+        coordinate ``index``: a Robbins-Monro step-scale update during
+        burn-in, acceptance counts after it.  A chain draws its uniform only
+        for a finite proposal.  Each accepting chain takes its proposal's
+        theta, lp and, for each (current, proposal's) pair in ``carried``
+        (the rows and x @ beta, or the effect prior), the proposal's row."""
         accepted = [math.isfinite(new) and new - old > math.log(rng.random())
                     for rng, old, new in zip(rngs, lp, lp_prop)]
-        record(index, np.array(accepted, dtype=float), target)
+        if adapting:
+            gamma = gains[rm_iter[index]]
+            rm_iter[index] += 1
         for c, accept in enumerate(accepted):
+            if adapting:
+                log_scales[c, index] += gamma * (accept - target)
+            elif accept:
+                accept_post[c, index] += 1.0
             if accept:
                 theta[c] = proposal[c]
                 lp[c] = lp_prop[c]
-                carried[c] = carried_prop[c]
+                for current, new in carried:
+                    current[c] = new[c]
 
     def propose(index):
         """theta with coordinate ``index`` of every chain moved by a
@@ -246,13 +255,15 @@ def _sample(model: Model, cfg: SamplerConfig) -> tuple:
                 step = (rng.normal(size=q) if beta_chol is None
                         else beta_chol[c] @ rng.normal(size=q))
                 proposal[c, :q] += math.exp(log_scales[c, 0]) * step
-            lp_prop, rows_prop = log_posterior(model, proposal, sums)
-            adopt(lp_prop.tolist(), 0, _TARGET_ACCEPT_BLOCK, proposal, rows, rows_prop)
+            xb_prop = proposal[:, :q] @ model.x.T
+            lp_prop, rows_prop = log_posterior(model, proposal, sums, xb_prop)
+            adopt(lp_prop.tolist(), 0, _TARGET_ACCEPT_BLOCK, proposal,
+                  (rows, rows_prop), (xb, xb_prop))
         if layout.has_shape:
             proposal = propose(layout.shape_index)
-            lp_prop, rows_prop = log_posterior(model, proposal, sums)
+            lp_prop, rows_prop = log_posterior(model, proposal, sums, xb)
             adopt(lp_prop.tolist(), layout.shape_index, _TARGET_ACCEPT_SCALAR,
-                  proposal, rows, rows_prop)
+                  proposal, (rows, rows_prop))
         if layout.phi_index is not None:
             # Given beta, the shape and phi the effects are conditionally
             # independent, so one proposal per cluster, each accepted on its
@@ -264,7 +275,7 @@ def _sample(model: Model, cfg: SamplerConfig) -> tuple:
             proposal[:, effects] += (np.exp(log_scales[:, effects])
                                      * np.array([rng.normal(size=layout.n_clusters)
                                                  for rng in rngs]))
-            rows_prop = pointwise_log_likelihood(model, proposal)
+            rows_prop = pointwise_log_likelihood(model, proposal, xb)
             prior_prop = effect_log_prior(model, proposal)
             log_ratio = ((cluster_log_likelihood(rows_prop) + prior_prop)
                          - (cluster_log_likelihood(rows) + effect_prior))
@@ -277,7 +288,12 @@ def _sample(model: Model, cfg: SamplerConfig) -> tuple:
             # clusters would add in another order
             lp = [old + float(ratio[acc].sum())
                   for old, ratio, acc in zip(lp, log_ratio, accepted)]
-            record(effects, accepted.astype(float), _TARGET_ACCEPT_SCALAR)
+            if adapting:
+                gamma = gains[rm_iter[effects.start]]
+                rm_iter[effects.start] += 1
+                log_scales[:, effects] += gamma * (accepted - _TARGET_ACCEPT_SCALAR)
+            else:
+                accept_post[:, effects] += accepted
             # phi enters only the effects' prior: no likelihood pass.
             proposal = propose(layout.phi_index)
             prior_prop = effect_log_prior(model, proposal)
@@ -287,7 +303,7 @@ def _sample(model: Model, cfg: SamplerConfig) -> tuple:
                        in zip(lp, proposal, prior_prop.sum(axis=1).tolist(),
                               theta, effect_prior.sum(axis=1).tolist())]
             adopt(lp_prop, layout.phi_index, _TARGET_ACCEPT_SCALAR,
-                  proposal, effect_prior, prior_prop)
+                  proposal, (effect_prior, prior_prop))
         if adapting:
             if it >= moments_start:
                 # Welford update of each chain's beta moments for its

@@ -284,11 +284,12 @@ def _not_tiny(x: np.ndarray) -> np.ndarray:
 
 def _gamma_series_step(n, total, term, ap, z):
     # the sum of gamma(a, z) = z^a e^(-z) sum_n z^n / (a (a+1) ... (a+n))
-    # (DLMF 8.7.1), reliable for z < a + 1
+    # (DLMF 8.7.1), reliable for z < a + 1; for z > 0 and a > 0 every term
+    # and partial sum is positive, so the test takes no absolute values
     ap = ap + 1.0
     term = term * (z / ap)
     total = total + term
-    return (total, term, ap, z), np.abs(term) < np.abs(total) * _EPS
+    return (total, term, ap, z), term < total * _EPS
 
 
 def _gamma_cf_step(n, h, c, d, b, a):

@@ -131,6 +131,30 @@ def test_pointwise_writes_neither_theta_nor_the_model(family, effect):
     assert {name: x.tobytes() for name, x in arrays.items()} == before
 
 
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("effect", list(EffectKind))
+def test_carried_xb_gives_the_recomputed_rows(family, effect):
+    # The sampler forms each chain's x @ beta once, at a beta proposal, in a
+    # block of all chains, and hands it to the later steps that move only
+    # the shape, the effects or phi: the rows and log posterior it gives are
+    # a fresh product's, bit for bit, whatever block each row was formed in.
+    model = Model(_toy(n=40, clusters=4), ModelSpec(family, effect))
+    q = model.layout.q
+    rng = np.random.default_rng(11)
+    theta = rng.normal(-1.0, 0.5, (3, model.layout.dim))
+    others = rng.normal(-1.0, 0.5, (3, q))
+    xb = np.stack([(theta[:1, :q] @ model.x.T)[0],  # a block of one
+                   (np.vstack([others[:1], theta[1:2, :q]]) @ model.x.T)[1],
+                   (np.vstack([others, theta[2:, :q]]) @ model.x.T)[3]])
+    moved = theta.copy()
+    moved[:, q:] += rng.normal(0.0, 0.1, (3, model.layout.dim - q))
+    assert (pointwise_log_likelihood(model, moved, xb).tobytes()
+            == pointwise_log_likelihood(model, moved).tobytes())
+    carried, fresh = log_posterior(model, moved, None, xb), log_posterior(model, moved)
+    assert carried[0].tobytes() == fresh[0].tobytes()
+    assert carried[1].tobytes() == fresh[1].tobytes()
+
+
 def test_pointwise_matches_row_by_row_scalar_evaluation():
     data = _toy(n=9, clusters=3)
     spec = ModelSpec(Family.LOG_LOGISTIC, EffectKind.RANDOM)
