@@ -11,18 +11,17 @@ A cluster effect is either a random offset ``u`` added to the linear-scale
 parameter (lam -> lam e^u for exponential/weibull, mu -> mu + u for
 log-logistic/log-normal) or a multiplicative frailty ``v`` on the hazard,
 which exponentiates the survival function: S(t|v) = S(t)^v and
-f(t|v) = v h(t) S(t)^v.
+f(t|v) = v h(t) S(t)^v, an offset log v on log lam for exponential/weibull.
 
-``log_hazard_survival`` holds each family's log-hazard and log-survival
-formula, once, in numpy (the log-normal tail is one ``log_std_normal_sf``
-call over an array, itself numpy with no Python call per element).
-``rmst_numeric`` evaluates it over its quadrature points; the likelihood
-asks it for the row term event*log f + (1 - event)*log S over all rows in
-one call, so the log-normal tail without frailty runs on the censored rows
-only.  Its (eta, shape, kind,
-effect), with eta = log lam or mu and effect = u or log v, are also the
-arguments of ``rmst.rmst_closed_form``; ``kernel_args`` maps (FamilyParams,
-EffectValue) to them.
+``log_hazard_survival`` holds the families' log-hazard and log-survival
+formulas, once, in numpy: one in w = eta + k log t for exponential (k = 1),
+weibull and log-logistic, and the log-normal's, whose tail is one
+``log_std_normal_sf`` call over an array.  ``rmst_numeric`` evaluates it
+over its quadrature points; the likelihood asks it for the row term
+event*log f + (1 - event)*log S over all rows in one call.  Its (eta,
+shape, kind, effect), with eta = log lam or mu and effect = u or log v, are
+also the arguments of ``rmst.rmst_closed_form``; ``kernel_args`` maps
+(FamilyParams, EffectValue) to them.
 """
 
 from __future__ import annotations
@@ -135,6 +134,12 @@ def frailty(v: float) -> EffectValue:
     return EffectValue(EffectKind.FRAILTY, v)
 
 
+def _offsets_eta(family: Family, kind: EffectKind) -> bool:
+    """Whether an effect of ``kind`` adds to eta: u, or an exponential/weibull log v."""
+    return kind is EffectKind.RANDOM or (
+        kind is EffectKind.FRAILTY and family in (Family.EXPONENTIAL, Family.WEIBULL))
+
+
 def log_hazard_survival(family: Family, eta, shape, t, logt,
                         kind: EffectKind = EffectKind.NONE, effect=0.0,
                         event=None, censored=None):
@@ -149,20 +154,19 @@ def log_hazard_survival(family: Family, eta, shape, t, logt,
     array that broadcasts against ``eta`` (the likelihood passes a (1,)
     shape with (n,) ``eta`` and effects, or a (B, 1) column of shapes with
     (B, n) ones, one row per draw).  ``effect`` is the cluster effect on the
-    sampling scale: a random offset u shifts eta, and a frailty given as
-    log v scales log S by v and adds log v to log h.  Both are formed in
-    place in two fresh arrays (0-d for scalar input); no argument is written.
+    sampling scale: a random offset u, or a frailty log v on exponential or
+    weibull, is added to eta; a frailty on log-logistic or log-normal scales
+    log S by v and adds log v to log h.  Both are formed in place in two
+    fresh arrays (0-d for scalar input); no argument is written.
     """
-    if kind is EffectKind.RANDOM:
+    folded = _offsets_eta(family, kind)
+    if folded:
         eta = eta + effect
     full = np.broadcast(eta, logt).shape  # shape and effect broadcast against eta
     h, s = np.empty(full), np.empty(full)
     # s holds log S for log-normal and -log S for the other families, which
     # are negated only when log S itself is returned
-    if family is Family.EXPONENTIAL:
-        h[...] = eta
-        np.multiply(np.exp(eta, out=s), t, out=s)  # -log S = e^eta t
-    elif family is Family.LOG_NORMAL:
+    if family is Family.LOG_NORMAL:
         np.divide(np.subtract(logt, eta, out=s), np.sqrt(shape), out=s)  # z
         np.subtract(-logt, 0.5 * np.log(shape), out=h)
         h -= _LOG_SQRT_2PI
@@ -175,14 +179,15 @@ def log_hazard_survival(family: Family, eta, shape, t, logt,
         s = log_std_normal_sf(s)
         h -= s
     else:
-        np.add(eta, np.log(shape), out=h)
-        h += np.multiply(shape - 1.0, logt, out=s)  # (eta + log k) + (k - 1) log t
+        shape = 1.0 if family is Family.EXPONENTIAL else shape
         np.add(np.multiply(shape, logt, out=s), eta, out=s)  # w = eta + k log t
-        if family is Family.WEIBULL:
-            np.exp(s, out=s)  # -log S = e^w
-        else:  # S = 1/(1 + e^w)
+        np.add(s, np.log(shape), out=h)
+        h -= logt  # log h = w + log k - log t, less softplus(w) for log-logistic
+        if family is Family.LOG_LOGISTIC:  # -log S = softplus(w)
             h -= np.logaddexp(0.0, s, out=s)
-    if kind is EffectKind.FRAILTY:
+        else:
+            np.exp(s, out=s)  # -log S = e^w
+    if kind is EffectKind.FRAILTY and not folded:
         h += effect
         s *= np.exp(effect)
     negated = family is not Family.LOG_NORMAL

@@ -1,10 +1,11 @@
 """Censored-data log-likelihoods, log-priors, and joint log-posteriors.
 
-Covers all 12 model variants: 4 families x {none, random-effect, frailty},
-with covariates entering through the linear predictor eta = x @ beta
-(lam = exp(eta) for exponential/weibull, mu = eta for log-logistic/log-normal)
-and an additive cluster offset (random effect) or multiplicative hazard
-frailty.
+Covers all 12 model variants: 4 families x {none, random-effect, frailty}.
+Covariates and the cluster effect enter through the linear predictor
+eta = x @ beta + offset (lam = exp(eta) for exponential/weibull, mu = eta
+for log-logistic/log-normal), the offset being the row's random effect, or
+its log frailty on exponential and weibull; a log-logistic or log-normal
+frailty v raises S to the power v instead.
 
 Parameter vectors are laid out as
 
@@ -14,23 +15,18 @@ where the shape coordinate is log k (weibull, log-logistic) or log sigma^2
 (log-normal), effects are u_i (random) or log v_i (frailty), and phi is the
 effect-scale hyperparameter.  All positive parameters are carried on log
 scale so random-walk proposals are unconstrained; the log-priors include the
-corresponding Jacobian terms.  Only ``ParamLayout`` computes offsets, once,
-when it is built; readers slice theta with its ``q``, ``shape_index``,
+corresponding Jacobian terms.  Only ``ParamLayout`` computes the index map,
+once; readers slice theta with its ``q``, ``shape_index``,
 ``effect_indices`` and ``phi_index``.
 
 A ``Model`` compiles a dataset and a spec once per fit, the layout included;
 ``log_prior``, ``pointwise_log_likelihood``, ``log_posterior`` and the
-per-cluster ``effect_log_prior`` take ``(model, theta)``.  ``log_posterior``
-also returns the per-row terms it summed, so the sampler can carry them in
-its state; a cluster's log-likelihood is the bincount of those rows by
-``model.cluster``.  ``pointwise_log_likelihood``, ``log_posterior`` and
-``effect_log_prior`` take one draw (dim,) or a block (B, dim) of draws (the
-sampler's chains, WAIC's draws) through one evaluation, each draw's shape
-or phi broadcast as a column, and ``log_posterior`` evaluates a single draw
-as a block of one, checking a block once for all its draws; ``log_prior``
-takes one draw, in Python floats.  ``log_posterior`` and
-``pointwise_log_likelihood`` also take the draws' x @ beta when the caller
-carries it.
+per-cluster ``effect_log_prior`` take ``(model, theta)``: one draw (dim,)
+or, but for ``log_prior``, a block (B, dim) through one evaluation, each
+draw's shape or phi a column.  ``log_posterior`` checks a block once and
+returns the per-row terms it summed, which the sampler carries with the
+block's eta and rows' effects (``Model.offset``); a cluster's
+log-likelihood is the bincount of its rows by ``model.cluster``.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import _FIELDS, EffectKind, Family, log_hazard_survival
+from .families import _FIELDS, EffectKind, Family, _offsets_eta, log_hazard_survival
 from .specfun import _elementwise
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -199,6 +195,18 @@ class Model:
         self.logt = np.log(data.time)
         self.cluster = data.cluster - 1
         self.effect_column = self.cluster + self.layout.effect_indices.start
+        self.folds = _offsets_eta(spec.family, spec.effect)  # the effect is in eta
+        self.kernel_kind = EffectKind.NONE if self.folds else spec.effect  # S^v
+
+    def offset(self, theta: np.ndarray):
+        """The rows' cluster effects (u or log v) of theta (dim,) or (B, dim),
+        taken by precomputed column (faster than two gathers); None without."""
+        return (None if self.spec.effect is EffectKind.NONE
+                else theta.take(self.effect_column, axis=-1))
+
+    def eta(self, xb: np.ndarray, offset):
+        """x @ beta, plus the rows' effects when they are an offset on eta."""
+        return xb + offset if self.folds else xb
 
 
 def _check_theta(layout: ParamLayout, theta: np.ndarray, blocks: bool = False) -> np.ndarray:
@@ -209,23 +217,24 @@ def _check_theta(layout: ParamLayout, theta: np.ndarray, blocks: bool = False) -
     return theta
 
 
-def pointwise_log_likelihood(model: Model, theta: np.ndarray, xb=None) -> np.ndarray:
+def pointwise_log_likelihood(model: Model, theta: np.ndarray) -> np.ndarray:
     """Per-row delta*log f + (1-delta)*log S: the log-likelihood's terms, (n,)
     for one draw theta (dim,), or (B, n) for a block (B, dim) of draws, in
     one kernel call with each draw's shape as a column, which forms the row
-    term (the log-normal tail without frailty on censored rows only).
-    ``xb``, the draws' x @ beta of the same shape, is formed when not given
-    (the sampler carries it)."""
-    layout, spec = model.layout, model.spec
-    theta = _check_theta(layout, theta, blocks=True)
-    eta = theta[..., : layout.q] @ model.x.T if xb is None else xb
-    k = layout.shape_index
+    term (the log-normal tail without frailty on censored rows only)."""
+    return _log_likelihood(model, _check_theta(model.layout, theta, blocks=True))
+
+
+def _log_likelihood(model: Model, theta: np.ndarray, eta=None, offset=None) -> np.ndarray:
+    """``pointwise_log_likelihood`` of a checked theta at its draws' eta and
+    ``Model.offset``, formed from theta when eta is not given."""
+    if eta is None:
+        offset = model.offset(theta)
+        eta = model.eta(theta[..., : model.layout.q] @ model.x.T, offset)
+    k = model.layout.shape_index
     shape = None if k is None else np.exp(theta[..., k, None])
-    # take by precomputed column: theta[..., effects][..., cluster] is slower
-    effect = (theta.take(model.effect_column, axis=-1)
-              if spec.effect is not EffectKind.NONE else 0.0)
-    return log_hazard_survival(spec.family, eta, shape, model.time, model.logt,
-                               spec.effect, effect, model.event, model.censored)
+    return log_hazard_survival(model.spec.family, eta, shape, model.time, model.logt,
+                               model.kernel_kind, offset, model.event, model.censored)
 
 
 def log_prior(model: Model, theta: np.ndarray, effect_sum: float | None = None) -> float:
@@ -289,7 +298,8 @@ def effect_log_prior(model: Model, theta: np.ndarray) -> np.ndarray:
             + (r - 1.0) * eff - r * np.exp(eff) + eff)
 
 
-def log_posterior(model: Model, theta: np.ndarray, effect_sums=None, xb=None) -> tuple:
+def log_posterior(model: Model, theta: np.ndarray, effect_sums=None, eta=None,
+                  offset=None) -> tuple:
     """(log posterior, per-row log-likelihood terms it summed).
 
     For a block (B, dim): (B,) and (B, n), in one likelihood pass over the
@@ -297,27 +307,26 @@ def log_posterior(model: Model, theta: np.ndarray, effect_sums=None, xb=None) ->
     draw theta (dim,) is evaluated as a block of one: a float and (n,) rows,
     the rows None when the prior is -inf and no likelihood pass is made.
     ``effect_sums`` is passed on to ``log_prior`` as ``effect_sum``: one per
-    draw for a block, a float for one draw; ``xb`` on to
-    ``pointwise_log_likelihood``.
+    draw for a block, a float for one draw.  A block's ``eta`` and
+    ``Model.offset`` are formed from theta unless eta is given.
     """
     theta = _check_theta(model.layout, theta, blocks=True)
     if theta.ndim == 1:
-        lp, rows = log_posterior(model, theta[None], [effect_sums],
-                                 None if xb is None else xb[None])
+        lp, rows = log_posterior(model, theta[None], [effect_sums])
         return (float(lp[0]), rows[0]) if lp[0] > -math.inf else (-math.inf, None)
     sums = [None] * len(theta) if effect_sums is None else effect_sums
     prior = np.array([_log_prior(model, t, values, s)
                       for t, values, s in zip(theta, theta.tolist(), sums)])
     finite = prior > -math.inf
     if finite.all():
-        rows = pointwise_log_likelihood(model, theta, xb)
+        rows = _log_likelihood(model, theta, eta, offset)
         return prior + rows.sum(axis=1), rows
     # no pass at a draw outside the prior's support: a sigma^2 past it can
     # overflow the kernel
     rows = np.full((len(theta), len(model.time)), np.nan)
     lp = np.full(len(theta), -math.inf)
     if finite.any():
-        rows[finite] = pointwise_log_likelihood(model, theta[finite],
-                                                None if xb is None else xb[finite])
+        rows[finite] = _log_likelihood(model, theta[finite], *(
+            None if a is None else a[finite] for a in (eta, offset)))
         lp[finite] = prior[finite] + rows[finite].sum(axis=1)
     return lp, rows

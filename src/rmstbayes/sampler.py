@@ -3,14 +3,11 @@
 Each sweep updates, in order: the full coefficient vector beta (joint
 Gaussian proposal with an adapted full covariance, target acceptance 0.234),
 the shape parameter, the cluster effects and log phi (target 0.44 each).
-A chain's state is theta, its log posterior, the per-row log-likelihood
-terms and x @ beta at theta and, with cluster effects, the per-cluster log
-prior of the effects at theta.  The cluster effects are conditionally
-independent given beta, the shape and phi, so all M are proposed at once,
-each with its own step scale, and each is accepted or rejected on its own
-cluster's log-ratio: one likelihood pass, at the proposal, for all M effects, since
-the current clusters' log-likelihoods are sums of the carried rows and
-their priors are carried.  phi enters only the effects' prior, so its
+The cluster effects are conditionally independent given beta, the shape
+and phi, so all M are proposed at once, each with its own step scale, and
+each is accepted or rejected on its own cluster's log-ratio, the bincount
+of its rows' change plus its prior's: one likelihood pass, at the
+proposal, for all M effects.  phi enters only the effects' prior, so its
 update takes no likelihood pass.  Every step scale follows a Robbins-Monro
 recursion during burn-in and is frozen afterwards, so the kept portion of
 each chain is a fixed Markov kernel.  The targets, the initial step scale,
@@ -18,18 +15,20 @@ the number of beta proposals per sweep and the initial-point retries are
 module constants; ``SamplerConfig`` holds only the chain count, lengths and
 seed.
 
-The chains run in lockstep: the state holds every chain, theta (chains,
-dim), the rows and x @ beta (chains, n each) and the effect priors (chains,
-M), and each step evaluates all chains' proposals with one block call of
-``log_posterior``, ``pointwise_log_likelihood`` or ``effect_log_prior``.
-A sweep of all chains thus costs _BETA_UPDATES + 2 likelihood passes
-(_BETA_UPDATES + 1 without a shape) and two ``effect_log_prior`` calls,
-whatever M and the chain count are.  Only the beta step forms x @ beta,
-once per proposal for the block; the shape and effect steps pass the
-carried value.  ``log_prior`` stays a per-chain call on Python floats,
-handed the row sum of the chain's effect prior.  The beta, shape and phi
-steps share one accept-and-move rule, ``adopt``, which records a scalar
-coordinate's adaptation chain by chain, with no array built per step.
+The chains run in lockstep.  The state holds every chain: theta (chains,
+dim), its log posterior, and the per-row log-likelihood terms, x @ beta,
+the rows' effects (``Model.offset``) and eta (chains, n each) at theta,
+and, with cluster effects, the effects' per-cluster log prior (chains, M).
+Each step evaluates all chains' proposals with one block call of
+``log_posterior``, the likelihood pass or ``effect_log_prior``, so a sweep
+costs _BETA_UPDATES + 2 likelihood passes (_BETA_UPDATES + 1 without a
+shape) and two ``effect_log_prior`` calls, whatever M and the chain count
+are.  The beta step forms x @ beta once per proposal and eta from it; the
+effect step gathers its proposal's effects to rows once, forms eta from
+them and moves the accepted clusters' rows, effects and eta with one mask;
+the shape step passes the carried values.  ``log_prior`` stays a per-chain
+call on Python floats, handed the row sum of the chain's effect prior.  The
+beta, shape and phi steps share one accept-and-move rule, ``adopt``.
 
 Randomness comes from numpy's counter-based Philox generator with per-chain
 substreams seeded by SeedSequence([seed, chain_index]).  Each chain draws
@@ -49,8 +48,7 @@ import numpy as np
 
 from .families import _is_index
 from .inference import (_PHI_UPPER, Model, ModelSpec, ParamLayout, SurvivalDataset,
-                        effect_log_prior, log_posterior, log_prior,
-                        pointwise_log_likelihood)
+                        _log_likelihood, effect_log_prior, log_posterior, log_prior)
 
 _ADAPT_START = 50           # beta moments gathered before the adapted covariance
 _TARGET_ACCEPT_BLOCK = 0.234
@@ -158,8 +156,9 @@ def _sample(model: Model, cfg: SamplerConfig) -> tuple:
     thetas, lp, rows = zip(*(_initial_point(model, rng) for rng in rngs))
     theta, lp, rows = np.array(thetas), list(lp), np.array(rows)
     q = layout.q
-    # each chain's x @ beta: only the beta step moves it
     xb = theta[:, :q] @ model.x.T
+    offset = model.offset(theta)
+    eta = model.eta(xb, offset)  # xb itself when the effect is no offset on eta
 
     # Adaptation state by theta coordinate: index 0 stands for the beta
     # block (1..q-1 go unused), index i >= q for shape, effect or phi i.
@@ -181,11 +180,6 @@ def _sample(model: Model, cfg: SamplerConfig) -> tuple:
         chain_cluster = (model.cluster + layout.n_clusters
                          * np.arange(cfg.chains)[:, None]).ravel()
 
-    def cluster_log_likelihood(point_rows):
-        """(chains, M): each cluster's log-likelihood, summed from its rows."""
-        return np.bincount(chain_cluster, point_rows.ravel(),
-                           minlength=cfg.chains * layout.n_clusters).reshape(cfg.chains, -1)
-
     def adopt(lp_prop, index, target, proposal, *carried):
         """The Metropolis test of each chain's proposal, whose log posterior
         is in ``lp_prop``, against its current state, recorded on the scalar
@@ -193,7 +187,7 @@ def _sample(model: Model, cfg: SamplerConfig) -> tuple:
         burn-in, acceptance counts after it.  A chain draws its uniform only
         for a finite proposal.  Each accepting chain takes its proposal's
         theta, lp and, for each (current, proposal's) pair in ``carried``
-        (the rows and x @ beta, or the effect prior), the proposal's row."""
+        (the rows, x @ beta and eta, or the effect prior), the proposal's row."""
         accepted = [math.isfinite(new) and new - old > math.log(rng.random())
                     for rng, old, new in zip(rngs, lp, lp_prop)]
         if adapting:
@@ -256,33 +250,37 @@ def _sample(model: Model, cfg: SamplerConfig) -> tuple:
                         else beta_chol[c] @ rng.normal(size=q))
                 proposal[c, :q] += math.exp(log_scales[c, 0]) * step
             xb_prop = proposal[:, :q] @ model.x.T
-            lp_prop, rows_prop = log_posterior(model, proposal, sums, xb_prop)
+            eta_prop = model.eta(xb_prop, offset)
+            lp_prop, rows_prop = log_posterior(model, proposal, sums, eta_prop, offset)
             adopt(lp_prop.tolist(), 0, _TARGET_ACCEPT_BLOCK, proposal,
-                  (rows, rows_prop), (xb, xb_prop))
+                  (rows, rows_prop), (xb, xb_prop), (eta, eta_prop))
         if layout.has_shape:
             proposal = propose(layout.shape_index)
-            lp_prop, rows_prop = log_posterior(model, proposal, sums, xb)
+            lp_prop, rows_prop = log_posterior(model, proposal, sums, eta, offset)
             adopt(lp_prop.tolist(), layout.shape_index, _TARGET_ACCEPT_SCALAR,
                   proposal, (rows, rows_prop))
         if layout.phi_index is not None:
-            # Given beta, the shape and phi the effects are conditionally
-            # independent, so one proposal per cluster, each accepted on its
-            # own log-ratio, is the kernel of M scalar Metropolis updates at
-            # the cost of one likelihood pass.  A row's term depends on its
-            # own cluster's effect alone, so the accepted clusters' rows
-            # are the proposal's.
+            # M scalar Metropolis updates in one pass: a row's term depends on
+            # its own cluster's effect alone, so the accepted clusters' rows,
+            # effects and eta are the proposal's.  The current rows are
+            # finite: a non-finite proposal row rejects its cluster.
             proposal = theta.copy()
             proposal[:, effects] += (np.exp(log_scales[:, effects])
                                      * np.array([rng.normal(size=layout.n_clusters)
                                                  for rng in rngs]))
-            rows_prop = pointwise_log_likelihood(model, proposal, xb)
+            offset_prop = model.offset(proposal)
+            eta_prop = model.eta(xb, offset_prop)
+            rows_prop = _log_likelihood(model, proposal, eta_prop, offset_prop)
             prior_prop = effect_log_prior(model, proposal)
-            log_ratio = ((cluster_log_likelihood(rows_prop) + prior_prop)
-                         - (cluster_log_likelihood(rows) + effect_prior))
+            log_ratio = np.bincount(chain_cluster, (rows_prop - rows).ravel(),
+                                    minlength=prior_prop.size).reshape(prior_prop.shape)
+            log_ratio += prior_prop - effect_prior
             uniforms = np.array([rng.random(layout.n_clusters) for rng in rngs])
             accepted = np.isfinite(log_ratio) & (log_ratio > np.log(uniforms))
             theta[:, effects] = np.where(accepted, proposal[:, effects], theta[:, effects])
-            np.putmask(rows, accepted.take(model.cluster, axis=1), rows_prop)
+            moved = accepted.take(model.cluster, axis=1)
+            for current, new in (rows, rows_prop), (offset, offset_prop), (eta, eta_prop):
+                np.putmask(current, moved, new)
             effect_prior = np.where(accepted, prior_prop, effect_prior)
             # each chain's own masked sum: a zero-filled sum over all
             # clusters would add in another order

@@ -1,6 +1,7 @@
 """Survival-family kernels: densities, survivals, hazards, effect
 conditioning, and parameter validation."""
 
+import itertools
 import math
 import re
 
@@ -280,3 +281,70 @@ def test_survival_decreasing_and_bounded(t, u, v):
             ls2 = log_h_s(p, e, t * 1.5)[1]
             assert ls1 <= 0.0 + 1e-15
             assert ls2 <= ls1 + 1e-12
+
+
+# The row term event*log h + log S of the exponential, Weibull and
+# log-logistic families against 40-digit mpmath, over w = eta + k log t (plus
+# log v for a proportional-hazards frailty, which folds into eta) across the
+# double range.  Every grid value is a multiple of 2^-22 and k a multiple of
+# 2^-20, so k log t and w are exact in floating point and the oracle takes
+# the kernel's own inputs; log t, not t, is the exact input (t is its
+# rounded exponential).  The points split by whether eta and w - log v are
+# in [-745, 709] too, where the unfolded forms e^eta t (exponential) and
+# e^(w - log v) v (proportional-hazards frailty) are representable; only
+# the w-form is right on the others.
+_ROW_W = tuple(round(w * 2.0 ** 20) / 2.0 ** 20 for w in np.linspace(-745.0, 709.0, 23))
+_ROW_K = tuple(math.ceil(k * 2.0 ** 20) / 2.0 ** 20
+               for k in (1e-3, 0.01, 0.3, 1.0, 1.7, 8.0, 50.0))
+_ROW_LOG_T = (-6.0, -0.75, 0.0, 0.5, 3.25, 7.0)
+_ROW_LOG_V = (-2.5, 0.75, 3.0)
+
+
+def _exact_row(family, kind, eta, k, log_t, log_v, event) -> float:
+    with mp.workdps(40):
+        eta, k, log_t, log_v = (mp.mpf(x) for x in (eta, k, log_t, log_v))
+        frail = kind is EffectKind.FRAILTY
+        if family is Family.LOG_LOGISTIC:
+            w = eta + k * log_t
+            softplus = mp.log1p(mp.exp(w))
+            log_h = w + mp.log(k) - log_t - softplus + (log_v if frail else 0)
+            log_s = -(mp.exp(log_v) if frail else 1) * softplus
+        else:
+            w = eta + k * log_t + (log_v if frail else 0)
+            log_h, log_s = w + mp.log(k) - log_t, -mp.exp(w)
+        return float(log_h + log_s if event else log_s)
+
+
+def _row_points(family, kind, unfolded_in_range):
+    """(eta, k, log t, log v, event) over the grid, where eta and w - log v
+    are both in [-745, 709] or not, as ``unfolded_in_range`` says."""
+    shapes = (1.0,) if family is Family.EXPONENTIAL else _ROW_K
+    log_vs = _ROW_LOG_V if kind is EffectKind.FRAILTY else (0.0,)
+    points = []
+    for w, k, log_t, log_v, event in itertools.product(_ROW_W, shapes, _ROW_LOG_T,
+                                                       log_vs, (0.0, 1.0)):
+        folded = log_v if family is not Family.LOG_LOGISTIC else 0.0
+        eta = w - folded - k * log_t
+        if (-745.0 <= eta <= 709.0 and -745.0 <= w - log_v <= 709.0) == unfolded_in_range:
+            points.append((eta, k, log_t, log_v, event))
+    return points
+
+
+@pytest.mark.parametrize("unfolded_in_range", [True, False])
+@pytest.mark.parametrize("family, kind", [
+    (Family.EXPONENTIAL, EffectKind.NONE), (Family.EXPONENTIAL, EffectKind.FRAILTY),
+    (Family.WEIBULL, EffectKind.NONE), (Family.WEIBULL, EffectKind.FRAILTY),
+    (Family.LOG_LOGISTIC, EffectKind.NONE), (Family.LOG_LOGISTIC, EffectKind.FRAILTY)])
+def test_row_term_matches_mpmath_over_the_double_range(family, kind, unfolded_in_range):
+    eta, k, log_t, log_v, event = (np.array(x) for x in zip(
+        *_row_points(family, kind, unfolded_in_range)))
+    rows = log_hazard_survival(family, eta, None if family is Family.EXPONENTIAL else k,
+                               np.exp(log_t), log_t, kind, log_v, event,
+                               np.flatnonzero(event == 0.0))
+    misses = []
+    for row, point in zip(rows.tolist(), zip(eta, k, log_t, log_v, event)):
+        exact = _exact_row(family, kind, *point)
+        if not abs(row - exact) <= max(1e-14 * abs(exact), 1e-13):
+            misses.append((point, row, exact))
+    assert len(rows) >= 10
+    assert misses == []

@@ -134,23 +134,32 @@ def test_pointwise_writes_neither_theta_nor_the_model(family, effect):
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("effect", list(EffectKind))
 def test_carried_xb_gives_the_recomputed_rows(family, effect):
-    # The sampler forms each chain's x @ beta once, at a beta proposal, in a
-    # block of all chains, and hands it to the later steps that move only
-    # the shape, the effects or phi: the rows and log posterior it gives are
-    # a fresh product's, bit for bit, whatever block each row was formed in.
+    # The sampler forms each chain's x @ beta at a beta proposal and its
+    # rows' effects at an effect proposal, each in a block of all chains,
+    # and eta from the two, and hands them to the shape step, which moves
+    # neither: the rows and log posterior they give are a fresh
+    # evaluation's, bit for bit, whatever block each was formed in.
     model = Model(_toy(n=40, clusters=4), ModelSpec(family, effect))
-    q = model.layout.q
+    layout = model.layout
+    q = layout.q
     rng = np.random.default_rng(11)
-    theta = rng.normal(-1.0, 0.5, (3, model.layout.dim))
-    others = rng.normal(-1.0, 0.5, (3, q))
+    theta = rng.normal(-1.0, 0.5, (3, layout.dim))
+    others = rng.normal(-1.0, 0.5, (3, layout.dim))
     xb = np.stack([(theta[:1, :q] @ model.x.T)[0],  # a block of one
-                   (np.vstack([others[:1], theta[1:2, :q]]) @ model.x.T)[1],
-                   (np.vstack([others, theta[2:, :q]]) @ model.x.T)[3]])
+                   (np.vstack([others[:1, :q], theta[1:2, :q]]) @ model.x.T)[1],
+                   (np.vstack([others[:, :q], theta[2:, :q]]) @ model.x.T)[3]])
+    offset = model.offset(np.vstack([others, theta]))
+    offset = None if offset is None else offset[3:]
+    assert (offset is None) == (effect is EffectKind.NONE)
+    eta = model.eta(xb, offset)
     moved = theta.copy()
-    moved[:, q:] += rng.normal(0.0, 0.1, (3, model.layout.dim - q))
-    assert (pointwise_log_likelihood(model, moved, xb).tobytes()
+    for index in (layout.shape_index, layout.phi_index):
+        if index is not None:
+            moved[:, index] += rng.normal(0.0, 0.1, 3)
+    assert (I._log_likelihood(model, moved, eta, offset).tobytes()
             == pointwise_log_likelihood(model, moved).tobytes())
-    carried, fresh = log_posterior(model, moved, None, xb), log_posterior(model, moved)
+    carried = log_posterior(model, moved, None, eta, offset)
+    fresh = log_posterior(model, moved)
     assert carried[0].tobytes() == fresh[0].tobytes()
     assert carried[1].tobytes() == fresh[1].tobytes()
 

@@ -740,15 +740,15 @@ def _pinned_dataset():
 # of _posterior_rows, whose likelihood underflows.  Same IEEE-754 and numpy
 # caveats as the sampler's KERNEL_DIGESTS.
 POSTERIOR_DIGESTS = {
-    ("exponential", "none"): "dab9bd8d49d31f95418bb309f5bef05e5895e47c28baa9ba34c994b734ce5b51",
-    ("exponential", "random"): "1e93a51bb1d51e1f626a0ba4a79cc42f9f1ebbba8992e49cc51bdb0d7d8b6495",
-    ("exponential", "frailty"): "1e7e6700c0f92657cf7135cd846b32c12387785d5da7231b41f731f57641752a",
-    ("weibull", "none"): "e47f47184ff2dc201ce419724a8eb9230c0a5133f44dc056333272b3b02f57db",
-    ("weibull", "random"): "6dbf9d3d32bf4a020b7faa785d1860b4538a3959ae7ba686cd2a4331a64bbe7b",
-    ("weibull", "frailty"): "ec3404988c3797690a0e4688e8bb7c033b9c07d40822739f1070619d7f73094f",
-    ("loglogistic", "none"): "e0afaea79234c7ac89835d4534c6e9de09540069637d5eb31cbe741d56ff45e1",
-    ("loglogistic", "random"): "301126e2b7a1851ff7c64085c9e2ed3d8d263fa360910ff31f432bcb656856d7",
-    ("loglogistic", "frailty"): "b687dee3ea9e4f496914a545b36de334f0df6b6d3be398e8f8e401b539514351",
+    ("exponential", "none"): "b2ea54f0312742a15155cad510371f6647bdd86986c1e02f13fb1830fdc2b626",
+    ("exponential", "random"): "720dfa3047cea9afff675a8d2af14ee07053d75292abb55987f002c2bc603ca6",
+    ("exponential", "frailty"): "175ba18efe973e4e53786db63c1d6962fcb991fa2d50abc71c4746526e72612d",
+    ("weibull", "none"): "7df6a600d137b9ff334f186e0f82dbfe6abda903ba4127305301a952d00c76c1",
+    ("weibull", "random"): "4678316154d6bcdf1375cedf6129c5abee62e6b2a00571b0de65768626172f9d",
+    ("weibull", "frailty"): "d09bd3080b03ef9f56d40f9760177c0663c21f4467eb8c3aa65fbd613b9b93e5",
+    ("loglogistic", "none"): "09b2c1b79893ee73e54514fe4eeb7dd8003f77e88ed2169449f7d4cf67e1bc8a",
+    ("loglogistic", "random"): "d0c2dbb91d2471f57ef38c1203989ddee49f5e60a1ad58330bbddff7000727e2",
+    ("loglogistic", "frailty"): "81491c8f126913fcae282c22e2dfdab6ba4be325369e4411e04eddc67841d1d9",
     ("lognormal", "none"): "4aec627f75edce30557b79c64711546a471a178ed3a5230047247374190d9773",
     ("lognormal", "random"): "61b42561297c8d25a1b6283fc3c79ab6a8030ad04f9410b6b9c6d60d01460fb4",
     ("lognormal", "frailty"): "08a9ef12828ec2e9a42a1b2194ebad638685109e37ab2ebf617fe1eab1b1a1e6",

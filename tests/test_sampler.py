@@ -123,8 +123,9 @@ def test_natural_scale_positivity():
 def _sweep_calls(monkeypatch, family, n_clusters, iterations, chains):
     """Calls of the sampler's log-density entry points in a random-effects
     fit, in order, with a "pass" event for every likelihood pass (a call of
-    the likelihood kernel) and an "effect_log_prior" event for every
-    evaluation of the effects' prior, whoever makes them."""
+    the likelihood kernel), an "effect_log_prior" event for every
+    evaluation of the effects' prior and a "check" event for every check of
+    theta's shape, whoever makes them."""
     import rmstbayes.inference as inference
     import rmstbayes.sampler as sampler
 
@@ -140,8 +141,9 @@ def _sweep_calls(monkeypatch, family, n_clusters, iterations, chains):
 
     for name in ("log_posterior", "log_prior"):
         counted(sampler, name, name)
-    counted(sampler, "pointwise_log_likelihood", "effect_pass")
+    counted(sampler, "_log_likelihood", "effect_pass")
     counted(inference, "log_hazard_survival", "pass")
+    counted(inference, "_check_theta", "check")
     for module in (sampler, inference):
         counted(module, "effect_log_prior", "effect_log_prior")
     n = 96
@@ -174,11 +176,14 @@ def test_sweep_cost_does_not_grow_with_clusters(monkeypatch, n_clusters):
                 "pass": beta_updates + has_shape + 1,
                 "effect_log_prior": 2,                     # effect and phi proposals
                 "log_prior": 2 * chains,                   # phi, chain by chain
+                # one per log_posterior block and per log_prior call; the
+                # effect step's pass and log_posterior's own pass check none
+                "check": beta_updates + has_shape + 2 * chains,
             }, (family, chains)
             # Every likelihood pass comes straight from a log_posterior call
             # or from the effect step's one pass at its proposal: the phi
             # step's log_prior calls make none.
-            calls = [event for event in events if event != "effect_log_prior"]
+            calls = [event for event in events if event not in ("effect_log_prior", "check")]
             for before, event in zip(calls, calls[1:]):
                 if event == "pass":
                     assert before in ("log_posterior", "effect_pass")
@@ -189,12 +194,15 @@ def test_sweep_cost_does_not_grow_with_clusters(monkeypatch, n_clusters):
 
 
 @pytest.mark.parametrize("family, effect", [(Family.WEIBULL, EffectKind.RANDOM),
+                                            (Family.WEIBULL, EffectKind.FRAILTY),
                                             (Family.LOG_NORMAL, EffectKind.FRAILTY),
                                             (Family.EXPONENTIAL, EffectKind.NONE)])
 def test_sweep_forms_x_beta_only_at_beta_proposals(monkeypatch, family, effect):
-    # Each chain carries x @ beta: the beta step forms one product with the
-    # design per proposal and hands it to log_posterior, and the shape and
-    # effect steps, which leave beta as it is, form none.
+    # Each chain carries x @ beta, its rows' effects and eta: the beta step
+    # forms one product with the design per proposal and hands it to
+    # log_posterior, the effect step gathers its proposal's effects to rows
+    # once and sums each cluster's change in one bincount, and the shape
+    # step forms neither.
     import rmstbayes.sampler as sampler
     from rmstbayes.inference import Model
     from rmstbayes.sampler import _BETA_UPDATES as beta_updates
@@ -210,14 +218,24 @@ def test_sweep_forms_x_beta_only_at_beta_proposals(monkeypatch, family, effect):
             inputs = [x.view(np.ndarray) if isinstance(x, Design) else x for x in inputs]
             return getattr(ufunc, method)(*inputs, **kwargs)
 
+    class Columns:
+        """The effect columns of theta by row, logging every gather by them
+        (numpy reads an index that is not an array through __array__)."""
+
+        def __init__(self, columns):
+            self.columns = columns
+
+        def __array__(self, dtype=None, copy=None):
+            events.append("gather")
+            return self.columns
+
     def counting_model(data, spec):
         model = Model(data, spec)
         model.x = model.x.view(Design)
+        model.effect_column = Columns(model.effect_column)
         return model
 
-    def logged(name):
-        original = getattr(sampler, name)
-
+    def logged(name, original):
         def wrapper(*args, **kwargs):
             events.append(name)
             return original(*args, **kwargs)
@@ -228,8 +246,9 @@ def test_sweep_forms_x_beta_only_at_beta_proposals(monkeypatch, family, effect):
     for iterations in (20, 40):
         with monkeypatch.context() as patch:
             patch.setattr(sampler, "Model", counting_model)
-            for name in ("log_posterior", "pointwise_log_likelihood"):
-                patch.setattr(sampler, name, logged(name))
+            for name in ("log_posterior", "_log_likelihood"):
+                patch.setattr(sampler, name, logged(name, getattr(sampler, name)))
+            patch.setattr(np, "bincount", logged("bincount", np.bincount))
             events.clear()
             run_chains(data, ModelSpec(family, effect),
                        SamplerConfig(chains=2, iterations=iterations, burnin=10, seed=4))
@@ -239,7 +258,7 @@ def test_sweep_forms_x_beta_only_at_beta_proposals(monkeypatch, family, effect):
     assert long[:len(short)] == short
     sweep = (["product", "log_posterior"] * beta_updates
              + ["log_posterior"] * (family is not Family.EXPONENTIAL)
-             + ["pointwise_log_likelihood"] * (effect is not EffectKind.NONE))
+             + ["gather", "_log_likelihood", "bincount"] * (effect is not EffectKind.NONE))
     assert long[len(short):] == sweep * 20
 
 
@@ -381,6 +400,43 @@ def test_diagnostics_are_pinned():
                 lines.append(f"ValueError: {exc}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == DIAGNOSTICS_DIGEST
+
+
+# The largest split-Rhat over every column of a default fit (2 chains x
+# 2000/1000, seed 0) on scenario-A data (n = 128) at data seeds 0, 1 and 2,
+# as measured when the check was added.  Every clustered variant has a seed
+# above 1.1, so each is a strict xfail; a sampler change that brings a
+# variant's three fits to 1.1 or below makes its case a plain test.
+_RHAT_REACHED = {
+    ("exponential", "random"): (2.037, 1.119, 1.128),
+    ("exponential", "frailty"): (1.041, 1.046, 1.291),
+    ("weibull", "random"): (1.565, 1.081, 1.862),
+    ("weibull", "frailty"): (1.191, 1.437, 1.256),
+    ("loglogistic", "random"): (1.257, 1.297, 1.375),
+    ("loglogistic", "frailty"): (1.229, 1.607, 1.106),
+    ("lognormal", "random"): (1.052, 8.767, 1.357),
+    ("lognormal", "frailty"): (1.059, 1.153, 1.117),
+}
+
+
+def _convergence_case(family, effect):
+    reached = _RHAT_REACHED[family.value, effect.value]
+    marks = () if max(reached) <= 1.1 else pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=f"split-Rhat {max(reached)} at data seed "
+        f"{reached.index(max(reached))} (seeds 0-2: {reached})")
+    return pytest.param(family, effect, marks=marks)
+
+
+@pytest.mark.parametrize("family, effect", [
+    _convergence_case(family, effect)
+    for family in Family for effect in (EffectKind.RANDOM, EffectKind.FRAILTY)])
+def test_default_fits_of_clustered_variants_converge(family, effect):
+    # stops at the first seed above the bound, which keeps the xfails short
+    for seed in range(3):
+        data = generate_scenario(ScenarioConfig("A", n=128), seed)
+        draws = run_chains(data, ModelSpec(family, effect), SamplerConfig())
+        rhat = max(split_rhat(draws, j) for j in range(len(draws.columns)))
+        assert rhat <= 1.1, f"data seed {seed}: split-Rhat {rhat:.3f}"
 
 
 # ----------------------------------------------------------------- rhat ---
